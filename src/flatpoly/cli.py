@@ -15,7 +15,7 @@ import sys
 
 from . import (corpus, formats, graphkit, lpexact, ormatroid, planardual,
                polyshape, totpos, zonolattice)
-from .exactnum import Matrix, flat_witness
+from .exactnum import independent_rows
 
 
 class UsageError(ValueError):
@@ -92,7 +92,7 @@ def cmd_tp(args):
     else:
         rng = random.Random(args.seed)
         net = totpos.random_network(args.d, args.n, rng)
-        fmp = _fmp_from_network(net)
+        fmp = totpos.flat_maxpos_from_network(net)
     poly, cert = totpos.f_tp_closed(fmp)
     _report(args, "tp", matrix=formats.dump_matrix(fmp.A),
             result_poly={"format": "poly-v1", "variable": "q",
@@ -100,19 +100,6 @@ def cmd_tp(args):
             certificate=[[list(comp), str(coef)] for comp, coef in cert.terms],
             seed=getattr(args, "seed", None))
     return 0
-
-
-def _fmp_from_network(net):
-    A = totpos.tp_from_network(net)
-    # Recover C by first differences of consecutive columns (last column of
-    # C equals the last column of A's top rows).
-    rows = []
-    for i in range(net.d - 1):
-        row = [A.entries[i][j] - (A.entries[i][j + 1] if j + 1 < net.N else 0)
-               for j in range(net.N)]
-        rows.append(row)
-    return totpos.flat_maxpos_from_C(Matrix(rows)) if rows else \
-        totpos.FlatMaxPositive(A, Matrix([[0] * net.N]))
 
 
 def cmd_boxcert(args):
@@ -142,7 +129,7 @@ def suite_thm3_5(args, checks, rng):
         rhos = [ormatroid.LEX_ORDER] + \
             [ormatroid.sample_generic_rho(ctx, rng)
              for _ in range(args.trials or 5)]
-        polys = ormatroid.f_poly_many(ctx, rhos)
+        polys = [ormatroid.f_poly_frac(ctx, rho) for rho in rhos]
         same = all(p == polys[0] for p in polys)
         shown = [str(c) for c in polys[0]]
         _check(checks, f"rho-invariance[{i}]", same, f"poly={shown}")
@@ -191,17 +178,13 @@ def suite_thm6_7(args, checks, rng):
                shift == 0 and levels == expected, f"{levels} vs {expected}")
 
 
-def suite_thm7_2(args, checks, rng):
-    suite_thm6_7(args, checks, rng)
-
-
 def suite_thm8_8(args, checks, rng):
     """Closed-form TP polynomial equals brute-force enumeration."""
     for i in range(args.trials or 8):
         d = rng.randint(1, 3)
         N = rng.randint(d + 1, d + 4)
         net = totpos.random_network(d, N, rng)
-        fmp = _fmp_from_network(net)
+        fmp = totpos.flat_maxpos_from_network(net)
         closed, cert = totpos.f_tp_closed(fmp)
         brute = ormatroid.f_poly_frac(ormatroid.MatroidContext(fmp.A))
         _check(checks, f"tp-closed-form[{i}]",
@@ -214,7 +197,7 @@ def suite_lemma8_1(args, checks, rng):
     for i in range(args.trials or 5):
         d = rng.randint(1, 3)
         N = rng.randint(d + 1, d + 4)
-        fmp = _fmp_from_network(totpos.random_network(d, N, rng))
+        fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
         ctx = ormatroid.MatroidContext(fmp.A)
         ok = True
         for basis, _vol in ormatroid.enumerate_bases(ctx):
@@ -231,7 +214,7 @@ def suite_lemma8_3(args, checks, rng):
     for i in range(args.trials or 5):
         d = rng.randint(2, 4)
         N = rng.randint(d, d + 3)
-        fmp = _fmp_from_network(totpos.random_network(d, N, rng))
+        fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
         ok = True
         try:
             for cols in combinations(range(N), d):
@@ -246,7 +229,6 @@ SUITES = {
     "thm5_3": suite_thm5_3,
     "cor5_4": suite_cor5_4,
     "thm6_7": suite_thm6_7,
-    "thm7_2": suite_thm7_2,
     "thm8_8": suite_thm8_8,
     "lemma8_1": suite_lemma8_1,
     "lemma8_3": suite_lemma8_3,
@@ -254,10 +236,14 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.trials < 0:
+        raise UsageError("--trials must be nonnegative (0 picks the suite's "
+                         "default)")
     checks = []
     rng = random.Random(args.seed)
     SUITES[args.suite](args, checks, rng)
-    ok = all(c["pass"] for c in checks)
+    # A suite that ran no check has shown nothing, so it does not pass.
+    ok = bool(checks) and all(c["pass"] for c in checks)
     _report(args, f"verify {args.suite}", checks=checks, seed=args.seed)
     return 0 if ok else 1
 
@@ -269,7 +255,7 @@ def _explore_instance(family, rng):
     if family == "tp":
         d = rng.randint(1, 4)
         N = rng.randint(d + 1, d + 4)
-        fmp = _fmp_from_network(totpos.random_network(d, N, rng))
+        fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
         poly, _ = totpos.f_tp_closed(fmp)
         if any(c.denominator != 1 for c in poly):
             # Shape flags only need the coefficient ratios; scale to ints.
@@ -283,12 +269,7 @@ def _explore_instance(family, rng):
         D, levels = corpus.random_semibalanced(rng)
         inc = graphkit.incidence_matrix(D)
         # Project to full row rank before building the matroid context.
-        keep = []
-        for r in range(inc.rows):
-            trial = Matrix([inc.entries[i] for i in keep + [r]])
-            if trial.rank() == len(keep) + 1:
-                keep.append(r)
-        proj = inc.submatrix(keep, range(inc.cols))
+        proj = inc.submatrix(independent_rows(inc), range(inc.cols))
         poly = ormatroid.f_poly(ormatroid.MatroidContext(proj))
         return poly, formats.dump_digraph(D)
     if family == "random-flat":

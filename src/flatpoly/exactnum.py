@@ -1,12 +1,16 @@
 """Exact rational matrices: minors, solving, rank, and flatness witnesses.
 
-All arithmetic is done with fractions.Fraction, so every result is exact.
-Matrices are immutable after construction and safe to share between workers.
+Determinants and the table of maximal minors run fraction-free (Bareiss)
+on integer rows; everything else is done with fractions.Fraction. Every
+result is exact. Matrices are immutable after construction and safe to
+share between workers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 
 def frac(x) -> Fraction:
@@ -78,27 +82,12 @@ class Matrix:
                        for j in range(self.cols)])
 
     def det(self) -> Fraction:
-        """Determinant by exact Gaussian elimination."""
+        """Determinant: Bareiss elimination on the denominator-cleared rows,
+        divided by the row scale."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [row[:] for row in self.entries]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    f = a[r][c] * inv
-                    for k in range(c, n):
-                        a[r][k] -= f * a[c][k]
-        return det
+        rows, scale = _integer_rows(self.entries)
+        return Fraction(bareiss_det(rows), scale)
 
     def minor(self, row_idx, col_idx) -> Fraction:
         """Determinant of the submatrix selected by the given index sets."""
@@ -190,3 +179,57 @@ def flat_witness(A: Matrix):
     if sol is None:
         return None
     return sol[0]
+
+
+def _integer_rows(entries):
+    """Rows scaled by their denominators' lcm; returns (int rows, scale),
+    where scale is the product of the row multipliers."""
+    rows, scale = [], 1
+    for row in entries:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return rows, scale
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so entries stay integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, rk = a[k][k], a[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
+def maximal_minors(A: Matrix):
+    """Integer maximal minors of A's denominator-cleared rows.
+
+    Returns (chi, scale): chi maps every sorted A.rows-subset of columns to
+    an integer, and the true minor at those columns is chi / scale. The
+    scale is positive, so chi carries the signs of the true minors.
+    """
+    rows, scale = _integer_rows(A.entries)
+    cols = list(zip(*rows))
+    chi = {key: bareiss_det([cols[c] for c in key])
+           for key in combinations(range(A.cols), A.rows)}
+    return chi, scale
+
+
+def independent_rows(A: Matrix):
+    """Indices of the lexicographically first maximal set of linearly
+    independent rows (the pivot columns of the transpose)."""
+    return A.transpose()._rref()[1]

@@ -18,7 +18,11 @@ def _load(path_or_obj):
     if isinstance(path_or_obj, dict):
         return path_or_obj
     with open(path_or_obj) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise FormatError(f"top level must be a JSON object, got "
+                          f"{type(obj).__name__}")
+    return obj
 
 
 def _expect(obj, fmt):

@@ -246,6 +246,8 @@ def eulerian_tour_order(D: Digraph, r):
     Hierholzer's algorithm, taking the smallest unused edge index at each
     step, so the tour is deterministic.
     """
+    if not 0 <= r < D.n:
+        raise ValueError(f"root {r} is not a vertex (0..{D.n - 1})")
     if not is_connected(D):
         raise NotEulerian("graph is not connected")
     indeg = [0] * D.n

@@ -3,17 +3,19 @@
 The central computation: enumerate the bases of the column matroid of a
 flat full-row-rank matrix, orient each fundamental circuit with a generic
 vector, count externally semi-active elements, and assemble the
-basis-volume generating polynomial.
+basis-volume generating polynomial. Everything is read from one table of
+integer maximal minors (the chirotope, up to a positive scale): bases are
+its nonzero entries, volumes its absolute values, and by Cramer's rule the
+fundamental circuits are ratios of its entries.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
 
-from .exactnum import Matrix, dot, flat_witness
+from .exactnum import Matrix, dot, flat_witness, maximal_minors
 from .polyshape import normalize
 
 #: Symbolic generic vector: orient every circuit so its minimal support
@@ -29,29 +31,6 @@ class NotGeneric(ValueError):
 
 class NotFlat(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SignedCircuit:
-    """A circuit with an orientation.
-
-    lam is the dependency vector over the full ground set: sum of
-    lam[i] * column_i is exactly zero, and it vanishes off the support.
-    """
-
-    support: tuple
-    lam: tuple
-
-    @property
-    def positive_part(self):
-        return frozenset(i for i in self.support if self.lam[i] > 0)
-
-    @property
-    def negative_part(self):
-        return frozenset(i for i in self.support if self.lam[i] < 0)
-
-    def negate(self):
-        return SignedCircuit(self.support, tuple(-x for x in self.lam))
 
 
 class MatroidContext:
@@ -70,86 +49,80 @@ class MatroidContext:
         self.matrix = matrix
         self.witness = list(witness)
         self.rank_d = matrix.rows
-        self._circuits = None
+        self._chi = None
 
     @property
     def n_elements(self):
         return self.matrix.cols
 
 
+def minor_table(ctx: MatroidContext):
+    """(chi, scale) of the context's matrix, computed once and cached: the
+    integer maximal minors by sorted column tuple, and their common scale."""
+    if ctx._chi is None:
+        ctx._chi = maximal_minors(ctx.matrix)
+    return ctx._chi
+
+
 def enumerate_bases(ctx: MatroidContext):
     """Yield (basis tuple, |det| volume) in lexicographic order."""
-    A = ctx.matrix
-    for cand in combinations(range(A.cols), ctx.rank_d):
-        d = A.minor(range(ctx.rank_d), cand)
-        if d != 0:
-            yield cand, abs(d)
+    chi, scale = minor_table(ctx)
+    for cand, c in chi.items():
+        if c != 0:
+            yield cand, Fraction(abs(c), scale)
 
 
-def _basis_expansions(ctx: MatroidContext, basis):
-    """Coefficients expressing every column in the given basis.
+def _swapped_minor(chi, basis, i, j):
+    """chi of the basis with its i-th column replaced by column j, in place.
 
-    Returns a d x N grid X with column_j = sum_i X[i][j] * column_{basis[i]},
-    computed by one Gauss-Jordan pass on [A_B | A].
+    By Cramer's rule, this over chi(basis) is the coefficient of basis[i]
+    in the expansion of column j.
     """
-    A = ctx.matrix
-    d = ctx.rank_d
-    aug = Matrix([[A.entries[i][b] for b in basis] + A.entries[i][:]
-                  for i in range(d)])
-    red, pivots = aug._rref()
-    if pivots != list(range(d)):
-        raise ValueError("selected columns are not a basis")
-    return [row[d:] for row in red]
-
-
-def fundamental_circuit(ctx: MatroidContext, basis, j) -> SignedCircuit:
-    """The unique circuit inside basis + {j}, normalized so lam[j] = -1."""
-    if j in basis:
-        raise ValueError("element already belongs to the basis")
-    X = _basis_expansions(ctx, basis)
-    col = [X[i][j] for i in range(ctx.rank_d)]
-    lam = [Fraction(0)] * ctx.n_elements
-    for i, b in enumerate(basis):
-        lam[b] = col[i]
-    lam[j] = Fraction(-1)
-    support = tuple(sorted(i for i in range(ctx.n_elements) if lam[i] != 0))
-    return SignedCircuit(support, tuple(lam))
-
-
-def orient_circuit(c: SignedCircuit, rho) -> SignedCircuit:
-    """Return c or its negation so the generic vector sees it positively."""
-    if rho == LEX_ORDER:
-        return c if c.lam[c.support[0]] > 0 else c.negate()
-    val = dot(c.lam, rho)
-    if val == 0:
-        raise NotGeneric(f"rho is orthogonal to circuit {c.support}")
-    return c if val > 0 else c.negate()
+    rest = basis[:i] + basis[i + 1:]
+    p = bisect_left(rest, j)
+    c = chi[rest[:p] + (j,) + rest[p:]]
+    return -c if (p - i) % 2 else c
 
 
 def ext_semiactivity(ctx: MatroidContext, basis, rho):
-    """(Ext set, count): non-basis elements in the positive part of their
-    oriented fundamental circuit."""
-    ext = _ext_via_expansions(ctx, basis, rho)
-    return ext, len(ext)
+    """(Ext set, count): non-basis elements j in the positive part of their
+    fundamental circuit, oriented by rho.
 
-
-def _ext_via_expansions(ctx: MatroidContext, basis, rho):
-    X = _basis_expansions(ctx, basis)
-    basis_set = set(basis)
+    That circuit is sum_i X_i * column(basis[i]) - column(j) with
+    X_i = _swapped_minor(i, j) / chi(basis). Under LEX_ORDER, j is active
+    iff the circuit's smallest element is j or has X_i < 0; for a vector
+    rho, iff rho sees the circuit negatively. rho orthogonal to a circuit
+    raises NotGeneric.
+    """
+    chi, _ = minor_table(ctx)
+    basis = tuple(sorted(basis))
+    cb = chi.get(basis, 0)
+    if cb == 0:
+        raise ValueError("selected columns are not a basis")
+    lex = rho == LEX_ORDER
     ext = []
     for j in range(ctx.n_elements):
-        if j in basis_set:
+        if j in basis:
             continue
-        lam = [Fraction(0)] * ctx.n_elements
-        for i, b in enumerate(basis):
-            lam[b] = X[i][j]
-        lam[j] = Fraction(-1)
-        support = tuple(sorted(i for i in range(ctx.n_elements)
-                               if lam[i] != 0))
-        c = orient_circuit(SignedCircuit(support, tuple(lam)), rho)
-        if j in c.positive_part:
+        if lex:
+            active = True
+            for i, b in enumerate(basis):
+                if b > j:
+                    break
+                c = _swapped_minor(chi, basis, i, j)
+                if c != 0:
+                    active = c * cb < 0
+                    break
+        else:
+            val = sum(_swapped_minor(chi, basis, i, j) * rho[b]
+                      for i, b in enumerate(basis)) - rho[j] * cb
+            if val == 0:
+                raise NotGeneric(f"rho is orthogonal to the fundamental "
+                                 f"circuit of {j} in {basis}")
+            active = val * cb < 0
+        if active:
             ext.append(j)
-    return ext
+    return ext, len(ext)
 
 
 def f_poly_frac(ctx: MatroidContext, rho=LEX_ORDER):
@@ -181,76 +154,18 @@ def f_poly(ctx: MatroidContext, rho=LEX_ORDER):
     return [int(c) for c in out]
 
 
-def f_poly_many(ctx: MatroidContext, rhos):
-    """f_poly for several generic vectors at once.
-
-    Fundamental circuits are computed once per basis and reused across all
-    the vectors, which matters when checking rho-invariance over many
-    samples. Returns one coefficient list per vector, Fractions like
-    f_poly_frac.
-    """
-    rhos = list(rhos)
-    coeff_maps = [{} for _ in rhos]
-    for basis, vol in enumerate_bases(ctx):
-        X = _basis_expansions(ctx, basis)
-        raw = []
-        for j in range(ctx.n_elements):
-            if j in basis:
-                continue
-            lam = [Fraction(0)] * ctx.n_elements
-            for i, b in enumerate(basis):
-                lam[b] = X[i][j]
-            lam[j] = Fraction(-1)
-            support = tuple(sorted(i for i in range(ctx.n_elements)
-                                   if lam[i] != 0))
-            raw.append((j, SignedCircuit(support, tuple(lam))))
-        for r, rho in enumerate(rhos):
-            ext = sum(1 for j, c in raw
-                      if j in orient_circuit(c, rho).positive_part)
-            coeff_maps[r][ext] = coeff_maps[r].get(ext, Fraction(0)) + vol
-    out = []
-    for cm in coeff_maps:
-        coeffs = [Fraction(0)] * (max(cm) + 1) if cm else []
-        for k, v in cm.items():
-            coeffs[k] = v
-        out.append(normalize(coeffs))
-    return out
-
-
-def circuits(ctx: MatroidContext):
-    """All circuits, as minimal dependent column sets of size <= d + 1.
-
-    Cached on the context; the circuit list is orientation-free data.
-    """
-    if ctx._circuits is not None:
-        return ctx._circuits
-    A = ctx.matrix
-    seen = []
-    seen_supports = set()
-    for size in range(1, ctx.rank_d + 2):
-        for cand in combinations(range(A.cols), size):
-            if any(s <= set(cand) for s in seen_supports):
-                continue
-            sub = A.submatrix(range(A.rows), cand)
-            ker = sub.kernel_basis()
-            if not ker:
-                continue
-            lam = [Fraction(0)] * ctx.n_elements
-            for idx, j in enumerate(cand):
-                lam[j] = ker[0][idx]
-            if any(lam[j] == 0 for j in cand):
-                continue  # dependent but not minimal; a subset is a circuit
-            seen_supports.add(frozenset(cand))
-            seen.append(SignedCircuit(tuple(cand), tuple(lam)))
-    ctx._circuits = seen
-    return seen
-
-
 def is_generic(ctx: MatroidContext, rho) -> bool:
-    """True iff rho avoids every secondary-arrangement hyperplane."""
+    """True iff rho avoids every secondary-arrangement hyperplane, that is,
+    is orthogonal to no circuit. Every circuit is the fundamental circuit
+    of some basis, so checking those suffices."""
     if rho == LEX_ORDER:
         return True
-    return all(dot(c.lam, rho) != 0 for c in circuits(ctx))
+    try:
+        for basis, _vol in enumerate_bases(ctx):
+            ext_semiactivity(ctx, basis, rho)
+    except NotGeneric:
+        return False
+    return True
 
 
 def sample_generic_rho(ctx: MatroidContext, rng: random.Random):

@@ -177,6 +177,8 @@ def box_certificate(p, d):
     The returned certificate is re-verified by expansion, so a solver bug
     cannot produce a silently wrong answer.
     """
+    if d < 1:
+        raise ValueError(f"box certificates need d >= 1 factors, got {d}")
     p = normalize(p)
     if not p:
         raise ValueError("the zero polynomial has no box certificate")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactnum import Matrix, frac
+from .exactnum import Matrix, frac, maximal_minors
 from .polyshape import BoxCertificate, normalize, poly_add, poly_scale, q_product
 
 
@@ -91,8 +91,9 @@ def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
     N = C.cols
     if d - 1 > N:
         raise NotMaxPositive("C must have at least as many columns as rows")
-    for cols in combinations(range(N), C.rows):
-        if C.minor(range(C.rows), cols) <= 0:
+    chi, _ = maximal_minors(C)
+    for cols, c in chi.items():
+        if c <= 0:
             raise NotMaxPositive(f"non-positive maximal minor at columns {cols}")
     rows = []
     for i in range(d - 1):
@@ -104,6 +105,19 @@ def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
         rows.append(row)
     rows.append([Fraction(1)] * N)
     return FlatMaxPositive(Matrix(rows), C)
+
+
+def flat_maxpos_from_network(net: GridNetwork) -> FlatMaxPositive:
+    """FlatMaxPositive of a network with a unit last row: C is recovered
+    from the path matrix A by first differences of consecutive columns of
+    A's top rows (C's last column is A's). For d = 1, C is unused by the
+    closed form and stays a zero placeholder."""
+    A = tp_from_network(net)
+    rows = [[A.entries[i][j] - (A.entries[i][j + 1] if j + 1 < net.N else 0)
+             for j in range(net.N)] for i in range(net.d - 1)]
+    if not rows:
+        return FlatMaxPositive(A, Matrix([[0] * net.N]))
+    return flat_maxpos_from_C(Matrix(rows))
 
 
 def minor_via_C(fmp: FlatMaxPositive, cols) -> Fraction:
@@ -163,8 +177,9 @@ def f_tp_closed(fmp: FlatMaxPositive):
         poly = q_product(comp)
         terms.append((comp, Fraction(1)))
     else:
+        chi, scale = maximal_minors(fmp.C)
         for js in combinations(range(1, N), d - 1):
-            coef = fmp.C.minor(range(d - 1), [j - 1 for j in js])
+            coef = Fraction(chi[tuple(j - 1 for j in js)], scale)
             comp = (js[0],) + tuple(js[r + 1] - js[r] for r in range(d - 2)) \
                 + (N - js[-1],)
             poly = poly_add(poly, poly_scale(coef, q_product(comp)))

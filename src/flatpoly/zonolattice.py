@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, lpexact, ormatroid
-from .exactnum import Matrix, dot, flat_witness, frac
+from .exactnum import Matrix, dot, flat_witness, frac, independent_rows
 from .polyshape import normalize
 
 
@@ -46,13 +46,7 @@ class ZonotopeContext:
         d = matrix.rank()
         self.d = d
         if proj_rows is None:
-            proj_rows = []
-            for i in range(matrix.rows):
-                trial = Matrix([matrix.entries[j] for j in proj_rows + [i]])
-                if trial.rank() == len(proj_rows) + 1:
-                    proj_rows.append(i)
-                if len(proj_rows) == d:
-                    break
+            proj_rows = independent_rows(matrix)
         self.proj_rows = list(proj_rows)
         self.projected = matrix.submatrix(self.proj_rows, range(matrix.cols))
         if self.projected.rank() != d:

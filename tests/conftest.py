@@ -1,0 +1,32 @@
+"""Fixtures shared by several test modules."""
+
+import random
+
+import pytest
+
+from flatpoly import corpus, totpos
+from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
+                               spanning_trees, standard_orientation)
+
+
+@pytest.fixture(scope="session")
+def flat_corpus():
+    """>= 30 flat matrices: graphic, cographic, and TP, all with N <= 12."""
+    mats = []
+    for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
+        D = standard_orientation(n, edges, part1)
+        tree = next(spanning_trees(D))
+        mats.append(("graphic:" + name, graphic_matrix(D, tree)))
+    rng = random.Random(101)
+    for i in range(8):
+        D = corpus.random_eulerian(rng, max_edges=8)
+        tree = next(spanning_trees(D))
+        mats.append(("cographic:%d" % i, cographic_matrix(D, tree)))
+    for i in range(8):
+        d = rng.randint(2, 3)
+        N = rng.randint(d + 1, d + 4)
+        net = totpos.random_network(d, N, rng)
+        mats.append(("tp:%d" % i, totpos.tp_from_network(net)))
+    assert len(mats) >= 30
+    assert all(m.cols <= 12 for _, m in mats)
+    return mats

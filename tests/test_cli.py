@@ -56,12 +56,54 @@ def test_verify_rejects_non_eulerian(tmp_path, capsys):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("thm3_5", "thm5_3", "cor5_4", "thm6_7", "thm7_2",
-                  "thm8_8", "lemma8_1", "lemma8_3"):
+    for suite in ("thm3_5", "thm5_3", "cor5_4", "thm6_7", "thm8_8",
+                  "lemma8_1", "lemma8_3"):
         code, rep = run(capsys, ["verify", suite, "--seed", "1",
                                  "--trials", "2"])
         assert code == 0, suite
         assert rep["checks"] and all(c["pass"] for c in rep["checks"])
+
+
+def test_verify_rejects_negative_trials(capsys):
+    for suite in ("thm8_8", "lemma8_1", "thm3_5"):
+        code, rep = run(capsys, ["verify", suite, "--trials", "-1"])
+        assert code == 2 and rep is None, suite
+
+
+def test_verify_fails_when_no_check_ran(capsys, monkeypatch):
+    from flatpoly import cli
+    monkeypatch.setitem(cli.SUITES, "thm8_8", lambda args, checks, rng: None)
+    code, rep = run(capsys, ["verify", "thm8_8"])
+    assert code == 1 and rep["checks"] == []
+
+
+def assert_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_pd_root_out_of_range(tmp_path, capsys):
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": 2, "edges": [[0, 1], [1, 0]]})
+    assert_input_error(capsys, ["pd", "--digraph", path, "--root", "5"],
+                       "root 5")
+    assert_input_error(capsys, ["pd", "--digraph", path, "--root", "-1"],
+                       "root -1")
+
+
+def test_json_top_level_must_be_object(tmp_path, capsys):
+    path = write(tmp_path, "list.json", [["1", "2"], ["3", "4"]])
+    assert_input_error(capsys, ["fa", "--matrix", path], "JSON object")
+
+
+def test_boxcert_rejects_nonpositive_d(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "t",
+                                      "coeffs": [2, 2]})
+    assert_input_error(capsys, ["boxcert", "--poly", path, "--d", "0"],
+                       "d >= 1")
 
 
 def test_alexander(tmp_path, capsys):

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flatpoly.exactnum import Matrix, dot, flat_witness, frac
+from flatpoly.exactnum import (Matrix, dot, flat_witness, frac,
+                               independent_rows, maximal_minors)
 
 
 def test_frac_coercions():
@@ -98,6 +100,50 @@ def test_solve_round_trip(rows, b):
         assert m.apply(x) == [frac(v) for v in b]
         for k in ker:
             assert m.apply(k) == [0, 0]
+
+
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def leibniz_det(rows):
+    """Sum over permutations: slow, but shares nothing with elimination."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term *= rows[i][p]
+        total += term
+    return total
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(rational | small, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_matches_leibniz(rows):
+    assert Matrix(rows).det() == leibniz_det(rows)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(st.lists(rational, min_size=d + 2, max_size=d + 2),
+                       min_size=d, max_size=d)))
+def test_maximal_minors_match_minor(rows):
+    m = Matrix(rows)
+    chi, scale = maximal_minors(m)
+    assert scale > 0
+    keys = list(combinations(range(m.cols), m.rows))
+    assert list(chi) == keys
+    for key in keys:
+        assert Fraction(chi[key], scale) == m.minor(range(m.rows), key)
+
+
+def test_independent_rows_greedy():
+    m = Matrix([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4],
+                [0, 0, 1]])
+    assert independent_rows(m) == [1, 3, 5]
+    assert independent_rows(Matrix([[0, 0]])) == []
 
 
 def test_det_rational():

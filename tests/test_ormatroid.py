@@ -3,13 +3,15 @@ import random
 import pytest
 
 from flatpoly import ormatroid
-from flatpoly.exactnum import Matrix
+from flatpoly.exactnum import Matrix, dot
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
-                                SignedCircuit, circuits, enumerate_bases,
-                                ext_semiactivity, f_poly, f_poly_many,
-                                fundamental_circuit, is_generic,
-                                orient_circuit, sample_generic_rho)
+                                enumerate_bases, ext_semiactivity, f_poly,
+                                f_poly_frac, is_generic, sample_generic_rho)
 from flatpoly.polyshape import reverse_in_degree
+
+import oracles
+from oracles import (SignedCircuit, circuits, fundamental_circuit,
+                     orient_circuit)
 
 
 def ctx_321():
@@ -149,11 +151,40 @@ def test_rho_invariance():
 
 
 def test_f_poly_many_matches_single():
+    # One context, so one shared minor table, serves every vector.
     rng = random.Random(5)
     ctx = ctx_321()
     rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng) for _ in range(3)]
-    many = f_poly_many(ctx, rhos)
-    assert many == [f_poly(ctx, r) for r in rhos]
+    many = [f_poly_frac(ctx, r) for r in rhos]
+    assert many == [f_poly(ctx_321(), r) for r in rhos]
+
+
+def test_ext_and_genericity_match_circuit_oracles(flat_corpus):
+    rng = random.Random(23)
+    for name, m in flat_corpus:
+        ctx = MatroidContext(m)
+        rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng) for _ in range(3)]
+        for basis, _vol in enumerate_bases(ctx):
+            for rho in rhos:
+                ext, count = ext_semiactivity(ctx, basis, rho)
+                assert ext == oracles.ext_set(ctx, basis, rho), (name, basis)
+                assert count == len(ext)
+        # Moved onto one circuit's hyperplane, a sampled vector must read
+        # as non-generic to both routes.
+        cs = circuits(ctx)
+        for rho in rhos[1:]:
+            assert is_generic(ctx, rho) and oracles.is_generic(ctx, rho)
+            c = cs[rng.randrange(len(cs))]
+            j = c.support[-1]
+            hit = list(rho)
+            hit[j] = 0
+            hit[j] = -dot(c.lam, hit) / c.lam[j]
+            assert not is_generic(ctx, hit), name
+            assert not oracles.is_generic(ctx, hit)
+    ones = ctx_ones(3)
+    for rho in ([1, 1, 2], [1, 2, 3], [2, 1, 1], [3, 3, 3]):
+        assert is_generic(ones, rho) == oracles.is_generic(ones, rho)
+    assert not is_generic(ones, [1, 1, 2])
 
 
 def test_palindromicity_and_negation():
