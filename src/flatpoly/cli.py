@@ -13,8 +13,8 @@ import json
 import random
 import sys
 
-from . import (corpus, formats, graphkit, lpexact, ormatroid, planardual,
-               polyshape, totpos, zonolattice)
+from . import (corpus, formats, graphkit, ormatroid, planardual, polyshape,
+               totpos, zonolattice)
 from .exactnum import independent_rows
 
 
@@ -49,7 +49,7 @@ def cmd_fa(args):
         ctx = _graphic_ctx(n, edges, part1)
     else:
         raise UsageError("fa needs --matrix or --bigraph")
-    poly = ormatroid.f_poly(ctx)
+    poly = ormatroid.f_poly_frac(ctx)
     _report(args, "fa", result_poly=formats.dump_poly(poly),
             shape=_shape_dict(poly))
     return 0
@@ -126,10 +126,9 @@ def suite_thm3_5(args, checks, rng):
     mats = [corpus.random_flat_matrix(rng) for _ in range(6)]
     for i, m in enumerate(mats):
         ctx = ormatroid.MatroidContext(m)
-        rhos = [ormatroid.LEX_ORDER] + \
-            [ormatroid.sample_generic_rho(ctx, rng)
+        polys = [ormatroid.f_poly_frac(ctx)] + \
+            [ormatroid.sample_generic_rho(ctx, rng)[1]
              for _ in range(args.trials or 5)]
-        polys = [ormatroid.f_poly_frac(ctx, rho) for rho in rhos]
         same = all(p == polys[0] for p in polys)
         shown = [str(c) for c in polys[0]]
         _check(checks, f"rho-invariance[{i}]", same, f"poly={shown}")

@@ -61,8 +61,10 @@ def load_poly(src):
 
 
 def dump_poly(coeffs, variable="t") -> dict:
+    """Integer coefficients as JSON ints, other rationals as "p/q"."""
     return {"format": "poly-v1", "variable": variable,
-            "coeffs": [int(c) for c in coeffs]}
+            "coeffs": [int(c) if c.denominator == 1 else _rat_str(c)
+                       for c in map(Fraction, coeffs)]}
 
 
 def load_digraph(src) -> Digraph:

@@ -169,13 +169,18 @@ def is_generic(ctx: MatroidContext, rho) -> bool:
 
 
 def sample_generic_rho(ctx: MatroidContext, rng: random.Random):
-    """Random generic vector with small-denominator rational entries.
+    """(rho, f_poly_frac(ctx, rho)) for a random generic vector rho with
+    small-denominator rational entries.
 
-    Resamples on hyperplane hits, up to RESAMPLE_LIMIT attempts.
+    f_poly_frac visits every basis, so it raises NotGeneric exactly when
+    rho is not generic; one pass both checks the sample and computes its
+    polynomial. Resamples on hyperplane hits, up to RESAMPLE_LIMIT attempts.
     """
     for _ in range(RESAMPLE_LIMIT):
         rho = [Fraction(rng.randint(-40, 40), rng.randint(1, 8))
                for _ in range(ctx.n_elements)]
-        if is_generic(ctx, rho):
-            return rho
+        try:
+            return rho, f_poly_frac(ctx, rho)
+        except NotGeneric:
+            pass
     raise NotGeneric("failed to sample a generic vector")

@@ -1,5 +1,5 @@
 """Zonotopes of integer matrices: semi-activity tiling, lattice points,
-admissible directions, exact-LP trimming, and level polynomials.
+admissible directions, trimming, and level polynomials.
 
 Ambient dimension k may exceed the rank d (incidence matrices); a fixed
 row subset of full rank plays the role of projection coordinates, both for
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import graphkit, lpexact, ormatroid
+from . import graphkit, ormatroid
 from .exactnum import Matrix, dot, flat_witness, frac, independent_rows
 from .polyshape import normalize
 
@@ -113,12 +113,12 @@ def _point_set(ctx: ZonotopeContext, pts):
     return LatticePointSet(tuple(pts), tuple(ctx.level(p) for p in pts))
 
 
-def lattice_points(ctx: ZonotopeContext, rho=ormatroid.LEX_ORDER):
+def lattice_points(ctx: ZonotopeContext):
     """Integer points of the zonotope, as the union of tile vertex sets."""
     if not ctx.unimodular:
         raise NotUnimodular("lattice enumeration needs a unimodular matrix")
     pts = []
-    for tile in tiling(ctx, rho):
+    for tile in tiling(ctx):
         pts.extend(tile.lattice_points(ctx))
     return _point_set(ctx, pts)
 
@@ -185,42 +185,17 @@ def bipartite_admissible_l(n_vertices, part1) -> AdmissibleVector:
     return AdmissibleVector(tuple(l), len(part1))
 
 
-def max_epsilon(ctx: ZonotopeContext, point, l):
-    """Largest eps with point + eps*l still in the zonotope, by exact LP."""
-    N = ctx.matrix.cols
-    # Variables: t_1..t_N in [0,1], then eps >= 0.
-    rows = []
-    rhs = []
-    for i in range(ctx.k):
-        row = [ctx.matrix.entries[i][j] for j in range(N)]
-        row.append(-frac(l[i]))
-        rows.append(row)
-        rhs.append(frac(point[i]))
-    prog = lpexact.LinearProgram.build(
-        objective=[0] * N + [1],
-        eq_lhs=rows,
-        eq_rhs=rhs,
-        bounds=[(0, 1)] * N + [(0, None)],
-    )
-    out = lpexact.lp_solve(prog)
-    if out.status != lpexact.OPTIMAL:
-        return None
-    return out.optimum
-
-
-def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector,
-                   rho=ormatroid.LEX_ORDER):
+def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     """Integer points that can move a positive distance along l and stay
-    inside; decided by one exact LP per candidate lattice point."""
+    inside: the trimming vertex of each tile, one point per tile."""
     ok, bad = check_admissible(ctx, adm.l, adm.m)
     if not ok:
         raise NotAdmissible(f"direction fails at basis {bad}")
-    pts = []
-    for p in lattice_points(ctx, rho).points:
-        eps = max_epsilon(ctx, p, adm.l)
-        if eps is not None and eps > 0:
-            pts.append(p)
-    return _point_set(ctx, pts)
+    if not ctx.unimodular:
+        raise NotUnimodular("trimming by tile vertices needs a unimodular "
+                            "matrix")
+    return _point_set(ctx, [trimming_vertex(ctx, tile, adm)
+                            for tile in tiling(ctx)])
 
 
 def level_poly(points: LatticePointSet):
@@ -251,54 +226,3 @@ def trimming_vertex(ctx: ZonotopeContext, tile: Tile, adm: AdmissibleVector):
         elif a == 0:
             raise NotAdmissible("zero coefficient in basis expansion")
     return tuple(p)
-
-
-def zonotope_membership(ctx: ZonotopeContext, point) -> bool:
-    """Exact LP membership test for an arbitrary rational point."""
-    N = ctx.matrix.cols
-    prog = lpexact.LinearProgram.build(
-        objective=[0] * N,
-        eq_lhs=[[ctx.matrix.entries[i][j] for j in range(N)]
-                for i in range(ctx.k)],
-        eq_rhs=[frac(x) for x in point],
-        bounds=[(0, 1)] * N,
-    )
-    return lpexact.lp_solve(prog).status == lpexact.OPTIMAL
-
-
-def trimmed_zonotope_points(n_vertices, edges, part1):
-    """Lattice points of the simplex-trimmed zonotope of a bipartite graph.
-
-    Computed two ways and asserted equal: by LP trimming along the
-    admissible direction (translated), and directly as the points x with
-    x + e_i inside the zonotope for every vertex i.
-    """
-    ctx = bipartite_graph_context(n_vertices, edges, part1)
-    adm = bipartite_admissible_l(n_vertices, part1)
-    trimmed = trimmed_points(ctx, adm)
-    part1_set = set(part1)
-    part2 = [v for v in range(n_vertices) if v not in part1_set]
-    j = part2[-1]   # index of the unique negative coordinate of l
-
-    def translate(p):
-        q = list(p)
-        q[j] -= 1
-        return tuple(q)
-
-    via_lp = sorted(translate(p) for p in trimmed.points)
-
-    candidates = {translate(p) for p in lattice_points(ctx).points}
-    via_simplex = []
-    for x in sorted(candidates):
-        ok = True
-        for i in range(n_vertices):
-            y = list(x)
-            y[i] += 1
-            if not zonotope_membership(ctx, y):
-                ok = False
-                break
-        if ok:
-            via_simplex.append(x)
-    if via_lp != via_simplex:
-        raise AssertionError("trimming routes disagree")
-    return _point_set(ctx, via_lp)

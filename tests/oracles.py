@@ -1,9 +1,15 @@
-"""Slow, independent routes to the oriented-matroid data, for tests only.
+"""Slow, independent routes to the oriented-matroid and zonotope data,
+for tests only.
 
 The library reads fundamental circuits off its table of maximal minors.
 These oracles rebuild them from scratch: one Gauss-Jordan pass per basis
 for fundamental circuits, and a kernel scan over small column sets for
 the full circuit list.
+
+The library trims a zonotope by reading one vertex off each tile. These
+oracles decide trimming by exact LPs instead: one LP per lattice point for
+the largest step along l, or, for bipartite graphs, one membership LP per
+vertex and candidate point.
 """
 
 from dataclasses import dataclass
@@ -11,8 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from flatpoly.exactnum import Matrix, dot
+from flatpoly import lpexact
+from flatpoly.exactnum import Matrix, dot, frac
 from flatpoly.ormatroid import LEX_ORDER, MatroidContext, NotGeneric
+from flatpoly.zonolattice import bipartite_graph_context, lattice_points
 
 
 @dataclass(frozen=True)
@@ -111,3 +119,70 @@ def circuits(ctx: MatroidContext):
 def is_generic(ctx: MatroidContext, rho) -> bool:
     """True iff rho is orthogonal to no circuit."""
     return all(dot(c.lam, rho) != 0 for c in circuits(ctx))
+
+
+def max_epsilon(ctx, point, l):
+    """Largest eps with point + eps*l still in the zonotope, by exact LP."""
+    N = ctx.matrix.cols
+    # Variables: t_1..t_N in [0,1], then eps >= 0.
+    rows = []
+    rhs = []
+    for i in range(ctx.k):
+        row = [ctx.matrix.entries[i][j] for j in range(N)]
+        row.append(-frac(l[i]))
+        rows.append(row)
+        rhs.append(frac(point[i]))
+    prog = lpexact.LinearProgram.build(
+        objective=[0] * N + [1],
+        eq_lhs=rows,
+        eq_rhs=rhs,
+        bounds=[(0, 1)] * N + [(0, None)],
+    )
+    out = lpexact.lp_solve(prog)
+    if out.status != lpexact.OPTIMAL:
+        return None
+    return out.optimum
+
+
+def trimmed_points_lp(ctx, adm):
+    """Sorted lattice points that can move a positive distance along l and
+    stay inside, decided by one exact LP per lattice point."""
+    out = []
+    for p in lattice_points(ctx).points:
+        eps = max_epsilon(ctx, p, adm.l)
+        if eps is not None and eps > 0:
+            out.append(p)
+    return out
+
+
+def zonotope_membership(ctx, point) -> bool:
+    """Exact LP membership test for an arbitrary rational point."""
+    N = ctx.matrix.cols
+    prog = lpexact.LinearProgram.build(
+        objective=[0] * N,
+        eq_lhs=[[ctx.matrix.entries[i][j] for j in range(N)]
+                for i in range(ctx.k)],
+        eq_rhs=[frac(x) for x in point],
+        bounds=[(0, 1)] * N,
+    )
+    return lpexact.lp_solve(prog).status == lpexact.OPTIMAL
+
+
+def translated(n_vertices, part1, points):
+    """Points moved by -e_j, where j is the one negative coordinate of the
+    bipartite admissible direction, sorted."""
+    j = [v for v in range(n_vertices) if v not in set(part1)][-1]
+    return sorted(p[:j] + (p[j] - 1,) + p[j + 1:] for p in points)
+
+
+def trimmed_zonotope_points(n_vertices, edges, part1):
+    """Lattice points of the simplex-trimmed zonotope of a bipartite graph:
+    the translated lattice points x with x + e_i inside the zonotope for
+    every vertex i, by one membership LP per (x, i)."""
+    ctx = bipartite_graph_context(n_vertices, edges, part1)
+    out = []
+    for x in translated(n_vertices, part1, lattice_points(ctx).points):
+        if all(zonotope_membership(ctx, x[:i] + (x[i] + 1,) + x[i + 1:])
+               for i in range(n_vertices)):
+            out.append(x)
+    return out

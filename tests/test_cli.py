@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flatpoly import corpus, formats
+from flatpoly import corpus, formats, lpexact
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
@@ -31,6 +31,15 @@ def test_fa_matrix(tmp_path, capsys):
     assert code == 0
     assert rep["result_poly"]["coeffs"] == [2, 2]
     assert rep["shape"]["palindromic"]
+
+
+def test_fa_matrix_rational(tmp_path, capsys):
+    path = write(tmp_path, "r.json", {
+        "format": "matrix-v1", "rows": 2, "cols": 3,
+        "entries": [["1/2", "2", "1"], ["1", "1", "1"]]})
+    code, rep = run(capsys, ["fa", "--matrix", path])
+    assert code == 0
+    assert rep["result_poly"]["coeffs"] == ["3/2", "3/2"]
 
 
 def test_fa_bigraph(tmp_path, capsys):
@@ -124,6 +133,18 @@ def test_zonotope(tmp_path, capsys):
     assert code == 0
     assert rep["level_poly"]["coeffs"] == [0, 2, 2]
     assert len(rep["trimmed"]["points"]) == 4
+
+
+def test_zonotope_solves_no_lp(tmp_path, capsys, monkeypatch):
+    def no_lp(prog):
+        raise AssertionError("trimming solved an LP")
+
+    monkeypatch.setattr(lpexact, "lp_solve", no_lp)
+    path = write(tmp_path, "g.json", {
+        "format": "bigraph-v1", "vertices": 4, "part1": [0, 2],
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+    code, rep = run(capsys, ["zonotope", "--bigraph", path])
+    assert code == 0 and rep["level_poly"]["coeffs"] == [0, 2, 2]
 
 
 def test_tp_seeded_deterministic(capsys):

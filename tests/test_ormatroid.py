@@ -146,15 +146,15 @@ def test_rho_invariance():
     ctx = ctx_321()
     ref = f_poly(ctx)
     for _ in range(20):
-        rho = sample_generic_rho(ctx, rng)
-        assert f_poly(ctx, rho) == ref
+        rho, poly = sample_generic_rho(ctx, rng)
+        assert poly == ref and f_poly(ctx, rho) == ref
 
 
 def test_f_poly_many_matches_single():
     # One context, so one shared minor table, serves every vector.
     rng = random.Random(5)
     ctx = ctx_321()
-    rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng) for _ in range(3)]
+    rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng)[0] for _ in range(3)]
     many = [f_poly_frac(ctx, r) for r in rhos]
     assert many == [f_poly(ctx_321(), r) for r in rhos]
 
@@ -163,7 +163,8 @@ def test_ext_and_genericity_match_circuit_oracles(flat_corpus):
     rng = random.Random(23)
     for name, m in flat_corpus:
         ctx = MatroidContext(m)
-        rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng) for _ in range(3)]
+        rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng)[0]
+                              for _ in range(3)]
         for basis, _vol in enumerate_bases(ctx):
             for rho in rhos:
                 ext, count = ext_semiactivity(ctx, basis, rho)
@@ -193,7 +194,7 @@ def test_palindromicity_and_negation():
     deg = ctx.n_elements - ctx.rank_d
     p = f_poly(ctx)
     assert reverse_in_degree(p, deg) == p
-    rho = sample_generic_rho(ctx, rng)
+    rho, _ = sample_generic_rho(ctx, rng)
     neg = [-x for x in rho]
     assert f_poly(ctx, neg) == reverse_in_degree(f_poly(ctx, rho), deg)
 
@@ -215,4 +216,5 @@ def test_sample_generic_rho_is_generic():
     rng = random.Random(0)
     ctx = ctx_ones(4)
     for _ in range(5):
-        assert is_generic(ctx, sample_generic_rho(ctx, rng))
+        rho, poly = sample_generic_rho(ctx, rng)
+        assert is_generic(ctx, rho) and poly == f_poly_frac(ctx, rho)

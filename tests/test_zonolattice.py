@@ -9,10 +9,11 @@ from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
                                   bipartite_admissible_l,
                                   bipartite_graph_context, check_admissible,
-                                  lattice_points, level_poly, max_epsilon,
-                                  tiling, trimmed_points, trimming_vertex,
-                                  trimmed_zonotope_points,
-                                  zonotope_membership)
+                                  lattice_points, level_poly, tiling,
+                                  trimmed_points, trimming_vertex)
+
+from oracles import (max_epsilon, translated, trimmed_points_lp,
+                     trimmed_zonotope_points, zonotope_membership)
 
 
 def seg_ctx():
@@ -113,15 +114,40 @@ def test_trimming_identity_square():
     ctx = ZonotopeContext(Matrix.identity(2))
     tr = trimmed_points(ctx, AdmissibleVector((1, -1), 1))
     assert tr.points == ((0, 1),)
-    # Lemma per tile: the trimming vertex agrees with the LP answer.
-    tile = tiling(ctx)[0]
-    assert trimming_vertex(ctx, tile, AdmissibleVector((1, -1), 1)) == (0, 1)
+    assert list(tr.points) == trimmed_points_lp(
+        ctx, AdmissibleVector((1, -1), 1))
 
 
 def test_trimming_rejects_inadmissible():
     ctx = seg_ctx()
     with pytest.raises(NotAdmissible):
         trimmed_points(ctx, AdmissibleVector((1,), 0))
+
+
+def test_trimming_requires_unimodular():
+    # (1, -1) is 1-admissible here, so the unimodularity check decides.
+    ctx = ZonotopeContext(Matrix([[2, 1], [0, 1]]))
+    with pytest.raises(NotUnimodular):
+        trimmed_points(ctx, AdmissibleVector((1, -1), 1))
+
+
+def test_trimmed_points_match_lp_oracle():
+    for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
+        ctx = bipartite_graph_context(n, edges, part1)
+        adm = bipartite_admissible_l(n, part1)
+        assert list(trimmed_points(ctx, adm).points) == \
+            trimmed_points_lp(ctx, adm), name
+
+
+def test_trimmed_points_match_membership_oracle():
+    for name in ("C4", "C6", "K23", "theta222", "grid2x3", "C4-doubled",
+                 "C4-one-double", "C4-two-doubles", "C6-one-double"):
+        n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+        ctx = bipartite_graph_context(n, edges, part1)
+        adm = bipartite_admissible_l(n, part1)
+        tr = trimmed_points(ctx, adm)
+        assert translated(n, part1, tr.points) == \
+            trimmed_zonotope_points(n, edges, part1), name
 
 
 def test_level_poly():
@@ -145,12 +171,15 @@ def test_level_identity_small_corpus():
 
 
 def test_per_tile_unique_trimmed_point():
+    # Distinct tiles give distinct trimming vertices, and together they are
+    # exactly the points the LP keeps.
     n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["C4"]
     ctx = bipartite_graph_context(n, edges, part1)
     adm = bipartite_admissible_l(n, part1)
-    tr = set(trimmed_points(ctx, adm).points)
-    verts = {trimming_vertex(ctx, tile, adm) for tile in tiling(ctx)}
-    assert verts == tr
+    tiles = tiling(ctx)
+    verts = {trimming_vertex(ctx, tile, adm) for tile in tiles}
+    assert len(verts) == len(tiles)
+    assert sorted(verts) == trimmed_points_lp(ctx, adm)
 
 
 def test_trimmed_zonotope_points_examples():
