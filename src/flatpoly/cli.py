@@ -78,7 +78,7 @@ def cmd_zonotope(args):
     trimmed = zonolattice.trimmed_points(ctx, adm)
     levels, shift = zonolattice.level_poly(trimmed)
     _report(args, "zonotope",
-            lattice_points=len(zonolattice.lattice_points(ctx)),
+            lattice_points=zonolattice.lattice_point_count(ctx),
             trimmed=formats.dump_points(trimmed),
             level_poly=formats.dump_poly(levels), level_shift=shift,
             admissible_direction=list(adm.l), m=adm.m)
@@ -379,6 +379,10 @@ def main(argv=None):
     except (UsageError, FileNotFoundError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        # Two internal routes disagreed: a check failed, not the input.
+        print(f"error: internal check failed: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

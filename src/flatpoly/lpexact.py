@@ -1,11 +1,20 @@
 """Exact rational linear programming: bounded-variable simplex with
-Bland's rule.
+Bland's rule, on a fraction-free integer tableau.
 
-Programs have equality constraints and per-variable bounds.  Everything
-runs over Fractions, so a returned witness satisfies every constraint as a
-rational identity.  Bounds are handled natively (nonbasic variables rest
-at a finite bound) rather than through slack rows, which keeps the tableau
-small.  Bland's rule guarantees termination, and since pivot selection is
+Programs have equality constraints and per-variable bounds.  Bounds are
+handled natively (nonbasic variables rest at a finite bound) rather than
+through slack rows, which keeps the tableau small.
+
+The tableau holds Python ints over one positive common denominator
+den = |det B| of the current basis B, as in the integer pivoting of
+Edmonds (1967) and Avis's lrs.  Each equality row is cleared of its
+denominators once at set-up.  A pivot replaces every other entry x by
+(x * p - f * y) // den, which is an exact division because every entry is
+a minor of the integer system, and den becomes |p|.  Pricing tests one
+reduced-cost sign at a time in Bland order and stops at the first column
+that may enter.  Ratios, basic values and witnesses are exact Fractions,
+so a returned witness satisfies every constraint as a rational identity.
+Bland's rule guarantees termination, and since pivot selection is
 deterministic, solving the same program twice yields identical outcomes.
 """
 
@@ -13,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .exactnum import frac
+from .exactnum import _integer_rows, frac
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -66,7 +76,15 @@ class LpOutcome:
 
 class _Simplex:
     """Bounded-variable simplex state over columns 0..n-1 (real) plus
-    n..n+m-1 (artificial)."""
+    n..n+m-1 (artificial), on an integer tableau.
+
+    Row i of the integer system reads s_i L_i (a_i . x) + L_i art_i =
+    s_i L_i b_i, where L_i clears the denominators of row i and the sign
+    s_i makes art_i start nonnegative.  T and beta hold den * B^-1 times
+    the real columns and the right-hand side, with den = |det B|.  The
+    artificial columns never enter and are never priced, so T leaves them
+    out; den still counts them through det B.
+    """
 
     def __init__(self, p: LinearProgram):
         self.m = len(p.eq_lhs)
@@ -80,77 +98,88 @@ class _Simplex:
             self.value.append(l if l is not None else
                               (h if h is not None else Fraction(0)))
         self.value += [Fraction(0)] * m
-        # Residual decides each artificial's sign so it starts >= 0.
-        resid = []
+        # The initial basis is diag(L_i), so den starts at the product.
+        den = 1
         for row, b in zip(p.eq_lhs, p.eq_rhs):
-            resid.append(b - sum((a * v for a, v in zip(row, self.value[:n])),
-                                 Fraction(0)))
+            den *= lcm(b.denominator, *(a.denominator for a in row))
+        self.den = den
         self.T = []
         self.beta = []
-        for i, (row, b) in enumerate(zip(p.eq_lhs, p.eq_rhs)):
-            sign = Fraction(-1) if resid[i] < 0 else Fraction(1)
-            art = [Fraction(0)] * m
-            art[i] = sign
-            self.T.append([sign * a for a in row] + art)
-            self.beta.append(sign * b)
+        resting = [(j, v) for j, v in enumerate(self.value) if v]
+        for row, b in zip(p.eq_lhs, p.eq_rhs):
+            # The residual's sign decides the artificial's sign.
+            s = -den if b < sum(row[j] * v for j, v in resting) else den
+            self.T.append([s * a.numerator // a.denominator for a in row])
+            self.beta.append(s * b.numerator // b.denominator)
         self.basis = list(range(n, n + m))
         self.in_basis = [False] * n + [True] * m
 
-    def basic_values(self):
-        """x_B = beta - sum of nonbasic columns times their rest values."""
-        xb = list(self.beta)
-        for j in range(self.n):
-            v = self.value[j]
-            if self.in_basis[j] or v == 0:
-                continue
-            for i in range(self.m):
-                if self.T[i][j] != 0:
-                    xb[i] -= self.T[i][j] * v
-        return xb
+    def _resting(self):
+        """Nonbasic real columns that rest at a nonzero value."""
+        return [(j, v) for j, v in enumerate(self.value[:self.n])
+                if v and not self.in_basis[j]]
+
+    def _basic_num(self, i, resting):
+        """den times the value of the variable basic in row i."""
+        row = self.T[i]
+        return self.beta[i] - sum(row[j] * v for j, v in resting)
 
     def pivot(self, r, col):
-        inv = 1 / self.T[r][col]
-        self.T[r] = [x * inv for x in self.T[r]]
-        self.beta[r] *= inv
-        for i in range(self.m):
-            if i != r and self.T[i][col] != 0:
-                f = self.T[i][col]
-                self.T[i] = [x - f * y for x, y in zip(self.T[i], self.T[r])]
-                self.beta[i] -= f * self.beta[r]
+        """Make col basic in row r: every other row becomes
+        (x * p - f * y) // den, an exact division, and den becomes |p|."""
+        T, beta, den = self.T, self.beta, self.den
+        prow, br = T[r], beta[r]
+        p = prow[col]
+        if p < 0:
+            # Negating the pivot row first keeps the new den positive.
+            p, br = -p, -br
+            T[r] = prow = [-y for y in prow]
+            beta[r] = br
+        for i, row in enumerate(T):
+            if i == r:
+                continue
+            f = row[col]
+            if f:
+                T[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
+                beta[i] = (beta[i] * p - f * br) // den
+            elif p != den:
+                T[i] = [x * p // den for x in row]
+                beta[i] = beta[i] * p // den
+        self.den = p
         self.in_basis[self.basis[r]] = False
         self.in_basis[col] = True
         self.basis[r] = col
 
+    def _entering(self, obj, allowed):
+        """First allowed column in Bland order whose reduced cost lets it
+        move off its bound, with its direction; (None, 0) at an optimum.
+
+        Only the sign of each reduced cost matters, so den times it is
+        computed in integers, one column at a time."""
+        den = self.den
+        priced = [(obj[bi], row) for bi, row in zip(self.basis, self.T)
+                  if obj[bi]]
+        for j in allowed:
+            if self.in_basis[j]:
+                continue
+            v = self.value[j]
+            at_lo = self.lo[j] is not None and v == self.lo[j]
+            at_hi = self.hi[j] is not None and v == self.hi[j]
+            if at_lo and at_hi:
+                continue   # fixed variable, cannot move
+            rc = obj[j] * den - sum(c * row[j] for c, row in priced)
+            if rc > 0 and (at_lo or not at_hi):
+                return j, 1
+            if rc < 0 and (at_hi or not at_lo):
+                return j, -1
+        return None, 0
+
     def run(self, obj, allowed):
-        """Maximize obj over the allowed entering columns. Returns True if
-        an optimum was reached, False on unboundedness."""
-        m = self.m
+        """Maximize obj (integer coefficients) over the allowed entering
+        columns. Returns True if an optimum was reached, False on
+        unboundedness."""
         while True:
-            z = [Fraction(0)] * (self.n + m)
-            for i, bi in enumerate(self.basis):
-                f = obj[bi]
-                if f != 0:
-                    row = self.T[i]
-                    for j in range(self.n + m):
-                        if row[j] != 0:
-                            z[j] += f * row[j]
-            xb = self.basic_values()
-            enter = sigma = None
-            for j in allowed:
-                if self.in_basis[j]:
-                    continue
-                rc = obj[j] - z[j]
-                v = self.value[j]
-                at_lo = self.lo[j] is not None and v == self.lo[j]
-                at_hi = self.hi[j] is not None and v == self.hi[j]
-                if at_lo and at_hi:
-                    continue   # fixed variable, cannot move
-                if rc > 0 and (at_lo or not at_hi):
-                    enter, sigma = j, Fraction(1)
-                    break
-                if rc < 0 and (at_hi or not at_lo):
-                    enter, sigma = j, Fraction(-1)
-                    break
+            enter, sigma = self._entering(obj, allowed)
             if enter is None:
                 return True
             # Ratio test: x_enter moves by sigma * t, t >= 0.
@@ -159,15 +188,18 @@ class _Simplex:
                 limit = (self.hi[enter] - self.value[enter], "flip", None)
             elif sigma < 0 and self.lo[enter] is not None:
                 limit = (self.value[enter] - self.lo[enter], "flip", None)
-            for i in range(m):
+            resting = self._resting()
+            for i in range(self.m):
                 d = sigma * self.T[i][enter]
                 bi = self.basis[i]
                 if d > 0 and self.lo[bi] is not None:
-                    t = (xb[i] - self.lo[bi]) / d
+                    bound = self.lo[bi]
                 elif d < 0 and self.hi[bi] is not None:
-                    t = (xb[i] - self.hi[bi]) / d
+                    bound = self.hi[bi]
                 else:
                     continue
+                t = Fraction(self._basic_num(i, resting) - bound * self.den,
+                             d)
                 if limit is None or t < limit[0] or \
                         (t == limit[0] and limit[1] == "pivot"
                          and bi < self.basis[limit[2]]):
@@ -185,10 +217,10 @@ class _Simplex:
                 self.pivot(row, enter)
 
     def solution(self):
-        xb = self.basic_values()
+        resting = self._resting()
         x = list(self.value)
         for i, bi in enumerate(self.basis):
-            x[bi] = xb[i]
+            x[bi] = Fraction(self._basic_num(i, resting), self.den)
         return x
 
 
@@ -201,8 +233,7 @@ def lp_solve(p: LinearProgram) -> LpOutcome:
     n, m = s.n, s.m
 
     # Phase 1: drive the artificials to zero.
-    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    s.run(obj1, range(n))
+    s.run([0] * n + [-1] * m, range(n))
     x = s.solution()
     if any(x[j] != 0 for j in range(n, n + m)):
         return LpOutcome(INFEASIBLE)
@@ -211,8 +242,10 @@ def lp_solve(p: LinearProgram) -> LpOutcome:
         s.hi[j] = Fraction(0)
         s.value[j] = Fraction(0)
 
-    obj2 = list(p.objective) + [Fraction(0)] * m
-    if not s.run(obj2, range(n)):
+    # A positive scale to integers keeps every reduced-cost sign, and so
+    # every pivot.
+    (obj2,), _ = _integer_rows([p.objective])
+    if not s.run(obj2 + [0] * m, range(n)):
         return LpOutcome(UNBOUNDED)
     x = s.solution()[:n]
     opt = sum((c * v for c, v in zip(p.objective, x)), Fraction(0))

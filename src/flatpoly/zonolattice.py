@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, ormatroid
-from .exactnum import Matrix, dot, flat_witness, frac, independent_rows
+from .exactnum import (Matrix, _integer_rows, bareiss_det, dot, flat_witness,
+                       frac, independent_rows)
 from .polyshape import normalize
 
 
@@ -60,6 +61,7 @@ class ZonotopeContext:
             self.projected, flat_witness(self.projected))
         self.unimodular = all(
             vol == 1 for _, vol in ormatroid.enumerate_bases(self.mctx))
+        self._lex_tiling = None
 
     def column(self, j):
         return [int(x) for x in self.matrix.column(j)]
@@ -87,7 +89,13 @@ class Tile:
 
 
 def tiling(ctx: ZonotopeContext, rho=ormatroid.LEX_ORDER):
-    """One shifted parallelepiped per basis; together they tile the zonotope."""
+    """One shifted parallelepiped per basis; together they tile the zonotope.
+
+    The LEX_ORDER tiling, which trimming and lattice enumeration share, is
+    built once per context."""
+    lex = rho == ormatroid.LEX_ORDER
+    if lex and ctx._lex_tiling is not None:
+        return ctx._lex_tiling
     tiles = []
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
         ext, _ = ormatroid.ext_semiactivity(ctx.mctx, basis, rho)
@@ -96,6 +104,9 @@ def tiling(ctx: ZonotopeContext, rho=ormatroid.LEX_ORDER):
             for i, c in enumerate(ctx.column(j)):
                 shift[i] += c
         tiles.append(Tile(tuple(basis), tuple(shift)))
+    tiles = tuple(tiles)
+    if lex:
+        ctx._lex_tiling = tiles
     return tiles
 
 
@@ -113,40 +124,62 @@ def _point_set(ctx: ZonotopeContext, pts):
     return LatticePointSet(tuple(pts), tuple(ctx.level(p) for p in pts))
 
 
-def lattice_points(ctx: ZonotopeContext):
+def _tile_vertices(ctx: ZonotopeContext):
     """Integer points of the zonotope, as the union of tile vertex sets."""
     if not ctx.unimodular:
         raise NotUnimodular("lattice enumeration needs a unimodular matrix")
-    pts = []
-    for tile in tiling(ctx):
-        pts.extend(tile.lattice_points(ctx))
-    return _point_set(ctx, pts)
+    return {p for tile in tiling(ctx) for p in tile.lattice_points(ctx)}
 
 
-def _expand_in_basis(ctx: ZonotopeContext, basis, vec):
-    """Coefficients of vec in the chosen basis columns, solved exactly."""
-    sub = ctx.projected.submatrix(range(ctx.d), basis)
-    proj_vec = [frac(vec[i]) for i in ctx.proj_rows]
-    sol = sub.solve(proj_vec)
-    if sol is None:
+def lattice_points(ctx: ZonotopeContext):
+    """Integer points of the zonotope with their levels."""
+    return _point_set(ctx, _tile_vertices(ctx))
+
+
+def lattice_point_count(ctx: ZonotopeContext) -> int:
+    """Number of integer points of the zonotope, without their levels."""
+    return len(_tile_vertices(ctx))
+
+
+def basis_expansions(ctx: ZonotopeContext, l):
+    """The coefficients of l in every basis, keyed by basis tuple.
+
+    By Cramer's rule, the coefficient of basis[i] is the minor of the
+    projected rows with l in place of column basis[i], over the basis
+    minor from the context's minor table.
+    """
+    if ctx.matrix.solve([frac(x) for x in l]) is None:
         raise NotInSpan("vector outside the column span")
-    return sol[0]
+    (l_col,), scale = _integer_rows([[frac(l[i]) for i in ctx.proj_rows]])
+    cols = [[int(x) for x in ctx.projected.column(j)]
+            for j in range(ctx.projected.cols)]
+    chi, _ = ormatroid.minor_table(ctx.mctx)
+    out = {}
+    for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
+        B = [cols[b] for b in basis]
+        den = chi[basis] * scale
+        out[basis] = [Fraction(bareiss_det(B[:i] + [l_col] + B[i + 1:]), den)
+                      for i in range(len(B))]
+    return out
+
+
+def _first_violation(ctx: ZonotopeContext, expansions, m):
+    """The first basis whose expansion does not have exactly m positive
+    and d - m negative coefficients, or None."""
+    for basis, alphas in expansions.items():
+        pos = sum(1 for a in alphas if a > 0)
+        neg = sum(1 for a in alphas if a < 0)
+        if pos != m or neg != ctx.d - m:
+            return basis
+    return None
 
 
 def check_admissible(ctx: ZonotopeContext, l, m):
     """Definition check: every basis expansion of l has exactly m positive
     and d - m negative coefficients. Returns (True, None) or
     (False, first violating basis)."""
-    full = ctx.matrix.solve([frac(x) for x in l])
-    if full is None:
-        raise NotInSpan("vector outside the column span")
-    for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
-        alphas = _expand_in_basis(ctx, basis, l)
-        pos = sum(1 for a in alphas if a > 0)
-        neg = sum(1 for a in alphas if a < 0)
-        if pos != m or neg != ctx.d - m:
-            return False, basis
-    return True, None
+    bad = _first_violation(ctx, basis_expansions(ctx, l), m)
+    return bad is None, bad
 
 
 @dataclass(frozen=True)
@@ -187,14 +220,17 @@ def bipartite_admissible_l(n_vertices, part1) -> AdmissibleVector:
 
 def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     """Integer points that can move a positive distance along l and stay
-    inside: the trimming vertex of each tile, one point per tile."""
-    ok, bad = check_admissible(ctx, adm.l, adm.m)
-    if not ok:
+    inside: the trimming vertex of each tile, one point per tile. The
+    expansion of l in each basis is solved once, for both the admissibility
+    check and the vertices."""
+    expansions = basis_expansions(ctx, adm.l)
+    bad = _first_violation(ctx, expansions, adm.m)
+    if bad is not None:
         raise NotAdmissible(f"direction fails at basis {bad}")
     if not ctx.unimodular:
         raise NotUnimodular("trimming by tile vertices needs a unimodular "
                             "matrix")
-    return _point_set(ctx, [trimming_vertex(ctx, tile, adm)
+    return _point_set(ctx, [trimming_vertex(ctx, tile, expansions[tile.basis])
                             for tile in tiling(ctx)])
 
 
@@ -214,10 +250,10 @@ def level_poly(points: LatticePointSet):
     return normalize(out), shift
 
 
-def trimming_vertex(ctx: ZonotopeContext, tile: Tile, adm: AdmissibleVector):
+def trimming_vertex(ctx: ZonotopeContext, tile: Tile, alphas):
     """The unique trimmed point of a tile: its shift plus the basis columns
-    carrying negative coefficients in the expansion of l."""
-    alphas = _expand_in_basis(ctx, tile.basis, adm.l)
+    carrying negative coefficients in alphas, the expansion of l in the
+    tile's basis."""
     p = list(tile.shift)
     for a, b in zip(alphas, tile.basis):
         if a < 0:

@@ -10,6 +10,10 @@ The library trims a zonotope by reading one vertex off each tile. These
 oracles decide trimming by exact LPs instead: one LP per lattice point for
 the largest step along l, or, for bipartite graphs, one membership LP per
 vertex and candidate point.
+
+The library's simplex pivots on an integer tableau over one common
+denominator. FractionSimplex is the same two-phase Bland simplex over
+Fractions, which must reach the same outcome by the same pivots.
 """
 
 from dataclasses import dataclass
@@ -186,3 +190,164 @@ def trimmed_zonotope_points(n_vertices, edges, part1):
                for i in range(n_vertices)):
             out.append(x)
     return out
+
+
+class FractionSimplex:
+    """Bounded-variable simplex state over columns 0..n-1 (real) plus
+    n..n+m-1 (artificial), with every tableau entry a Fraction.
+
+    pivots lists the (row, column) of every pivot made, in order."""
+
+    def __init__(self, p, pivots):
+        self.pivots = pivots
+        self.m = len(p.eq_lhs)
+        self.n = len(p.objective)
+        m, n = self.m, self.n
+        self.lo = [b[0] for b in p.bounds] + [Fraction(0)] * m
+        self.hi = [b[1] for b in p.bounds] + [None] * m
+        # Nonbasic start: rest each real variable at a finite bound (or 0).
+        self.value = []
+        for l, h in zip(self.lo[:n], self.hi[:n]):
+            self.value.append(l if l is not None else
+                              (h if h is not None else Fraction(0)))
+        self.value += [Fraction(0)] * m
+        # Residual decides each artificial's sign so it starts >= 0.
+        resid = []
+        for row, b in zip(p.eq_lhs, p.eq_rhs):
+            resid.append(b - sum((a * v for a, v in zip(row, self.value[:n])),
+                                 Fraction(0)))
+        self.T = []
+        self.beta = []
+        for i, (row, b) in enumerate(zip(p.eq_lhs, p.eq_rhs)):
+            sign = Fraction(-1) if resid[i] < 0 else Fraction(1)
+            art = [Fraction(0)] * m
+            art[i] = sign
+            self.T.append([sign * a for a in row] + art)
+            self.beta.append(sign * b)
+        self.basis = list(range(n, n + m))
+        self.in_basis = [False] * n + [True] * m
+
+    def basic_values(self):
+        """x_B = beta - sum of nonbasic columns times their rest values."""
+        xb = list(self.beta)
+        for j in range(self.n):
+            v = self.value[j]
+            if self.in_basis[j] or v == 0:
+                continue
+            for i in range(self.m):
+                if self.T[i][j] != 0:
+                    xb[i] -= self.T[i][j] * v
+        return xb
+
+    def pivot(self, r, col):
+        self.pivots.append((r, col))
+        inv = 1 / self.T[r][col]
+        self.T[r] = [x * inv for x in self.T[r]]
+        self.beta[r] *= inv
+        for i in range(self.m):
+            if i != r and self.T[i][col] != 0:
+                f = self.T[i][col]
+                self.T[i] = [x - f * y for x, y in zip(self.T[i], self.T[r])]
+                self.beta[i] -= f * self.beta[r]
+        self.in_basis[self.basis[r]] = False
+        self.in_basis[col] = True
+        self.basis[r] = col
+
+    def run(self, obj, allowed):
+        """Maximize obj over the allowed entering columns. Returns True if
+        an optimum was reached, False on unboundedness."""
+        m = self.m
+        while True:
+            z = [Fraction(0)] * (self.n + m)
+            for i, bi in enumerate(self.basis):
+                f = obj[bi]
+                if f != 0:
+                    row = self.T[i]
+                    for j in range(self.n + m):
+                        if row[j] != 0:
+                            z[j] += f * row[j]
+            xb = self.basic_values()
+            enter = sigma = None
+            for j in allowed:
+                if self.in_basis[j]:
+                    continue
+                rc = obj[j] - z[j]
+                v = self.value[j]
+                at_lo = self.lo[j] is not None and v == self.lo[j]
+                at_hi = self.hi[j] is not None and v == self.hi[j]
+                if at_lo and at_hi:
+                    continue   # fixed variable, cannot move
+                if rc > 0 and (at_lo or not at_hi):
+                    enter, sigma = j, Fraction(1)
+                    break
+                if rc < 0 and (at_hi or not at_lo):
+                    enter, sigma = j, Fraction(-1)
+                    break
+            if enter is None:
+                return True
+            # Ratio test: x_enter moves by sigma * t, t >= 0.
+            limit = None           # (t, kind, row)
+            if sigma > 0 and self.hi[enter] is not None:
+                limit = (self.hi[enter] - self.value[enter], "flip", None)
+            elif sigma < 0 and self.lo[enter] is not None:
+                limit = (self.value[enter] - self.lo[enter], "flip", None)
+            for i in range(m):
+                d = sigma * self.T[i][enter]
+                bi = self.basis[i]
+                if d > 0 and self.lo[bi] is not None:
+                    t = (xb[i] - self.lo[bi]) / d
+                elif d < 0 and self.hi[bi] is not None:
+                    t = (xb[i] - self.hi[bi]) / d
+                else:
+                    continue
+                if limit is None or t < limit[0] or \
+                        (t == limit[0] and limit[1] == "pivot"
+                         and bi < self.basis[limit[2]]):
+                    limit = (t, "pivot", i)
+            if limit is None:
+                return False
+            t, kind, row = limit
+            if kind == "flip":
+                self.value[enter] += sigma * t
+            else:
+                bi = self.basis[row]
+                d = sigma * self.T[row][enter]
+                self.value[bi] = self.lo[bi] if d > 0 else self.hi[bi]
+                self.value[enter] += sigma * t
+                self.pivot(row, enter)
+
+    def solution(self):
+        xb = self.basic_values()
+        x = list(self.value)
+        for i, bi in enumerate(self.basis):
+            x[bi] = xb[i]
+        return x
+
+
+def fraction_lp_solve(p, pivots=None):
+    """The two-phase Bland simplex of lpexact.lp_solve, pivoting over
+    Fractions.  Returns the LpOutcome; when pivots is a list, the
+    (row, column) of every pivot is appended to it."""
+    for lo, hi in p.bounds:
+        if lo is not None and hi is not None and lo > hi:
+            return lpexact.LpOutcome(lpexact.INFEASIBLE)
+    s = FractionSimplex(p, [] if pivots is None else pivots)
+    n, m = s.n, s.m
+
+    # Phase 1: drive the artificials to zero.
+    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    s.run(obj1, range(n))
+    x = s.solution()
+    if any(x[j] != 0 for j in range(n, n + m)):
+        return lpexact.LpOutcome(lpexact.INFEASIBLE)
+    # Freeze artificials at zero for phase 2 (basic ones stay degenerate).
+    for j in range(n, n + m):
+        s.hi[j] = Fraction(0)
+        s.value[j] = Fraction(0)
+
+    obj2 = list(p.objective) + [Fraction(0)] * m
+    if not s.run(obj2, range(n)):
+        return lpexact.LpOutcome(lpexact.UNBOUNDED)
+    x = s.solution()[:n]
+    opt = sum((c * v for c, v in zip(p.objective, x)), Fraction(0))
+    return lpexact.LpOutcome(lpexact.OPTIMAL, opt, tuple(x))

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from flatpoly import corpus, formats, lpexact
+from flatpoly import corpus, formats, lpexact, polyshape
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
@@ -162,6 +163,34 @@ def test_boxcert(tmp_path, capsys):
                                      "coeffs": [1, 0, 1]})
     code, rep = run(capsys, ["boxcert", "--poly", bad, "--d", "2"])
     assert code == 1 and not rep["box_positive"]
+
+
+def internal_failure(capsys, argv):
+    """Run argv expecting a failed internal cross-check: exit 1, an error
+    line on stderr, no report and no traceback."""
+    code = main(argv)
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == ""
+    assert cap.err.startswith("error: internal check failed")
+    assert "Traceback" not in cap.err
+
+
+def test_boxcert_wrong_witness_exits_1(tmp_path, capsys, monkeypatch):
+    # The certificate is re-expanded, so a solver that returns a wrong
+    # witness is caught instead of reported as a certificate.
+    def wrong_witness(prog):
+        return lpexact.LpOutcome(lpexact.OPTIMAL, Fraction(0),
+                                 tuple(Fraction(1) for _ in prog.objective))
+
+    monkeypatch.setattr(lpexact, "lp_solve", wrong_witness)
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "q",
+                                      "coeffs": [1, 2, 1]})
+    internal_failure(capsys, ["boxcert", "--poly", path, "--d", "2"])
+
+
+def test_shape_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polyshape, "_is_trapezoidal", lambda a: False)
+    internal_failure(capsys, ["fa", "--matrix", matrix_file(tmp_path)])
 
 
 def test_explore_families(capsys):

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import lpexact
+import oracles
+from flatpoly import lpexact, totpos
 from flatpoly.lpexact import LinearProgram, lp_solve
+from flatpoly.polyshape import box_certificate
 
 
 def solve(objective, eq_lhs, eq_rhs, bounds):
@@ -116,3 +120,115 @@ def test_box_lp_matches_vertex_scan(c, row, r):
     best = max(c[0] * x + c[1] * y for x, y in feas)
     assert out.status == lpexact.OPTIMAL
     assert out.optimum >= best
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau against the Fraction oracle: same outcome, same pivots.
+
+def integer_route(prog):
+    """lp_solve's outcome and the (row, column) of every pivot it made."""
+    pivots = []
+    pivot = lpexact._Simplex.pivot
+
+    def recording(self, r, col):
+        pivots.append((r, col))
+        pivot(self, r, col)
+
+    with mock.patch.object(lpexact._Simplex, "pivot", recording):
+        out = lp_solve(prog)
+    return out, pivots
+
+
+def assert_routes_agree(prog):
+    out, pivots = integer_route(prog)
+    oracle_pivots = []
+    assert out == oracles.fraction_lp_solve(prog, oracle_pivots)
+    assert pivots == oracle_pivots
+    if out.witness is not None:
+        assert all(type(x) is Fraction for x in out.witness)
+    return out, pivots
+
+
+entries = st.one_of(st.sampled_from([0, 0, 1, -1, 2]),
+                    st.fractions(-4, 4, max_denominator=3))
+
+
+@st.composite
+def bound_pairs(draw):
+    lo = draw(entries)
+    kind = draw(st.sampled_from(["box", "box", "box", "lower", "upper",
+                                 "free", "fixed", "empty"]))
+    if kind == "box":
+        return lo, lo + draw(st.fractions(0, 3, max_denominator=2))
+    return {"lower": (lo, None), "upper": (None, lo), "free": (None, None),
+            "fixed": (lo, lo), "empty": (lo, lo - 1)}[kind]
+
+
+@st.composite
+def programs(draw):
+    """Rational rows and rhs, zero rows, every kind of bound pair, and
+    repeated rows, whose artificials stay basic at zero (degenerate)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    row = st.lists(entries, min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(st.just([0] * n), row),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        rows.append(rows[0])
+        rhs.append(rhs[0])
+    bounds = draw(st.lists(bound_pairs(), min_size=n, max_size=n))
+    c = draw(st.lists(entries, min_size=n, max_size=n))
+    return LinearProgram.build(c, rows, rhs, bounds)
+
+
+@given(programs())
+@settings(max_examples=300, deadline=None)
+def test_integer_tableau_matches_fraction_oracle(prog):
+    assert_routes_agree(prog)
+
+
+def test_beale_degenerate_program():
+    # Beale's example cycles under the largest-coefficient rule; two rows
+    # have rhs 0, so its first pivots are degenerate.
+    q = Fraction
+    prog = LinearProgram.build(
+        [0, 0, 0, q(3, 4), -20, q(1, 2), -6],
+        [[1, 0, 0, q(1, 4), -8, -1, 9],
+         [0, 1, 0, q(1, 2), -12, q(-1, 2), 3],
+         [0, 0, 1, 0, 0, 1, 0]],
+        [0, 0, 1],
+        [(0, None)] * 7)
+    out, pivots = assert_routes_agree(prog)
+    assert out.status == lpexact.OPTIMAL and out.optimum == q(5, 4)
+    assert len(pivots) > 3
+
+
+def tp_box_programs():
+    """Every LP that box_certificate solves on seeded TP instances with
+    d = 2..5: the closed-form polynomial, which is box-positive, and the
+    same polynomial with its constant term raised by one, which is not
+    palindromic and so has no certificate."""
+    progs = []
+
+    def recording(prog):
+        progs.append(prog)
+        return lp_solve(prog)
+
+    rng = random.Random(77)
+    with mock.patch.object(lpexact, "lp_solve", recording):
+        for d in range(2, 6):
+            for N in (d + 1, d + 3, d + 5):
+                fmp = totpos.flat_maxpos_from_network(
+                    totpos.random_network(d, N, rng))
+                poly, _ = totpos.f_tp_closed(fmp)
+                assert box_certificate(poly, d) is not None
+                assert box_certificate([poly[0] + 1] + poly[1:], d) is None
+    return progs
+
+
+def test_tp_box_certificate_programs_match_fraction_oracle():
+    progs = tp_box_programs()
+    assert len(progs) == 24
+    for prog in progs:
+        assert_routes_agree(prog)

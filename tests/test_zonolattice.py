@@ -7,9 +7,10 @@ from flatpoly.exactnum import Matrix
 from flatpoly.polyshape import poly_shift, shape_report
 from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
-                                  bipartite_admissible_l,
+                                  basis_expansions, bipartite_admissible_l,
                                   bipartite_graph_context, check_admissible,
-                                  lattice_points, level_poly, tiling,
+                                  lattice_point_count, lattice_points,
+                                  level_poly, tiling,
                                   trimmed_points, trimming_vertex)
 
 from oracles import (max_epsilon, translated, trimmed_points_lp,
@@ -177,9 +178,51 @@ def test_per_tile_unique_trimmed_point():
     ctx = bipartite_graph_context(n, edges, part1)
     adm = bipartite_admissible_l(n, part1)
     tiles = tiling(ctx)
-    verts = {trimming_vertex(ctx, tile, adm) for tile in tiles}
+    expansions = basis_expansions(ctx, adm.l)
+    verts = {trimming_vertex(ctx, tile, expansions[tile.basis])
+             for tile in tiles}
     assert len(verts) == len(tiles)
     assert sorted(verts) == trimmed_points_lp(ctx, adm)
+
+
+def test_trimming_expands_l_once(monkeypatch):
+    # The admissibility check and the tile vertices read one expansion.
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["K23"]
+    ctx = bipartite_graph_context(n, edges, part1)
+    adm = bipartite_admissible_l(n, part1)
+    calls = []
+    expand = zonolattice.basis_expansions
+
+    def counting(ctx, l):
+        calls.append(l)
+        return expand(ctx, l)
+
+    monkeypatch.setattr(zonolattice, "basis_expansions", counting)
+    assert len(trimmed_points(ctx, adm)) == len(tiling(ctx))
+    assert calls == [adm.l]
+
+
+def test_basis_expansions_match_solve():
+    # Cramer ratios against one exact linear solve per basis, with an
+    # integer and a rational direction.
+    for name in ("C4", "K23", "theta222", "C4-doubled"):
+        n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+        ctx = bipartite_graph_context(n, edges, part1)
+        adm = bipartite_admissible_l(n, part1)
+        rational = [Fraction(x, 2 + i % 3) for i, x in enumerate(adm.l)]
+        rational[-1] -= sum(rational)   # back into the sum-zero span
+        for l in (adm.l, rational):
+            proj_l = [Fraction(l[i]) for i in ctx.proj_rows]
+            for basis, alphas in basis_expansions(ctx, l).items():
+                sub = ctx.projected.submatrix(range(ctx.d), basis)
+                assert alphas == sub.solve(proj_l)[0], (name, basis)
+
+
+def test_lattice_point_count_matches_point_set():
+    for name in ("C4", "C6", "K23", "theta222", "C4-doubled"):
+        n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+        ctx = bipartite_graph_context(n, edges, part1)
+        assert lattice_point_count(ctx) == len(lattice_points(ctx)), name
 
 
 def test_trimmed_zonotope_points_examples():
