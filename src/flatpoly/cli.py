@@ -9,13 +9,13 @@ found, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
 from . import (corpus, formats, graphkit, ormatroid, planardual, polyshape,
                totpos, zonolattice)
-from .exactnum import independent_rows
 
 
 class UsageError(ValueError):
@@ -93,6 +93,9 @@ def cmd_tp(args):
         rng = random.Random(args.seed)
         net = totpos.random_network(args.d, args.n, rng)
         fmp = totpos.flat_maxpos_from_network(net)
+    if fmp.A.cols < fmp.A.rows:
+        raise UsageError(f"tp needs N >= d, got d = {fmp.A.rows}, "
+                         f"N = {fmp.A.cols}")
     poly, cert = totpos.f_tp_closed(fmp)
     _report(args, "tp", matrix=formats.dump_matrix(fmp.A),
             result_poly={"format": "poly-v1", "variable": "q",
@@ -267,8 +270,9 @@ def _explore_instance(family, rng):
     if family == "semibalanced":
         D, levels = corpus.random_semibalanced(rng)
         inc = graphkit.incidence_matrix(D)
-        # Project to full row rank before building the matroid context.
-        proj = inc.submatrix(independent_rows(inc), range(inc.cols))
+        # D is connected, so the incidence matrix has rank n - 1 and any
+        # n - 1 of its rows are independent: drop the last one.
+        proj = inc.submatrix(range(inc.rows - 1), range(inc.cols))
         poly = ormatroid.f_poly(ormatroid.MatroidContext(proj))
         return poly, formats.dump_digraph(D)
     if family == "random-flat":
@@ -308,7 +312,9 @@ def cmd_explore(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on the first call."""
     ap = argparse.ArgumentParser(
         prog="flatpoly",
         description="Exact basis-activity, spanning-tree, and Alexander "
@@ -320,23 +326,19 @@ def build_parser():
     p = sub.add_parser("fa", help="basis-activity polynomial of a flat matrix")
     p.add_argument("--matrix")
     p.add_argument("--bigraph", help="bipartite graph, standard orientation")
-    p.set_defaults(fn=cmd_fa)
 
     p = sub.add_parser("pd", help="tree-reversal polynomial of an Eulerian "
                                   "digraph")
     p.add_argument("--digraph", required=True)
     p.add_argument("--root", type=int, default=0)
-    p.set_defaults(fn=cmd_pd)
 
     p = sub.add_parser("alexander", help="Alexander polynomial of a plane "
                                          "bipartite graph's link")
     p.add_argument("--planegraph", required=True)
-    p.set_defaults(fn=cmd_alexander)
 
     p = sub.add_parser("zonotope", help="trimmed zonotope levels of a "
                                         "bipartite graph")
     p.add_argument("--bigraph", required=True)
-    p.set_defaults(fn=cmd_zonotope)
 
     p = sub.add_parser("tp", help="totally positive instance and its "
                                   "box-positive expansion")
@@ -344,19 +346,16 @@ def build_parser():
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_tp)
 
     p = sub.add_parser("boxcert", help="box-positivity certificate search")
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(fn=cmd_boxcert)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--digraph")
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("explore", help="random search for trapezoidality "
                                        "counterexamples")
@@ -364,18 +363,19 @@ def build_parser():
                    choices=["semibalanced", "random-flat", "tp"])
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_explore)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # The command is looked up by name on every call, so a rebinding of a
+    # cmd_* function reaches the cached parser.
+    fn = globals()[f"cmd_{args.cmd}"]
     try:
-        return args.fn(args)
+        return fn(args)
     except (UsageError, FileNotFoundError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -186,7 +186,7 @@ def random_eulerian(rng: random.Random, max_edges=10):
 def random_flat_matrix(rng: random.Random, d=None, N=None):
     """Random integer flat matrix of full row rank: all-ones last row with
     small random integers above."""
-    from .exactnum import Matrix
+    from .exactnum import Matrix, maximal_minors
 
     d = d or rng.randint(2, 4)
     N = N or rng.randint(d + 1, d + 4)
@@ -195,7 +195,7 @@ def random_flat_matrix(rng: random.Random, d=None, N=None):
                 for _ in range(d - 1)]
         rows.append([Fraction(1)] * N)
         m = Matrix(rows)
-        if m.rank() == d:
+        if any(maximal_minors(m)[0].values()):
             return m
 
 

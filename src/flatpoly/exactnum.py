@@ -1,9 +1,10 @@
-"""Exact rational matrices: minors, solving, rank, and flatness witnesses.
+"""Exact rational matrices: determinants and the table of maximal minors.
 
-Determinants and the table of maximal minors run fraction-free (Bareiss)
-on integer rows; everything else is done with fractions.Fraction. Every
-result is exact. Matrices are immutable after construction and safe to
-share between workers.
+Bareiss fraction-free elimination on denominator-cleared integer rows is
+the one elimination routine; rank, flatness and linear expansions are read
+from the minor table by its callers (Cramer's rule). Every result is exact.
+Matrices are immutable after construction and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class Matrix:
                 raise IndexError(f"column index {j} out of range")
         return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def det(self) -> Fraction:
         """Determinant: Bareiss elimination on the denominator-cleared rows,
         divided by the row scale."""
@@ -96,89 +93,11 @@ class Matrix:
             raise ValueError("minor needs equally many rows and columns")
         return self.submatrix(row_idx, col_idx).det()
 
-    def _rref(self):
-        """Reduced row echelon form; returns (matrix rows, pivot columns)."""
-        a = [row[:] for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            piv = next((i for i in range(r, self.rows) if a[i][c] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-        return a, pivots
-
-    def rank(self) -> int:
-        return len(self._rref()[1])
-
-    def kernel_basis(self):
-        """Basis of the right kernel, one vector per free column."""
-        a, pivots = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[free] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -a[r][free]
-            basis.append(v)
-        return basis
-
-    def solve(self, b):
-        """Solve A x = b exactly.
-
-        Returns (particular solution, kernel basis) or None when the system
-        is inconsistent.
-        """
-        b = [frac(x) for x in b]
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length must equal row count")
-        aug = Matrix([row + [bv] for row, bv in zip(self.entries, b)])
-        a, pivots = aug._rref()
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = a[r][self.cols]
-        return x, self.kernel_basis()
-
-    def apply(self, x):
-        """Matrix-vector product A x."""
-        if len(x) != self.cols:
-            raise ValueError("vector length must equal column count")
-        return [sum((row[j] * x[j] for j in range(self.cols)), Fraction(0))
-                for row in self.entries]
-
 
 def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot of vectors of unequal length")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def flat_witness(A: Matrix):
-    """Linear form h with h(column) = 1 for every column, or None.
-
-    The witness is the particular solution of the row-reduced system; any
-    witness serves since downstream polynomials do not depend on the choice.
-    """
-    ones = [Fraction(1)] * A.cols
-    sol = A.transpose().solve(ones)
-    if sol is None:
-        return None
-    return sol[0]
 
 
 def _integer_rows(entries):
@@ -228,8 +147,3 @@ def maximal_minors(A: Matrix):
            for key in combinations(range(A.cols), A.rows)}
     return chi, scale
 
-
-def independent_rows(A: Matrix):
-    """Indices of the lexicographically first maximal set of linearly
-    independent rows (the pivot columns of the transpose)."""
-    return A.transpose()._rref()[1]

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
-from .exactnum import Matrix, frac
+from .exactnum import Matrix
 from .graphkit import Digraph
 from .planardual import PlaneGraph
 
@@ -30,6 +31,67 @@ def _expect(obj, fmt):
         raise FormatError(f"expected format {fmt!r}, got {obj.get('format')!r}")
 
 
+def _field(obj, key):
+    if key not in obj:
+        raise FormatError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _int(x, what):
+    """A JSON integer; floats, booleans and null are rejected."""
+    if type(x) is not int:
+        raise FormatError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _count(x, what):
+    if _int(x, what) < 0:
+        raise FormatError(f"{what} must be nonnegative, got {x}")
+    return x
+
+
+def _index(x, n, what):
+    if not 0 <= _int(x, what) < n:
+        raise FormatError(f"{what} {x} out of range 0..{n - 1}")
+    return x
+
+
+def _list(x, what, length=None):
+    if not isinstance(x, list):
+        raise FormatError(f"{what} must be a list, got {x!r}")
+    if length is not None and len(x) != length:
+        raise FormatError(f"{what} must have length {length}, got {len(x)}")
+    return x
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _rational(x):
+    """A JSON integer or a "p" or "p/q" string with a nonzero denominator."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise FormatError(f"entry must be an integer or a \"p/q\" string, "
+                      f"got {x!r}")
+
+
+def _edges(obj, n):
+    """The edge list as (u, v) pairs of vertex indices below n."""
+    return [(_index(u, n, "edge endpoint"), _index(v, n, "edge endpoint"))
+            for u, v in (_list(e, "edge", 2)
+                         for e in _list(_field(obj, "edges"), "edges"))]
+
+
+def _graph(obj):
+    """(n, edges, part1) of a bigraph-v1 or planegraph-v1 object."""
+    n = _count(_field(obj, "vertices"), "vertices")
+    part1 = [_index(v, n, "part1 vertex")
+             for v in _list(_field(obj, "part1"), "part1")]
+    return n, _edges(obj, n), part1
+
+
 def _rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else \
         f"{x.numerator}/{x.denominator}"
@@ -39,12 +101,17 @@ def load_matrix(src) -> Matrix:
     """{"format":"matrix-v1","rows":d,"cols":N,"entries":[["p/q",...],...]}"""
     obj = _load(src)
     _expect(obj, "matrix-v1")
-    entries = [[frac(x) if isinstance(x, str) else frac(int(x)) for x in row]
-               for row in obj["entries"]]
-    m = Matrix(entries, obj.get("labels"))
-    if m.rows != obj["rows"] or m.cols != obj["cols"]:
+    rows = _count(_field(obj, "rows"), "rows")
+    cols = _count(_field(obj, "cols"), "cols")
+    entries = _list(_field(obj, "entries"), "entries")
+    if len(entries) != rows or any(
+            len(_list(row, "matrix row")) != cols for row in entries):
         raise FormatError("declared shape does not match entries")
-    return m
+    labels = obj.get("labels")
+    if labels is not None and any(
+            type(x) not in (str, int) for x in _list(labels, "labels")):
+        raise FormatError("labels must be strings or integers")
+    return Matrix([[_rational(x) for x in row] for row in entries], labels)
 
 
 def dump_matrix(m: Matrix) -> dict:
@@ -57,7 +124,8 @@ def load_poly(src):
     """{"format":"poly-v1","variable":"t","coeffs":[int,...]}"""
     obj = _load(src)
     _expect(obj, "poly-v1")
-    return [int(c) for c in obj["coeffs"]]
+    return [_int(c, "coefficient")
+            for c in _list(_field(obj, "coeffs"), "coeffs")]
 
 
 def dump_poly(coeffs, variable="t") -> dict:
@@ -71,7 +139,8 @@ def load_digraph(src) -> Digraph:
     """{"format":"digraph-v1","vertices":n,"edges":[[tail,head],...]}"""
     obj = _load(src)
     _expect(obj, "digraph-v1")
-    return Digraph(int(obj["vertices"]), [tuple(e) for e in obj["edges"]])
+    n = _count(_field(obj, "vertices"), "vertices")
+    return Digraph(n, _edges(obj, n))
 
 
 def dump_digraph(D: Digraph) -> dict:
@@ -85,8 +154,7 @@ def load_bigraph(src):
     Returns (n, edges, part1)."""
     obj = _load(src)
     _expect(obj, "bigraph-v1")
-    return (int(obj["vertices"]), [tuple(e) for e in obj["edges"]],
-            [int(v) for v in obj["part1"]])
+    return _graph(obj)
 
 
 def load_planegraph(src):
@@ -98,17 +166,19 @@ def load_planegraph(src):
 
     obj = _load(src)
     _expect(obj, "planegraph-v1")
-    n = int(obj["vertices"])
-    part1 = [int(v) for v in obj["part1"]]
-    raw_edges = [tuple(e) for e in obj["edges"]]
+    n, raw_edges, part1 = _graph(obj)
     D = standard_orientation(n, raw_edges, part1)
     part1_set = set(part1)
     rotations = []
-    for rot in obj["rotations"]:
+    for rot in _list(_field(obj, "rotations"), "rotations", n):
         out = []
-        for ref in rot:
-            e = int(ref["edge"])
-            end = ref["end"]
+        for ref in _list(rot, "rotation"):
+            if not isinstance(ref, dict):
+                raise FormatError(f"half-edge must be an object, got {ref!r}")
+            e = _index(_field(ref, "edge"), len(raw_edges), "edge index")
+            end = _field(ref, "end")
+            if end not in ("tail", "head"):
+                raise FormatError(f"bad end marker {end!r}")
             # The stored end refers to the file's edge list; reorientation
             # may have swapped tail and head.
             u, v = raw_edges[e]

@@ -74,6 +74,26 @@ def is_connected(D: Digraph) -> bool:
     return len(_component(D.n, D.edges)) == D.n
 
 
+def _acyclic(D: Digraph, edge_idx) -> bool:
+    """True iff the selected edges contain no cycle: union-find with path
+    halving, the find loops written inline since the spanning-tree scan
+    runs this once per candidate subset."""
+    parent = list(range(D.n))
+    edges = D.edges
+    for i in edge_idx:
+        t, h = edges[i]
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        while parent[h] != h:
+            parent[h] = parent[parent[h]]
+            h = parent[h]
+        if t == h:
+            return False
+        parent[t] = h
+    return True
+
+
 def spanning_trees(D: Digraph):
     """Yield each spanning tree as a sorted tuple of edge indices.
 
@@ -87,23 +107,7 @@ def spanning_trees(D: Digraph):
         yield ()
         return
     for cand in combinations(range(len(D.edges)), k):
-        parent = list(range(D.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for i in cand:
-            t, h = D.edges[i]
-            rt, rh = find(t), find(h)
-            if rt == rh:
-                ok = False
-                break
-            parent[rt] = rh
-        if ok:
+        if _acyclic(D, cand):
             yield cand
 
 
@@ -139,20 +143,8 @@ def _check_tree(D: Digraph, tree):
     tree = tuple(sorted(tree))
     if len(tree) != D.n - 1:
         raise NotSpanningTree("wrong number of edges")
-    parent = list(range(D.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in tree:
-        t, h = D.edges[i]
-        rt, rh = find(t), find(h)
-        if rt == rh:
-            raise NotSpanningTree("selected edges contain a cycle")
-        parent[rt] = rh
+    if not _acyclic(D, tree):
+        raise NotSpanningTree("selected edges contain a cycle")
     return tree
 
 

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 
-from .exactnum import Matrix, dot, flat_witness, maximal_minors
+from .exactnum import Matrix, maximal_minors
 from .polyshape import normalize
 
 #: Symbolic generic vector: orient every circuit so its minimal support
@@ -34,39 +34,37 @@ class NotFlat(ValueError):
 
 
 class MatroidContext:
-    """A flat matrix of full row rank together with its flatness witness."""
+    """A flat matrix of full row rank with its table of maximal minors.
 
-    def __init__(self, matrix: Matrix, witness=None):
-        if matrix.rank() != matrix.rows:
-            raise ValueError("matrix must have full row rank")
-        if witness is None:
-            witness = flat_witness(matrix)
-            if witness is None:
-                raise NotFlat("no linear form evaluates to 1 on every column")
-        for j in range(matrix.cols):
-            if dot(witness, matrix.column(j)) != 1:
-                raise NotFlat("witness does not certify flatness")
+    Both conditions are read from the table: full row rank means some
+    maximal minor is nonzero, and flatness is checked on the first basis.
+    """
+
+    def __init__(self, matrix: Matrix):
         self.matrix = matrix
-        self.witness = list(witness)
         self.rank_d = matrix.rows
-        self._chi = None
+        self.chi, self.scale = maximal_minors(matrix)
+        chi = self.chi
+        basis = next((B for B, c in chi.items() if c != 0), None)
+        if basis is None:
+            raise ValueError("matrix must have full row rank")
+        # The linear form that is 1 on the basis columns is 1 on column j
+        # iff the Cramer coefficients of j in the basis sum to 1.
+        for j in range(matrix.cols):
+            if j not in basis and sum(
+                    _swapped_minor(chi, basis, i, j)
+                    for i in range(self.rank_d)) != chi[basis]:
+                raise NotFlat("no linear form evaluates to 1 on every column")
+        self.first_basis = basis
 
     @property
     def n_elements(self):
         return self.matrix.cols
 
 
-def minor_table(ctx: MatroidContext):
-    """(chi, scale) of the context's matrix, computed once and cached: the
-    integer maximal minors by sorted column tuple, and their common scale."""
-    if ctx._chi is None:
-        ctx._chi = maximal_minors(ctx.matrix)
-    return ctx._chi
-
-
 def enumerate_bases(ctx: MatroidContext):
     """Yield (basis tuple, |det| volume) in lexicographic order."""
-    chi, scale = minor_table(ctx)
+    chi, scale = ctx.chi, ctx.scale
     for cand, c in chi.items():
         if c != 0:
             yield cand, Fraction(abs(c), scale)
@@ -94,7 +92,7 @@ def ext_semiactivity(ctx: MatroidContext, basis, rho):
     rho, iff rho sees the circuit negatively. rho orthogonal to a circuit
     raises NotGeneric.
     """
-    chi, _ = minor_table(ctx)
+    chi = ctx.chi
     basis = tuple(sorted(basis))
     cb = chi.get(basis, 0)
     if cb == 0:
@@ -152,20 +150,6 @@ def f_poly(ctx: MatroidContext, rho=LEX_ORDER):
     if any(c.denominator != 1 for c in out):
         raise ValueError("non-integer coefficient; use f_poly_frac")
     return [int(c) for c in out]
-
-
-def is_generic(ctx: MatroidContext, rho) -> bool:
-    """True iff rho avoids every secondary-arrangement hyperplane, that is,
-    is orthogonal to no circuit. Every circuit is the fundamental circuit
-    of some basis, so checking those suffices."""
-    if rho == LEX_ORDER:
-        return True
-    try:
-        for basis, _vol in enumerate_bases(ctx):
-            ext_semiactivity(ctx, basis, rho)
-    except NotGeneric:
-        return False
-    return True
 
 
 def sample_generic_rho(ctx: MatroidContext, rng: random.Random):

@@ -3,7 +3,7 @@ admissible directions, trimming, and level polynomials.
 
 Ambient dimension k may exceed the rank d (incidence matrices); a fixed
 row subset of full rank plays the role of projection coordinates, both for
-basis volumes and for solving square systems.
+basis volumes and for the Cramer expansions read from its minor table.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, ormatroid
-from .exactnum import (Matrix, _integer_rows, bareiss_det, dot, flat_witness,
-                       frac, independent_rows)
+from .exactnum import Matrix, _integer_rows, bareiss_det, dot, frac
 from .polyshape import normalize
 
 
@@ -32,9 +31,12 @@ class NotInSpan(ValueError):
 class ZonotopeContext:
     """Integer matrix with a flatness witness and a projection row set.
 
-    proj_rows defaults to the lexicographically first row subset of full
-    rank; the projected matrix defines the volume form and serves as the
-    full-row-rank presentation for matroid computations.
+    proj_rows defaults to all rows. The projected matrix must have full row
+    rank; it defines the volume form and is the presentation for matroid
+    computations. Every column must be, in all rows, the combination of
+    the first basis that the projected rows give it, so the projected rows
+    lose no rank. The witness defaults to the linear form that is 1 on the
+    first basis, supported on the projected rows.
     """
 
     def __init__(self, matrix: Matrix, witness=None, proj_rows=None):
@@ -44,33 +46,61 @@ class ZonotopeContext:
                     raise ValueError("zonotope matrices must be integral")
         self.matrix = matrix
         self.k = matrix.rows
-        d = matrix.rank()
-        self.d = d
-        if proj_rows is None:
-            proj_rows = independent_rows(matrix)
-        self.proj_rows = list(proj_rows)
+        self.proj_rows = list(range(self.k) if proj_rows is None
+                              else proj_rows)
         self.projected = matrix.submatrix(self.proj_rows, range(matrix.cols))
-        if self.projected.rank() != d:
-            raise ValueError("projection rows do not have full rank")
+        self.mctx = ormatroid.MatroidContext(self.projected)
+        self.d = self.mctx.rank_d
+        self._columns = [[int(x) for x in matrix.column(j)]
+                         for j in range(matrix.cols)]
+        chi, basis = self.mctx.chi, self.mctx.first_basis
+        for j in range(matrix.cols):
+            if j not in basis and not _combines_to(
+                    self, basis,
+                    [ormatroid._swapped_minor(chi, basis, i, j)
+                     for i in range(self.d)],
+                    chi[basis], self._columns[j]):
+                raise ValueError("projection rows do not have full rank")
         if witness is None:
-            witness = flat_witness(matrix)
-            if witness is None:
-                raise ormatroid.NotFlat("matrix is not flat")
-        self.witness = list(witness)
-        self.mctx = ormatroid.MatroidContext(
-            self.projected, flat_witness(self.projected))
+            witness = self._cramer_witness(basis)
+        self.witness = [frac(x) for x in witness]
+        (w,), scale = _integer_rows([self.witness])
+        if len(w) != self.k or any(
+                sum(a * c for a, c in zip(w, col)) != scale
+                for col in self._columns):
+            raise ormatroid.NotFlat("witness does not certify flatness")
         self.unimodular = all(
             vol == 1 for _, vol in ormatroid.enumerate_bases(self.mctx))
         self._lex_tiling = None
 
+    def _cramer_witness(self, basis):
+        """h with h(column b) = 1 for b in the basis, by Cramer's rule on the
+        projected rows: h_r = det(B, row r replaced by ones) / det(B)."""
+        B = [[self._columns[b][r] for b in basis] for r in self.proj_rows]
+        ones = [1] * self.d
+        h = [Fraction(0)] * self.k
+        for i, r in enumerate(self.proj_rows):
+            h[r] = Fraction(bareiss_det(B[:i] + [ones] + B[i + 1:]),
+                            self.mctx.chi[basis])
+        return h
+
     def column(self, j):
-        return [int(x) for x in self.matrix.column(j)]
+        return list(self._columns[j])
 
     def level(self, point):
         val = dot(self.witness, [frac(x) for x in point])
         if val.denominator != 1:
             raise ValueError("level functional is not integral on the point")
         return int(val)
+
+
+def _combines_to(ctx: ZonotopeContext, basis, nums, den, v) -> bool:
+    """True iff den * v equals sum_i nums[i] * column(basis[i]) in all k
+    rows: whether v is the combination of the basis columns whose Cramer
+    numerators over the basis minor den are nums."""
+    cols = [ctx._columns[b] for b in basis]
+    return all(den * v[r] == sum(n * c[r] for n, c in zip(nums, cols))
+               for r in range(ctx.k))
 
 
 @dataclass(frozen=True)
@@ -146,20 +176,24 @@ def basis_expansions(ctx: ZonotopeContext, l):
 
     By Cramer's rule, the coefficient of basis[i] is the minor of the
     projected rows with l in place of column basis[i], over the basis
-    minor from the context's minor table.
+    minor from the context's minor table. l is in the column span iff its
+    expansion in the first basis reproduces it in all rows.
     """
-    if ctx.matrix.solve([frac(x) for x in l]) is None:
-        raise NotInSpan("vector outside the column span")
-    (l_col,), scale = _integer_rows([[frac(l[i]) for i in ctx.proj_rows]])
-    cols = [[int(x) for x in ctx.projected.column(j)]
-            for j in range(ctx.projected.cols)]
-    chi, _ = ormatroid.minor_table(ctx.mctx)
+    if len(l) != ctx.k:
+        raise ValueError("direction length must equal row count")
+    (l_int,), scale = _integer_rows([[frac(x) for x in l]])
+    l_col = [l_int[r] for r in ctx.proj_rows]
+    cols = [[col[r] for r in ctx.proj_rows] for col in ctx._columns]
+    chi = ctx.mctx.chi
     out = {}
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
         B = [cols[b] for b in basis]
+        nums = [bareiss_det(B[:i] + [l_col] + B[i + 1:])
+                for i in range(len(B))]
+        if not out and not _combines_to(ctx, basis, nums, chi[basis], l_int):
+            raise NotInSpan("vector outside the column span")
         den = chi[basis] * scale
-        out[basis] = [Fraction(bareiss_det(B[:i] + [l_col] + B[i + 1:]), den)
-                      for i in range(len(B))]
+        out[basis] = [Fraction(n, den) for n in nums]
     return out
 
 
@@ -188,6 +222,14 @@ class AdmissibleVector:
     m: int
 
 
+def _last_part2_vertex(n_vertices, part1):
+    part1 = set(part1)
+    part2 = [v for v in range(n_vertices) if v not in part1]
+    if not part2:
+        raise ValueError("part 2 is empty")
+    return part2[-1]
+
+
 def bipartite_graph_context(n_vertices, edges, part1):
     """ZonotopeContext of the standard-orientation incidence matrix.
 
@@ -197,11 +239,11 @@ def bipartite_graph_context(n_vertices, edges, part1):
     D = graphkit.standard_orientation(n_vertices, edges, part1)
     if not graphkit.is_connected(D):
         raise graphkit.Disconnected("graph must be connected")
+    dropped = _last_part2_vertex(n_vertices, part1)
     A = graphkit.incidence_matrix(D)
     part1 = set(part1)
-    part2 = [v for v in range(n_vertices) if v not in part1]
     witness = [Fraction(int(v in part1)) for v in range(n_vertices)]
-    proj_rows = [v for v in range(n_vertices) if v != part2[-1]]
+    proj_rows = [v for v in range(n_vertices) if v != dropped]
     return ZonotopeContext(A, witness, proj_rows)
 
 
@@ -209,13 +251,9 @@ def bipartite_admissible_l(n_vertices, part1) -> AdmissibleVector:
     """Sum-zero integer vector: positive everywhere except one negative
     part-2 coordinate; m-admissible for the incidence matrix with
     m = |part1|."""
-    part1 = set(part1)
-    part2 = [v for v in range(n_vertices) if v not in part1]
-    if not part2:
-        raise ValueError("part 2 is empty")
     l = [1] * n_vertices
-    l[part2[-1]] = -(n_vertices - 1)
-    return AdmissibleVector(tuple(l), len(part1))
+    l[_last_part2_vertex(n_vertices, part1)] = -(n_vertices - 1)
+    return AdmissibleVector(tuple(l), len(set(part1)))
 
 
 def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):

@@ -1,5 +1,11 @@
-"""Slow, independent routes to the oriented-matroid and zonotope data,
-for tests only.
+"""Slow, independent routes to the linear-algebra, oriented-matroid and
+zonotope data, for tests only.
+
+The library reads rank, flatness, linear expansions and span membership
+off its table of integer maximal minors (Bareiss elimination and Cramer's
+rule). The Fraction Gauss-Jordan routines below (rref, rank, kernel_basis,
+solve, apply, flat_witness, independent_rows) derive them by elimination
+instead, and are the reference for those checks.
 
 The library reads fundamental circuits off its table of maximal minors.
 These oracles rebuild them from scratch: one Gauss-Jordan pass per basis
@@ -25,6 +31,91 @@ from flatpoly import lpexact
 from flatpoly.exactnum import Matrix, dot, frac
 from flatpoly.ormatroid import LEX_ORDER, MatroidContext, NotGeneric
 from flatpoly.zonolattice import bipartite_graph_context, lattice_points
+
+
+def rref(A: Matrix):
+    """Reduced row echelon form; returns (matrix rows, pivot columns)."""
+    a = [row[:] for row in A.entries]
+    pivots = []
+    r = 0
+    for c in range(A.cols):
+        if r == A.rows:
+            break
+        piv = next((i for i in range(r, A.rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(A.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def rank(A: Matrix) -> int:
+    return len(rref(A)[1])
+
+
+def kernel_basis(A: Matrix):
+    """Basis of the right kernel, one vector per free column."""
+    a, pivots = rref(A)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(A.cols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * A.cols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][free]
+        basis.append(v)
+    return basis
+
+
+def solve(A: Matrix, b):
+    """Solve A x = b exactly.
+
+    Returns (particular solution, kernel basis) or None when the system
+    is inconsistent.
+    """
+    b = [frac(x) for x in b]
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length must equal row count")
+    a, pivots = rref(Matrix([row + [bv] for row, bv in zip(A.entries, b)]))
+    if A.cols in pivots:
+        return None
+    x = [Fraction(0)] * A.cols
+    for r, c in enumerate(pivots):
+        x[c] = a[r][A.cols]
+    return x, kernel_basis(A)
+
+
+def apply(A: Matrix, x):
+    """Matrix-vector product A x."""
+    if len(x) != A.cols:
+        raise ValueError("vector length must equal column count")
+    return [dot(row, x) for row in A.entries]
+
+
+def transpose(A: Matrix) -> Matrix:
+    return Matrix([list(col) for col in zip(*A.entries)])
+
+
+def flat_witness(A: Matrix):
+    """Linear form h with h(column) = 1 for every column, or None: the
+    particular solution of the row-reduced system A^T h = 1."""
+    sol = solve(transpose(A), [1] * A.cols)
+    return None if sol is None else sol[0]
+
+
+def independent_rows(A: Matrix):
+    """Indices of the lexicographically first maximal set of linearly
+    independent rows (the pivot columns of the transpose)."""
+    return rref(transpose(A))[1]
 
 
 @dataclass(frozen=True)
@@ -56,7 +147,7 @@ def _basis_expansions(ctx: MatroidContext, basis):
     d = ctx.rank_d
     aug = Matrix([[A.entries[i][b] for b in basis] + A.entries[i][:]
                   for i in range(d)])
-    red, pivots = aug._rref()
+    red, pivots = rref(aug)
     if pivots != list(range(d)):
         raise ValueError("selected columns are not a basis")
     return [row[d:] for row in red]
@@ -108,7 +199,7 @@ def circuits(ctx: MatroidContext):
         for cand in combinations(range(A.cols), size):
             if any(set(c.support) <= set(cand) for c in seen):
                 continue
-            ker = A.submatrix(range(A.rows), cand).kernel_basis()
+            ker = kernel_basis(A.submatrix(range(A.rows), cand))
             if not ker:
                 continue
             lam = [Fraction(0)] * ctx.n_elements

@@ -1,7 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpoly import corpus, formats, lpexact, polyshape
 from flatpoly.cli import main
@@ -270,3 +273,142 @@ def test_planegraph_reorients_swapped_edges():
         "edges": edges, "rotations": rot})
     assert loaded.digraph.edges == P.digraph.edges
     assert loaded.rotations == P.rotations
+
+
+# malformed inputs: exit 2 with an error line, never a traceback or a
+# silently truncated value
+
+C4_BIGRAPH = {"format": "bigraph-v1", "vertices": 4, "part1": [0, 2],
+              "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+
+
+def c4_planegraph():
+    P, part1 = corpus.plane_bipartite("C4")
+    return {"format": "planegraph-v1", "vertices": 4, "part1": part1,
+            "edges": [list(e) for e in P.digraph.edges],
+            "rotations": [[{"edge": e, "end": end} for (e, end) in r]
+                          for r in P.rotations]}
+
+
+def test_fa_rejects_float_entry(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"format": "matrix-v1", "rows": 1,
+                                      "cols": 2, "entries": [[1.5, 1]]})
+    assert_input_error(capsys, ["fa", "--matrix", path], "1.5")
+
+
+def test_boxcert_rejects_float_coefficient(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "t",
+                                      "coeffs": [1.5]})
+    assert_input_error(capsys, ["boxcert", "--poly", path, "--d", "2"],
+                       "must be an integer")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[None, 1]], "None"),
+    ([5], "must be a list"),
+    ([["1/0", 1]], "1/0"),
+])
+def test_fa_rejects_malformed_entries(tmp_path, capsys, entries, message):
+    path = write(tmp_path, "m.json", {"format": "matrix-v1", "rows": 1,
+                                      "cols": 2, "entries": entries})
+    assert_input_error(capsys, ["fa", "--matrix", path], message)
+
+
+def test_pd_rejects_null_vertex_count(tmp_path, capsys):
+    path = write(tmp_path, "d.json", {"format": "digraph-v1",
+                                      "vertices": None,
+                                      "edges": [[0, 1], [1, 0]]})
+    assert_input_error(capsys, ["pd", "--digraph", path], "vertices")
+
+
+def test_boxcert_rejects_nested_coefficient(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "t",
+                                      "coeffs": [[1]]})
+    assert_input_error(capsys, ["boxcert", "--poly", path, "--d", "2"],
+                       "must be an integer")
+
+
+def test_zonotope_rejects_empty_part2(tmp_path, capsys):
+    path = write(tmp_path, "g.json", {"format": "bigraph-v1", "vertices": 1,
+                                      "part1": [0], "edges": []})
+    assert_input_error(capsys, ["zonotope", "--bigraph", path],
+                       "part 2 is empty")
+
+
+def test_alexander_rejects_unknown_edge(tmp_path, capsys):
+    obj = c4_planegraph()
+    obj["rotations"][0][0]["edge"] = 7
+    path = write(tmp_path, "pg.json", obj)
+    assert_input_error(capsys, ["alexander", "--planegraph", path],
+                       "edge index 7 out of range")
+
+
+def test_tp_rejects_fewer_columns_than_rows(capsys):
+    assert_input_error(capsys, ["tp", "--d", "3", "--n", "2"], "N >= d")
+
+
+def _mutations(data, obj):
+    """obj after one to three edits at hypothesis-chosen depths: a value
+    replaced by junk, a key or list item dropped, or a list item
+    repeated."""
+    junk = st.sampled_from([None, True, 1.5, -1, 0, 1, 2, 3, 7, "", "x",
+                            "1/0", "-3/2", [], [0], [[1]], {}, {"edge": 0}])
+
+    def edit(x):
+        if not isinstance(x, (dict, list)) or not x:
+            return data.draw(junk)
+        key = data.draw(st.sampled_from(sorted(x) if isinstance(x, dict)
+                                        else range(len(x))))
+        action = data.draw(st.sampled_from(
+            ["descend", "descend", "junk", "drop", "repeat"]))
+        if isinstance(x, dict):
+            if action == "drop":
+                return {k: v for k, v in x.items() if k != key}
+            new = edit(x[key]) if action == "descend" else data.draw(junk)
+            return {**x, key: new}
+        if action == "drop":
+            return x[:key] + x[key + 1:]
+        if action == "repeat":
+            return x[:key] + [x[key]] + x[key:]
+        new = edit(x[key]) if action == "descend" else data.draw(junk)
+        return x[:key] + [new] + x[key + 1:]
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = edit(obj)
+    return obj
+
+
+FUZZ_CASES = [
+    (["fa", "--matrix"], {"format": "matrix-v1", "rows": 2, "cols": 3,
+                          "entries": [["3", "2", "1"], [1, 1, 1]],
+                          "labels": ["a", "b", "c"]}),
+    (["tp", "--from-c"], {"format": "matrix-v1", "rows": 1, "cols": 3,
+                          "entries": [[1, 1, "1/2"]]}),
+    (["fa", "--bigraph"], C4_BIGRAPH),
+    (["zonotope", "--bigraph"], C4_BIGRAPH),
+    (["pd", "--digraph"], {"format": "digraph-v1", "vertices": 3,
+                           "edges": [[0, 1], [1, 2], [2, 0], [1, 0],
+                                     [0, 1]]}),
+    (["verify", "thm5_3", "--digraph"], {"format": "digraph-v1",
+                                         "vertices": 2,
+                                         "edges": [[0, 1], [1, 0]]}),
+    (["alexander", "--planegraph"], c4_planegraph()),
+    (["boxcert", "--d", "2", "--poly"], {"format": "poly-v1",
+                                         "variable": "t",
+                                         "coeffs": [1, 3, 1]}),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FUZZ_CASES), st.data())
+def test_mutated_json_never_escapes(tmp_path_factory, case, data):
+    # Every loader, fed mutated documents: the exit code contract holds
+    # and no exception escapes main.
+    argv, obj = case
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(_mutations(data, obj)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from flatpoly import corpus, graphkit, ormatroid, zonolattice
-from flatpoly.exactnum import Matrix
+from flatpoly.exactnum import Matrix, dot
 from flatpoly.polyshape import poly_shift, shape_report
 from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
@@ -13,8 +14,9 @@ from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   level_poly, tiling,
                                   trimmed_points, trimming_vertex)
 
-from oracles import (max_epsilon, translated, trimmed_points_lp,
-                     trimmed_zonotope_points, zonotope_membership)
+from oracles import (apply, flat_witness, max_epsilon, rank, solve,
+                     translated, trimmed_points_lp, trimmed_zonotope_points,
+                     zonotope_membership)
 
 
 def seg_ctx():
@@ -215,7 +217,7 @@ def test_basis_expansions_match_solve():
             proj_l = [Fraction(l[i]) for i in ctx.proj_rows]
             for basis, alphas in basis_expansions(ctx, l).items():
                 sub = ctx.projected.submatrix(range(ctx.d), basis)
-                assert alphas == sub.solve(proj_l)[0], (name, basis)
+                assert alphas == solve(sub, proj_l)[0], (name, basis)
 
 
 def test_lattice_point_count_matches_point_set():
@@ -248,3 +250,91 @@ def test_bipartite_f_poly_shape():
         ctx = bipartite_graph_context(n, edges, part1)
         s = shape_report(ormatroid.f_poly(ctx.mctx))
         assert s.log_concave and s.no_internal_zeros and s.palindromic
+
+
+def outcome(build):
+    """'ok', 'rank' or 'not flat', as a context constructor reports it."""
+    try:
+        build()
+    except ormatroid.NotFlat:
+        return "not flat"
+    except ValueError:
+        return "rank"
+    return "ok"
+
+
+def oracle_outcome(m, proj_rows):
+    """The same verdict by Fraction row reduction: the projected rows must
+    be independent and carry the whole rank, and some linear form must be
+    1 on every column."""
+    if rank(m.submatrix(proj_rows, range(m.cols))) != len(proj_rows) or \
+            rank(m) != len(proj_rows):
+        return "rank"
+    return "ok" if flat_witness(m) is not None else "not flat"
+
+
+def stacked(m, row):
+    return Matrix(m.entries + [row])
+
+
+def test_context_checks_match_elimination_oracles(flat_corpus):
+    # Full row rank and flatness (MatroidContext), span of the projected
+    # rows, the default witness's levels and NotInSpan (ZonotopeContext),
+    # each read from the minor table, against Fraction row reduction.
+    rng = random.Random(7)
+    seen = set()
+    for name, m in flat_corpus:
+        d, N = m.rows, m.cols
+        rows = range(d)
+        bumped = [row[:] for row in m.entries]
+        bumped[rng.randrange(d)][rng.randrange(N)] += 1
+        cases = [m, Matrix(bumped),                       # non-flat
+                 stacked(m, [0] * N),                     # rank-deficient
+                 stacked(m, [a + b for a, b in zip(m.entries[0],
+                                                   m.entries[-1])])]
+        for case in cases:
+            got = outcome(lambda: ormatroid.MatroidContext(case))
+            assert got == oracle_outcome(case, range(case.rows)), name
+            seen.add(got)
+        if any(x.denominator != 1 for row in m.entries for x in row):
+            continue
+        # k = d + 1 rows projected to the first d: the extra row is in the
+        # row space (the last row doubled) or, mostly, outside it.
+        for extra in ([2 * x for x in m.entries[-1]],
+                      [rng.randint(-2, 2) for _ in range(N)]):
+            big = stacked(m, extra)
+            got = outcome(lambda: ZonotopeContext(big, proj_rows=rows))
+            assert got == oracle_outcome(big, rows), name
+            seen.add(("zonotope", got))
+            if got != "ok":
+                continue
+            ctx = ZonotopeContext(big, proj_rows=rows)
+            h = flat_witness(big)
+            # Tile vertices: every lattice point when ctx is unimodular.
+            for p in {p for t in tiling(ctx) for p in t.lattice_points(ctx)}:
+                assert ctx.level(p) == dot(h, p), name
+            for l in (apply(big, [rng.randint(-3, 3) for _ in range(N)]),
+                      [rng.randint(-3, 3) for _ in range(d + 1)]):
+                try:
+                    basis_expansions(ctx, l)
+                    inside = True
+                except zonolattice.NotInSpan:
+                    inside = False
+                assert inside == (solve(big, l) is not None), name
+                seen.add(("span", inside))
+    assert seen >= {"ok", "rank", "not flat", ("zonotope", "ok"),
+                    ("zonotope", "rank"), ("span", True), ("span", False)}
+
+
+def test_supplied_witness_is_checked():
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["C4"]
+    A = graphkit.incidence_matrix(
+        graphkit.standard_orientation(n, edges, part1))
+    rows = [0, 1, 2]
+    part2 = [Fraction(int(v not in part1)) for v in range(n)]
+    with pytest.raises(ormatroid.NotFlat):
+        ZonotopeContext(A, part2, rows)       # -1 on every column
+    with pytest.raises(ormatroid.NotFlat):
+        ZonotopeContext(A, [1, 0, 1], rows)   # wrong length
+    part1_ind = [Fraction(int(v in part1)) for v in range(n)]
+    assert ZonotopeContext(A, part1_ind, rows).witness == part1_ind
