@@ -36,8 +36,7 @@ def _shape_dict(p):
 
 def _graphic_ctx(n, edges, part1):
     D = graphkit.standard_orientation(n, edges, part1)
-    tree = next(graphkit.spanning_trees(D))
-    return ormatroid.MatroidContext(graphkit.graphic_matrix(D, tree))
+    return ormatroid.MatroidContext(graphkit.graphic_matrix(D))
 
 
 def cmd_fa(args):
@@ -126,9 +125,8 @@ def _check(checks, name, ok, detail=""):
 def suite_thm3_5(args, checks, rng):
     """f_poly is identical across the symbolic order and random generic
     vectors."""
-    mats = [corpus.random_flat_matrix(rng) for _ in range(6)]
-    for i, m in enumerate(mats):
-        ctx = ormatroid.MatroidContext(m)
+    ctxs = [corpus.random_flat_matrix(rng) for _ in range(6)]
+    for i, ctx in enumerate(ctxs):
         polys = [ormatroid.f_poly_frac(ctx)] + \
             [ormatroid.sample_generic_rho(ctx, rng)[1]
              for _ in range(args.trials or 5)]
@@ -145,8 +143,7 @@ def suite_thm5_3(args, checks, rng):
         digraphs = [corpus.random_eulerian(rng, 8) for _ in range(10)]
     for i, D in enumerate(digraphs):
         p = graphkit.p_poly(D, 0)
-        tree = next(graphkit.spanning_trees(D))
-        B = graphkit.cographic_matrix(D, tree)
+        B = graphkit.cographic_matrix(D)
         f = ormatroid.f_poly(ormatroid.MatroidContext(B))
         _check(checks, f"pd-equals-cographic[{i}]", p == f, f"{p} vs {f}")
 
@@ -158,8 +155,7 @@ def suite_cor5_4(args, checks, rng):
         P, part1 = corpus.plane_bipartite(name)
         alex = planardual.alexander_poly(P, part1)
         res = planardual.dual_with_orientation(P, part1)
-        tree = next(graphkit.spanning_trees(res.dual))
-        B = graphkit.cographic_matrix(res.dual, tree)
+        B = graphkit.cographic_matrix(res.dual)
         f_dual = planardual.normalized(
             ormatroid.f_poly(ormatroid.MatroidContext(B)))
         _check(checks, f"duality[{name}]", alex == f_dual,
@@ -269,16 +265,12 @@ def _explore_instance(family, rng):
         return poly, formats.dump_matrix(fmp.A)
     if family == "semibalanced":
         D, levels = corpus.random_semibalanced(rng)
-        inc = graphkit.incidence_matrix(D)
-        # D is connected, so the incidence matrix has rank n - 1 and any
-        # n - 1 of its rows are independent: drop the last one.
-        proj = inc.submatrix(range(inc.rows - 1), range(inc.cols))
-        poly = ormatroid.f_poly(ormatroid.MatroidContext(proj))
+        poly = ormatroid.f_poly(
+            ormatroid.MatroidContext(graphkit.graphic_matrix(D)))
         return poly, formats.dump_digraph(D)
     if family == "random-flat":
-        m = corpus.random_flat_matrix(rng)
-        poly = ormatroid.f_poly(ormatroid.MatroidContext(m))
-        return poly, formats.dump_matrix(m)
+        ctx = corpus.random_flat_matrix(rng)
+        return ormatroid.f_poly(ctx), formats.dump_matrix(ctx.matrix)
     raise UsageError(f"unknown family {family!r}")
 
 

@@ -13,14 +13,22 @@ from .graphkit import Digraph
 from .planardual import plane_from_coords
 
 
+def _circle_points(k):
+    """k rational points counterclockwise on the unit circle: the
+    Pythagorean parametrization ((1 - s^2)/(1 + s^2), 2s/(1 + s^2)) at
+    increasing s."""
+    out = []
+    for i in range(k):
+        s = Fraction(2 * i - k + 1, 2)
+        out.append(((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)))
+    return out
+
+
 def _cycle(k):
     """Even plane cycle on vertices 0..k-1, parts = parity classes."""
-    import math
     edges = [(i, (i + 1) % k) for i in range(k)]
-    coords = [(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k))
-              for i in range(k)]
     part1 = [i for i in range(k) if i % 2 == 0]
-    return k, edges, part1, coords, None
+    return k, edges, part1, _circle_points(k), None
 
 
 def _grid(rows, cols):
@@ -47,12 +55,12 @@ def _theta(lengths):
     u, v = 0, 1
     n = 2
     edges = []
-    coords = [(-2.0, 0.0), (2.0, 0.0)]
+    coords = [(-2, 0), (2, 0)]
     for pi, length in enumerate(lengths):
-        y = float(len(lengths) - 1 - 2 * pi)
+        y = len(lengths) - 1 - 2 * pi
         prev = u
         for s in range(length - 1):
-            coords.append((-2.0 + 4.0 * (s + 1) / length, y))
+            coords.append((Fraction(4 * (s + 1), length) - 2, y))
             edges.append((prev, n))
             prev = n
             n += 1
@@ -76,18 +84,16 @@ def _theta(lengths):
 
 def _doubled_cycle(k, doubled):
     """Even cycle with the listed edge positions doubled; the extra copy
-    bends outward so rotations stay planar."""
-    import math
+    bends outward, off the midpoint along the outer normal, so rotations
+    stay planar."""
+    coords = _circle_points(k)
     edges = [(i, (i + 1) % k) for i in range(k)]
     bends = {}
     for pos in doubled:
-        i, j = pos, (pos + 1) % k
-        mid_angle = 2 * math.pi * (pos + 0.5) / k
-        bends[len(edges)] = (1.5 * math.cos(mid_angle),
-                             1.5 * math.sin(mid_angle))
-        edges.append((i, j))
-    coords = [(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k))
-              for i in range(k)]
+        (ax, ay), (bx, by) = coords[pos], coords[(pos + 1) % k]
+        bends[len(edges)] = ((ax + bx + by - ay) / 2,
+                             (ay + by + ax - bx) / 2)
+        edges.append((pos, (pos + 1) % k))
     part1 = [i for i in range(k) if i % 2 == 0]
     return k, edges, part1, coords, bends
 
@@ -95,7 +101,7 @@ def _doubled_cycle(k, doubled):
 def _k23():
     n = 5
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-    coords = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, -1.0)]
+    coords = [(-1, 0), (1, 0), (0, 1), (0, 0), (0, -1)]
     part1 = [0, 1]
     return n, edges, part1, coords, None
 
@@ -184,9 +190,10 @@ def random_eulerian(rng: random.Random, max_edges=10):
 
 
 def random_flat_matrix(rng: random.Random, d=None, N=None):
-    """Random integer flat matrix of full row rank: all-ones last row with
-    small random integers above."""
-    from .exactnum import Matrix, maximal_minors
+    """MatroidContext of a random integer flat matrix of full row rank:
+    all-ones last row with small random integers above."""
+    from .exactnum import Matrix
+    from .ormatroid import MatroidContext
 
     d = d or rng.randint(2, 4)
     N = N or rng.randint(d + 1, d + 4)
@@ -194,9 +201,12 @@ def random_flat_matrix(rng: random.Random, d=None, N=None):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(N)]
                 for _ in range(d - 1)]
         rows.append([Fraction(1)] * N)
-        m = Matrix(rows)
-        if any(maximal_minors(m)[0].values()):
-            return m
+        try:
+            return MatroidContext(Matrix(rows))
+        except ValueError:
+            # The all-ones row makes every draw flat, so this is the full
+            # row rank check: draw again.
+            continue
 
 
 def random_semibalanced(rng: random.Random):

@@ -1,14 +1,15 @@
 """Exact rational matrices: determinants and the table of maximal minors.
 
 Bareiss fraction-free elimination on denominator-cleared integer rows is
-the one elimination routine; rank, flatness and linear expansions are read
-from the minor table by its callers (Cramer's rule). Every result is exact.
+the one elimination routine; rank, flatness, linear expansions and the Gale
+dual are read from the minor table (Cramer's rule). Every result is exact.
 Matrices are immutable after construction and safe to share between
 workers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -147,3 +148,45 @@ def maximal_minors(A: Matrix):
            for key in combinations(range(A.cols), A.rows)}
     return chi, scale
 
+
+def _first_basis(chi):
+    """The lexicographically first basis in a minor table."""
+    basis = next((B for B, c in chi.items() if c != 0), None)
+    if basis is None:
+        raise ValueError("matrix must have full row rank")
+    return basis
+
+
+def _swapped_minor(chi, basis, i, j):
+    """chi of the basis with its i-th column replaced by column j, in place.
+
+    By Cramer's rule, this over chi(basis) is the coefficient of basis[i]
+    in the expansion of column j.
+    """
+    rest = basis[:i] + basis[i + 1:]
+    p = bisect_left(rest, j)
+    c = chi[rest[:p] + (j,) + rest[p:]]
+    return -c if (p - i) % 2 else c
+
+
+def dual_matrix(A: Matrix) -> Matrix:
+    """Gale dual of a full-row-rank matrix, read from its minor table.
+
+    With B the first basis, row k (one per column k not in B) holds
+    -chi(B, b_i -> k) / chi(B) at column b_i and 1 at column k: the
+    dependence that expresses column k in B. The rows span the orthogonal
+    complement of A's row space.
+    """
+    chi, _scale = maximal_minors(A)
+    basis = _first_basis(chi)
+    cb = chi[basis]
+    rows = []
+    for k in range(A.cols):
+        if k in basis:
+            continue
+        row = [Fraction(0)] * A.cols
+        row[k] = Fraction(1)
+        for i, b in enumerate(basis):
+            row[b] = Fraction(-_swapped_minor(chi, basis, i, k), cb)
+        rows.append(row)
+    return Matrix(rows)

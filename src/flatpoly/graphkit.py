@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactnum import Matrix
+from .exactnum import Matrix, dual_matrix
 from .polyshape import normalize
 
 
@@ -20,10 +20,6 @@ class Disconnected(ValueError):
 
 
 class NotEulerian(ValueError):
-    pass
-
-
-class NotSpanningTree(ValueError):
     pass
 
 
@@ -111,22 +107,6 @@ def spanning_trees(D: Digraph):
             yield cand
 
 
-def tree_count(D: Digraph) -> int:
-    """Kirchhoff spanning-tree count of the underlying undirected graph."""
-    if D.n == 1:
-        return 1
-    lap = [[Fraction(0)] * D.n for _ in range(D.n)]
-    for t, h in D.edges:
-        lap[t][t] += 1
-        lap[h][h] += 1
-        lap[t][h] -= 1
-        lap[h][t] -= 1
-    reduced = Matrix([row[:-1] for row in lap[:-1]])
-    val = reduced.det()
-    assert val.denominator == 1
-    return int(val)
-
-
 def incidence_matrix(D: Digraph) -> Matrix:
     """|V| x |E| signed incidence matrix: column e_tail - e_head per edge."""
     cols = []
@@ -139,97 +119,32 @@ def incidence_matrix(D: Digraph) -> Matrix:
                    for i in range(D.n)])
 
 
-def _check_tree(D: Digraph, tree):
-    tree = tuple(sorted(tree))
-    if len(tree) != D.n - 1:
-        raise NotSpanningTree("wrong number of edges")
-    if not _acyclic(D, tree):
-        raise NotSpanningTree("selected edges contain a cycle")
-    return tree
+def graphic_matrix(D: Digraph) -> Matrix:
+    """The incidence matrix with its last row dropped.
 
-
-def _tree_path(D: Digraph, tree, u, v):
-    """Path from u to v inside the tree, as (edge index, forward?) steps."""
-    adj = {w: [] for w in range(D.n)}
-    for i in tree:
-        t, h = D.edges[i]
-        adj[t].append((h, i, True))
-        adj[h].append((t, i, False))
-    prev = {u: None}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for (y, i, fwd) in adj[x]:
-            if y not in prev:
-                prev[y] = (x, i, fwd)
-                stack.append(y)
-    path = []
-    x = v
-    while prev[x] is not None:
-        px, i, fwd = prev[x]
-        path.append((i, fwd))
-        x = px
-    path.reverse()
-    return path
-
-
-def graphic_matrix(D: Digraph, tree) -> Matrix:
-    """The full-rank presentation with identity on tree edges.
-
-    Row i corresponds to the i-th tree edge. A non-tree edge's column holds
-    the signs of its fundamental cycle, traversed in the edge's direction:
-    -1 on tree edges traversed along their orientation, +1 against.
+    D must be connected, so the incidence matrix has rank n - 1 and any
+    n - 1 of its rows are independent. For a spanning tree T, the tree's
+    [I | X] presentation is M_T^-1 times this matrix with det M_T = +-1, so
+    every maximal minor agrees up to one global sign.
     """
-    tree = _check_tree(D, tree)
-    row_of = {e: i for i, e in enumerate(tree)}
-    n_rows = len(tree)
-    cols = []
-    for j, (t, h) in enumerate(D.edges):
-        col = [Fraction(0)] * n_rows
-        if j in row_of:
-            col[row_of[j]] = Fraction(1)
-        else:
-            # Close the cycle: j runs t -> h, return from h to t in the tree.
-            for (i, fwd) in _tree_path(D, tree, h, t):
-                col[row_of[i]] = Fraction(-1) if fwd else Fraction(1)
-        cols.append(col)
-    return Matrix([[cols[j][i] for j in range(len(D.edges))]
-                   for i in range(n_rows)])
+    if not is_connected(D):
+        raise Disconnected("graph is not connected")
+    inc = incidence_matrix(D)
+    return inc.submatrix(range(inc.rows - 1), range(inc.cols))
 
 
-def cographic_matrix(D: Digraph, tree) -> Matrix:
-    """The cut presentation with identity on non-tree edges.
+def cographic_matrix(D: Digraph) -> Matrix:
+    """The cographic presentation: the Gale dual of the graphic matrix.
 
-    Row k corresponds to the k-th non-tree edge. A tree edge d's column
-    holds the signs of its fundamental cut: +1 on cut edges oriented
-    opposite to d across the cut, -1 on edges parallel to d.
+    Read from the graphic matrix's minor table with B the lexicographically
+    first spanning tree. Row k belongs to the k-th non-tree edge and holds
+    its signed fundamental cycle, so the identity sits on the non-tree
+    edges and a tree edge's column holds the signs of its fundamental cut.
+    The rows span the cycle space, the orthogonal complement of the
+    graphic matrix's rows, so the columns present the dual oriented
+    matroid.
     """
-    tree = _check_tree(D, tree)
-    cotree = [j for j in range(len(D.edges)) if j not in set(tree)]
-    row_of = {e: i for i, e in enumerate(cotree)}
-    n_rows = len(cotree)
-    cols = []
-    for j, (t, h) in enumerate(D.edges):
-        col = [Fraction(0)] * n_rows
-        if j in row_of:
-            col[row_of[j]] = Fraction(1)
-        else:
-            rest = [e for e in tree if e != j]
-            side = _component(D.n, [D.edges[e] for e in rest], start=t)
-            # d = j points from its tail's side to the other side.
-            for e in cotree:
-                et, eh = D.edges[e]
-                if (et in side) == (eh in side):
-                    continue
-                if et in side:
-                    col[row_of[e]] = Fraction(-1)   # parallel to d
-                else:
-                    col[row_of[e]] = Fraction(1)    # opposite to d
-        cols.append(col)
-    return Matrix([[cols[j][i] for j in range(len(D.edges))]
-                   for i in range(n_rows)])
+    return dual_matrix(graphic_matrix(D))
 
 
 def eulerian_tour_order(D: Digraph, r):
@@ -279,15 +194,26 @@ def p_poly(D: Digraph, r=0):
     # Eulerian check up front: the polynomial's root-independence and its
     # matroid interpretation need it.
     eulerian_tour_order(D, r)
+    edges = D.edges
     counts = {}
     for tree in spanning_trees(D):
+        # Walk the tree once from r: an edge points away from r iff its
+        # tail is reached first, i.e. its tail is the parent of its head.
+        adj = [[] for _ in range(D.n)]
+        for i in tree:
+            t, h = edges[i]
+            adj[t].append((h, 1))
+            adj[h].append((t, 0))
+        seen = [False] * D.n
+        seen[r] = True
+        stack = [r]
         k = 0
-        for d in tree:
-            rest = [D.edges[e] for e in tree if e != d]
-            side = _component(D.n, rest, start=r)
-            t, _h = D.edges[d]
-            if t in side:
-                k += 1  # d points away from r
+        while stack:
+            for w, away in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    k += away
+                    stack.append(w)
         counts[k] = counts.get(k, 0) + 1
     out = [0] * (max(counts) + 1)
     for k, v in counts.items():

@@ -12,10 +12,9 @@ fundamental circuits are ratios of its entries.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
-from .exactnum import Matrix, maximal_minors
+from .exactnum import Matrix, _first_basis, _swapped_minor, maximal_minors
 from .polyshape import normalize
 
 #: Symbolic generic vector: orient every circuit so its minimal support
@@ -45,9 +44,7 @@ class MatroidContext:
         self.rank_d = matrix.rows
         self.chi, self.scale = maximal_minors(matrix)
         chi = self.chi
-        basis = next((B for B, c in chi.items() if c != 0), None)
-        if basis is None:
-            raise ValueError("matrix must have full row rank")
+        basis = _first_basis(chi)
         # The linear form that is 1 on the basis columns is 1 on column j
         # iff the Cramer coefficients of j in the basis sum to 1.
         for j in range(matrix.cols):
@@ -68,18 +65,6 @@ def enumerate_bases(ctx: MatroidContext):
     for cand, c in chi.items():
         if c != 0:
             yield cand, Fraction(abs(c), scale)
-
-
-def _swapped_minor(chi, basis, i, j):
-    """chi of the basis with its i-th column replaced by column j, in place.
-
-    By Cramer's rule, this over chi(basis) is the coefficient of basis[i]
-    in the expansion of column j.
-    """
-    rest = basis[:i] + basis[i + 1:]
-    p = bisect_left(rest, j)
-    c = chi[rest[:p] + (j,) + rest[p:]]
-    return -c if (p - i) % 2 else c
 
 
 def ext_semiactivity(ctx: MatroidContext, basis, rho):

@@ -8,8 +8,8 @@ traversal direction of an edge: (edge, True) runs tail -> head.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from . import graphkit, ormatroid
 from .graphkit import Digraph, NotBipartite
@@ -182,21 +182,35 @@ def alexander_poly(P: PlaneGraph, part1):
         raise AssertionError("dual orientation is not an alternating dimap")
     via_dual = normalized(graphkit.p_poly(res.dual, 0))
 
-    tree = next(graphkit.spanning_trees(P.digraph))
-    A = graphkit.graphic_matrix(P.digraph, tree)
-    ctx = ormatroid.MatroidContext(A)
+    ctx = ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))
     via_primal = normalized(ormatroid.f_poly(ctx))
     if via_dual != via_primal:
         raise AssertionError("dual and primal pipelines disagree")
     return via_dual
 
 
+def _half(x, y):
+    """0 for directions at angles in (-pi, 0], 1 for angles in (0, pi]."""
+    return 0 if y < 0 or (y == 0 and x > 0) else 1
+
+
+def _ccw_cmp(u, v):
+    """Order directions by angle in (-pi, pi]: by half-plane, then by the
+    sign of the cross product, which within a half-plane is exact."""
+    hu, hv = _half(*u), _half(*v)
+    if hu != hv:
+        return hu - hv
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
+
+
 def plane_from_coords(n_vertices, edges, coords, part1=None, bends=None):
     """Build a plane graph from a drawing with straight or singly-bent edges.
 
-    Rotations are computed by sorting incident edges counterclockwise by
-    the angle of their initial segment. bends, when given, maps edge index
-    to an interior waypoint, which lets parallel edges coexist.
+    Coordinates are ints or Fractions. Rotations sort incident edges
+    counterclockwise by the direction of their initial segment, exactly.
+    bends, when given, maps edge index to an interior waypoint, which lets
+    parallel edges coexist.
     """
     if part1 is not None:
         D = graphkit.standard_orientation(n_vertices, edges, part1)
@@ -209,12 +223,11 @@ def plane_from_coords(n_vertices, edges, coords, part1=None, bends=None):
         toward_t = bends.get(i, coords[t])
         incident[t].append((i, "tail", toward_h))
         incident[h].append((i, "head", toward_t))
+    key = cmp_to_key(_ccw_cmp)
     rotations = []
     for v in range(n_vertices):
         x0, y0 = coords[v]
-        def angle(item):
-            _i, _end, (x, y) = item
-            return math.atan2(y - y0, x - x0)
-        rot = sorted(incident[v], key=angle)
+        rot = sorted(incident[v],
+                     key=lambda item: key((item[2][0] - x0, item[2][1] - y0)))
         rotations.append([(i, end) for (i, end, _c) in rot])
     return PlaneGraph(D, rotations)

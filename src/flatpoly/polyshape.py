@@ -46,23 +46,6 @@ def poly_shift(p, k):
     return normalize([0] * k + list(p))
 
 
-def poly_eval(p, x):
-    acc = 0
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
-
-
-def reverse_in_degree(p, deg):
-    """Coefficient reversal a_i -> a_{deg-i}; deg must cover the support."""
-    if len(p) > deg + 1:
-        raise ValueError("degree too small for reversal")
-    out = [0] * (deg + 1)
-    for i, a in enumerate(p):
-        out[deg - i] = a
-    return normalize(out)
-
-
 def q_number(m):
     """[m]_q = 1 + q + ... + q^(m-1)."""
     if m < 1:

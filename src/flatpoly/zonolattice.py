@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, ormatroid
-from .exactnum import Matrix, _integer_rows, bareiss_det, dot, frac
+from .exactnum import (Matrix, _integer_rows, _swapped_minor, bareiss_det, dot,
+                       frac)
 from .polyshape import normalize
 
 
@@ -57,7 +58,7 @@ class ZonotopeContext:
         for j in range(matrix.cols):
             if j not in basis and not _combines_to(
                     self, basis,
-                    [ormatroid._swapped_minor(chi, basis, i, j)
+                    [_swapped_minor(chi, basis, i, j)
                      for i in range(self.d)],
                     chi[basis], self._columns[j]):
                 raise ValueError("projection rows do not have full rank")

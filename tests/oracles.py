@@ -17,6 +17,14 @@ oracles decide trimming by exact LPs instead: one LP per lattice point for
 the largest step along l, or, for bipartite graphs, one membership LP per
 vertex and candidate point.
 
+The library presents a digraph's graphic matroid by its reduced incidence
+matrix and the cographic one by the Gale dual read from that matrix's
+minor table, and grades spanning trees by one rooted walk per tree. The
+tree-based constructions below rebuild them from a chosen spanning tree
+instead: fundamental cycles by tree paths, fundamental cuts and the
+per-edge grading by one component walk per tree edge. tree_count is the
+Kirchhoff determinant over Fractions.
+
 The library's simplex pivots on an integer tableau over one common
 denominator. FractionSimplex is the same two-phase Bland simplex over
 Fractions, which must reach the same outcome by the same pivots.
@@ -29,6 +37,9 @@ from itertools import combinations
 
 from flatpoly import lpexact
 from flatpoly.exactnum import Matrix, dot, frac
+from flatpoly.graphkit import (Digraph, _acyclic, _component,
+                               eulerian_tour_order, spanning_trees)
+from flatpoly.polyshape import normalize
 from flatpoly.ormatroid import LEX_ORDER, MatroidContext, NotGeneric
 from flatpoly.zonolattice import bipartite_graph_context, lattice_points
 
@@ -116,6 +127,157 @@ def independent_rows(A: Matrix):
     """Indices of the lexicographically first maximal set of linearly
     independent rows (the pivot columns of the transpose)."""
     return rref(transpose(A))[1]
+
+
+def poly_eval(p, x):
+    acc = 0
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
+
+
+def reverse_in_degree(p, deg):
+    """Coefficient reversal a_i -> a_{deg-i}; deg must cover the support."""
+    if len(p) > deg + 1:
+        raise ValueError("degree too small for reversal")
+    out = [0] * (deg + 1)
+    for i, a in enumerate(p):
+        out[deg - i] = a
+    return normalize(out)
+
+
+class NotSpanningTree(ValueError):
+    pass
+
+
+def tree_count(D: Digraph) -> int:
+    """Kirchhoff spanning-tree count of the underlying undirected graph."""
+    if D.n == 1:
+        return 1
+    lap = [[Fraction(0)] * D.n for _ in range(D.n)]
+    for t, h in D.edges:
+        lap[t][t] += 1
+        lap[h][h] += 1
+        lap[t][h] -= 1
+        lap[h][t] -= 1
+    reduced = Matrix([row[:-1] for row in lap[:-1]])
+    val = reduced.det()
+    assert val.denominator == 1
+    return int(val)
+
+
+def _check_tree(D: Digraph, tree):
+    tree = tuple(sorted(tree))
+    if len(tree) != D.n - 1:
+        raise NotSpanningTree("wrong number of edges")
+    if not _acyclic(D, tree):
+        raise NotSpanningTree("selected edges contain a cycle")
+    return tree
+
+
+def _tree_path(D: Digraph, tree, u, v):
+    """Path from u to v inside the tree, as (edge index, forward?) steps."""
+    adj = {w: [] for w in range(D.n)}
+    for i in tree:
+        t, h = D.edges[i]
+        adj[t].append((h, i, True))
+        adj[h].append((t, i, False))
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for (y, i, fwd) in adj[x]:
+            if y not in prev:
+                prev[y] = (x, i, fwd)
+                stack.append(y)
+    path = []
+    x = v
+    while prev[x] is not None:
+        px, i, fwd = prev[x]
+        path.append((i, fwd))
+        x = px
+    path.reverse()
+    return path
+
+
+def tree_graphic_matrix(D: Digraph, tree) -> Matrix:
+    """The full-rank presentation with identity on tree edges.
+
+    Row i corresponds to the i-th tree edge. A non-tree edge's column holds
+    the signs of its fundamental cycle, traversed in the edge's direction:
+    -1 on tree edges traversed along their orientation, +1 against.
+    """
+    tree = _check_tree(D, tree)
+    row_of = {e: i for i, e in enumerate(tree)}
+    n_rows = len(tree)
+    cols = []
+    for j, (t, h) in enumerate(D.edges):
+        col = [Fraction(0)] * n_rows
+        if j in row_of:
+            col[row_of[j]] = Fraction(1)
+        else:
+            # Close the cycle: j runs t -> h, return from h to t in the tree.
+            for (i, fwd) in _tree_path(D, tree, h, t):
+                col[row_of[i]] = Fraction(-1) if fwd else Fraction(1)
+        cols.append(col)
+    return Matrix([[cols[j][i] for j in range(len(D.edges))]
+                   for i in range(n_rows)])
+
+
+def tree_cographic_matrix(D: Digraph, tree) -> Matrix:
+    """The cut presentation with identity on non-tree edges.
+
+    Row k corresponds to the k-th non-tree edge. A tree edge d's column
+    holds the signs of its fundamental cut: +1 on cut edges oriented
+    opposite to d across the cut, -1 on edges parallel to d.
+    """
+    tree = _check_tree(D, tree)
+    cotree = [j for j in range(len(D.edges)) if j not in set(tree)]
+    row_of = {e: i for i, e in enumerate(cotree)}
+    n_rows = len(cotree)
+    cols = []
+    for j, (t, h) in enumerate(D.edges):
+        col = [Fraction(0)] * n_rows
+        if j in row_of:
+            col[row_of[j]] = Fraction(1)
+        else:
+            rest = [e for e in tree if e != j]
+            side = _component(D.n, [D.edges[e] for e in rest], start=t)
+            # d = j points from its tail's side to the other side.
+            for e in cotree:
+                et, eh = D.edges[e]
+                if (et in side) == (eh in side):
+                    continue
+                if et in side:
+                    col[row_of[e]] = Fraction(-1)   # parallel to d
+                else:
+                    col[row_of[e]] = Fraction(1)    # opposite to d
+        cols.append(col)
+    return Matrix([[cols[j][i] for j in range(len(D.edges))]
+                   for i in range(n_rows)])
+
+
+def p_poly_cuts(D: Digraph, r=0):
+    """Spanning trees graded by the number of edges pointing away from r,
+    with one component walk per tree edge: d points away from r iff its
+    tail stays on r's side when d is removed."""
+    eulerian_tour_order(D, r)
+    counts = {}
+    for tree in spanning_trees(D):
+        k = 0
+        for d in tree:
+            rest = [D.edges[e] for e in tree if e != d]
+            side = _component(D.n, rest, start=r)
+            t, _h = D.edges[d]
+            if t in side:
+                k += 1
+        counts[k] = counts.get(k, 0) + 1
+    out = [0] * (max(counts) + 1)
+    for k, v in counts.items():
+        out[k] = v
+    return normalize(out)
 
 
 @dataclass(frozen=True)

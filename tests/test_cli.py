@@ -335,6 +335,13 @@ def test_zonotope_rejects_empty_part2(tmp_path, capsys):
                        "part 2 is empty")
 
 
+def test_fa_rejects_disconnected_bigraph(tmp_path, capsys):
+    path = write(tmp_path, "g.json", {"format": "bigraph-v1", "vertices": 4,
+                                      "part1": [0, 2],
+                                      "edges": [[0, 1], [2, 3]]})
+    assert_input_error(capsys, ["fa", "--bigraph", path], "not connected")
+
+
 def test_alexander_rejects_unknown_edge(tmp_path, capsys):
     obj = c4_planegraph()
     obj["rotations"][0][0]["edge"] = 7

@@ -7,11 +7,10 @@ from flatpoly.exactnum import Matrix, dot
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases, ext_semiactivity, f_poly,
                                 f_poly_frac, sample_generic_rho)
-from flatpoly.polyshape import reverse_in_degree
 
 import oracles
 from oracles import (SignedCircuit, circuits, fundamental_circuit,
-                     orient_circuit)
+                     orient_circuit, reverse_in_degree)
 
 
 def ctx_321():
@@ -125,8 +124,7 @@ def test_f_poly_c4_graphic():
     from flatpoly import graphkit
     D = graphkit.standard_orientation(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
                                       [0, 2])
-    tree = next(graphkit.spanning_trees(D))
-    ctx = MatroidContext(graphkit.graphic_matrix(D, tree))
+    ctx = MatroidContext(graphkit.graphic_matrix(D))
     assert f_poly(ctx) == [2, 2]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from flatpoly import corpus, graphkit, ormatroid, planardual
@@ -7,6 +9,8 @@ from flatpoly.planardual import (DegenerateDual, MalformedRotation,
                                  dual_plane_graph, dual_with_orientation,
                                  faces, is_alternating_dimap, normalized,
                                  plane_from_coords)
+
+from oracles import tree_count
 
 
 def plane_c4():
@@ -30,7 +34,7 @@ def test_faces_c4():
 
 
 def test_faces_k4():
-    coords = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.7), (1.0, 0.6)]
+    coords = [(0, 0), (20, 0), (10, 17), (10, 6)]
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     P = plane_from_coords(4, edges, coords)
     walks = faces(P)
@@ -38,8 +42,41 @@ def test_faces_k4():
     assert all(len(w) == 3 for w in walks)
 
 
+def cyclic(seq):
+    """A cyclic order as the rotation of seq that starts at its minimum."""
+    i = seq.index(min(seq))
+    return seq[i:] + seq[:i]
+
+
+def float_rotation(P, coords, bends, v):
+    """The rotation at v from float atan2 on the drawing."""
+    x0, y0 = coords[v]
+
+    def angle(ref):
+        e, end = ref
+        t, h = P.digraph.edges[e]
+        x, y = bends.get(e, coords[h if end == "tail" else t])
+        return math.atan2(float(y - y0), float(x - x0))
+    return sorted(P.rotations[v], key=angle)
+
+
+def test_exact_rotations_match_float_angles():
+    for name, (_n, _e, _p, coords, bends) in corpus.PLANE_BIPARTITE.items():
+        P, _ = corpus.plane_bipartite(name)
+        for v, rot in enumerate(P.rotations):
+            assert cyclic(rot) == cyclic(
+                float_rotation(P, coords, bends or {}, v)), (name, v)
+    # A star whose rays include both axes and the diagonals, listed out of
+    # order: the exact sort must agree with atan2 on the half-plane seams.
+    tips = [(0, -1), (1, 1), (-1, 0), (1, 0), (-1, -1), (0, 1), (1, -1),
+            (-1, 1)]
+    P = plane_from_coords(9, [(0, i + 1) for i in range(8)],
+                          [(0, 0)] + tips)
+    assert P.rotations[0] == float_rotation(P, [(0, 0)] + tips, {}, 0)
+
+
 def test_faces_single_edge():
-    P = plane_from_coords(2, [(0, 1)], [(0.0, 0.0), (1.0, 0.0)])
+    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)])
     walks = faces(P)
     assert len(walks) == 1 and len(walks[0]) == 2
 
@@ -55,12 +92,12 @@ def test_dual_c4():
 
 
 def test_dual_bridge_rejected():
-    P = plane_from_coords(2, [(0, 1)], [(0.0, 0.0), (1.0, 0.0)],
+    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)],
                           part1=[0])
     with pytest.raises(DegenerateDual):
         dual_with_orientation(P, [0])
     path = plane_from_coords(3, [(0, 1), (2, 1)],
-                             [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+                             [(0, 0), (1, 0), (2, 0)],
                              part1=[0, 2])
     with pytest.raises(DegenerateDual):
         dual_with_orientation(path, [0, 2])
@@ -89,7 +126,7 @@ def test_is_alternating_dimap_negative():
 
 
 def test_is_alternating_dimap_odd_degree():
-    P = plane_from_coords(2, [(0, 1)], [(0.0, 0.0), (1.0, 0.0)])
+    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)])
     assert not is_alternating_dimap(P)
 
 
@@ -122,23 +159,18 @@ def test_alexander_coefficient_sum_is_tree_count():
         P, part1 = corpus.plane_bipartite(name)
         poly = alexander_poly(P, part1)
         res = dual_with_orientation(P, part1)
-        assert sum(poly) == graphkit.tree_count(P.digraph) \
-            == graphkit.tree_count(res.dual)
+        assert sum(poly) == tree_count(P.digraph) == tree_count(res.dual)
 
 
 def test_duality_corollary():
     # f(graphic of primal) = f(cographic of dual dimap) = alexander.
     for name in ("C4", "C6", "K23", "C4-doubled"):
         P, part1 = corpus.plane_bipartite(name)
-        tree = next(graphkit.spanning_trees(P.digraph))
         f_primal = normalized(ormatroid.f_poly(
-            ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph,
-                                                             tree))))
+            ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))))
         res = dual_with_orientation(P, part1)
-        dtree = next(graphkit.spanning_trees(res.dual))
         f_dual = normalized(ormatroid.f_poly(
-            ormatroid.MatroidContext(graphkit.cographic_matrix(res.dual,
-                                                               dtree))))
+            ormatroid.MatroidContext(graphkit.cographic_matrix(res.dual))))
         assert f_primal == f_dual == alexander_poly(P, part1)
 
 

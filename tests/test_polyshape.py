@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatpoly import polyshape
-from flatpoly.polyshape import (box_certificate, normalize, poly_eval,
-                                poly_mul, poly_shift, q_number, q_product,
-                                reverse_in_degree, shape_report)
+from flatpoly.polyshape import (box_certificate, normalize, poly_mul,
+                                poly_shift, q_number, q_product,
+                                shape_report)
+
+from oracles import poly_eval, reverse_in_degree
 
 
 def test_normalize():

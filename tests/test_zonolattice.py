@@ -15,8 +15,8 @@ from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   trimmed_points, trimming_vertex)
 
 from oracles import (apply, flat_witness, max_epsilon, rank, solve,
-                     translated, trimmed_points_lp, trimmed_zonotope_points,
-                     zonotope_membership)
+                     translated, tree_count, trimmed_points_lp,
+                     trimmed_zonotope_points, zonotope_membership)
 
 
 def seg_ctx():
@@ -241,7 +241,7 @@ def test_volume_corollary():
         adm = bipartite_admissible_l(n, part1)
         tr = trimmed_points(ctx, adm)
         D = graphkit.standard_orientation(n, edges, part1)
-        assert len(tr) == graphkit.tree_count(D)
+        assert len(tr) == tree_count(D)
 
 
 def test_bipartite_f_poly_shape():
