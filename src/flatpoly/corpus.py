@@ -189,14 +189,14 @@ def random_eulerian(rng: random.Random, max_edges=10):
             return D
 
 
-def random_flat_matrix(rng: random.Random, d=None, N=None):
+def random_flat_matrix(rng: random.Random):
     """MatroidContext of a random integer flat matrix of full row rank:
     all-ones last row with small random integers above."""
     from .exactnum import Matrix
     from .ormatroid import MatroidContext
 
-    d = d or rng.randint(2, 4)
-    N = N or rng.randint(d + 1, d + 4)
+    d = rng.randint(2, 4)
+    N = rng.randint(d + 1, d + 4)
     while True:
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(N)]
                 for _ in range(d - 1)]

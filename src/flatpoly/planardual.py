@@ -98,8 +98,7 @@ def faces(P: PlaneGraph):
 
 @dataclass(frozen=True)
 class DualResult:
-    dual: Digraph
-    edge_map: tuple      # primal edge index -> dual edge index
+    dual: Digraph        # dual edge e crosses primal edge e
     face_walks: tuple    # primal face walks, dual vertex i = face i
 
 
@@ -129,8 +128,7 @@ def dual_with_orientation(P: PlaneGraph, part1) -> DualResult:
                 f"edge {e} is a bridge; its dual would be a self-loop")
         dual_edges.append((left, right))
     dual = Digraph(len(walks), dual_edges)
-    return DualResult(dual, tuple(range(len(dual_edges))),
-                      tuple(tuple(w) for w in walks))
+    return DualResult(dual, tuple(tuple(w) for w in walks))
 
 
 def is_alternating_dimap(P: PlaneGraph) -> bool:
@@ -149,10 +147,9 @@ def dual_plane_graph(res: DualResult) -> PlaneGraph:
     rotations = [[] for _ in range(res.dual.n)]
     for fi, walk in enumerate(res.face_walks):
         for (e, fwd) in walk:
-            de = res.edge_map[e]
-            # Dual edge de runs face_of(rev) -> face_of(fwd).
+            # Dual edge e runs face_of(rev) -> face_of(fwd).
             end = "head" if fwd else "tail"
-            rotations[fi].append((de, end))
+            rotations[fi].append((e, end))
     return PlaneGraph(res.dual, rotations)
 
 

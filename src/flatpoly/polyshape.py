@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import lpexact
-from .exactnum import frac
 
 
 def normalize(coeffs):
@@ -130,10 +130,15 @@ class BoxCertificate:
     terms: tuple
 
     def expand(self):
+        """The combination's coefficients as Fractions: the sum of
+        coef * L * q_product(comp) runs in integers, with L the lcm of the
+        coefficient denominators, and is divided by L once at the end."""
+        L = lcm(*(coef.denominator for _, coef in self.terms))
         out = []
         for comp, coef in self.terms:
-            out = poly_add(out, poly_scale(coef, q_product(comp)))
-        return out
+            k = coef.numerator * (L // coef.denominator)
+            out = poly_add(out, poly_scale(k, q_product(comp)))
+        return [Fraction(a, L) for a in out]
 
 
 def _compositions(total, parts):
@@ -171,18 +176,12 @@ def box_certificate(p, d):
     comps = list(_compositions(D + d, d))
     if not comps:
         return None
-    # One equality per coefficient of t^0 .. t^D, one variable per composition.
-    products = [q_product(c) for c in comps]
-    rows = []
-    for i in range(D + 1):
-        rows.append([Fraction(prod[i] if i < len(prod) else 0)
-                     for prod in products])
+    # One equality per coefficient of t^0 .. t^D, one variable per
+    # composition; every product has degree D, so its coefficients are a
+    # full integer column.
+    rows = zip(*(q_product(c) for c in comps))
     prog = lpexact.LinearProgram.build(
-        objective=[0] * len(comps),
-        eq_lhs=rows,
-        eq_rhs=[frac(a) for a in p],
-        bounds=[(0, None)] * len(comps),
-    )
+        objective=[0] * len(comps), eq_lhs=rows, eq_rhs=p)
     out = lpexact.lp_solve(prog)
     if out.status != lpexact.OPTIMAL:
         return None

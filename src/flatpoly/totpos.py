@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactnum import Matrix, frac, maximal_minors
-from .polyshape import BoxCertificate, normalize, poly_add, poly_scale, q_product
+from .polyshape import BoxCertificate
 
 
 class NotMaxPositive(ValueError):
@@ -34,6 +34,8 @@ class GridNetwork:
     horizontal_weights: tuple   # d rows of N - 1 weights
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("a network needs at least one row")
         if len(self.horizontal_weights) != self.d or \
                 any(len(r) != self.N - 1 for r in self.horizontal_weights):
             raise ValueError("need d rows of N - 1 horizontal weights")
@@ -64,13 +66,14 @@ def tp_from_network(net: GridNetwork) -> Matrix:
     return Matrix(rows)
 
 
-def random_network(d, N, rng: random.Random, last_row_unit=True) -> GridNetwork:
-    """Weights from a small-denominator pool, seeded for reproducibility."""
+def random_network(d, N, rng: random.Random) -> GridNetwork:
+    """Weights from a small-denominator pool, seeded for reproducibility;
+    the last row has unit weights."""
     pool = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1),
             Fraction(2), Fraction(3), Fraction(4)]
     weights = []
     for i in range(d):
-        if last_row_unit and i == d - 1:
+        if i == d - 1:
             weights.append(tuple([Fraction(1)] * (N - 1)))
         else:
             weights.append(tuple(rng.choice(pool) for _ in range(N - 1)))
@@ -80,10 +83,13 @@ def random_network(d, N, rng: random.Random, last_row_unit=True) -> GridNetwork:
 @dataclass(frozen=True)
 class FlatMaxPositive:
     """Suffix-sum matrix with an all-ones last row, built from a matrix C
-    whose maximal minors are all positive."""
+    whose maximal minors are all positive.  C's maximal minors are
+    chi / scale, as maximal_minors tabulates them."""
 
     A: Matrix
     C: Matrix
+    chi: dict
+    scale: int
 
 
 def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
@@ -91,7 +97,7 @@ def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
     N = C.cols
     if d - 1 > N:
         raise NotMaxPositive("C must have at least as many columns as rows")
-    chi, _ = maximal_minors(C)
+    chi, scale = maximal_minors(C)
     for cols, c in chi.items():
         if c <= 0:
             raise NotMaxPositive(f"non-positive maximal minor at columns {cols}")
@@ -104,19 +110,21 @@ def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
             row[j] = suffix
         rows.append(row)
     rows.append([Fraction(1)] * N)
-    return FlatMaxPositive(Matrix(rows), C)
+    return FlatMaxPositive(Matrix(rows), C, chi, scale)
 
 
 def flat_maxpos_from_network(net: GridNetwork) -> FlatMaxPositive:
     """FlatMaxPositive of a network with a unit last row: C is recovered
     from the path matrix A by first differences of consecutive columns of
     A's top rows (C's last column is A's). For d = 1, C is unused by the
-    closed form and stays a zero placeholder."""
+    closed form and stays a zero placeholder with an empty minor table."""
+    if not net.last_row_unit:
+        raise ValueError("the network's last row needs unit weights")
     A = tp_from_network(net)
     rows = [[A.entries[i][j] - (A.entries[i][j + 1] if j + 1 < net.N else 0)
              for j in range(net.N)] for i in range(net.d - 1)]
     if not rows:
-        return FlatMaxPositive(A, Matrix([[0] * net.N]))
+        return FlatMaxPositive(A, Matrix([[0] * net.N]), {}, 1)
     return flat_maxpos_from_C(Matrix(rows))
 
 
@@ -124,19 +132,20 @@ def minor_via_C(fmp: FlatMaxPositive, cols) -> Fraction:
     """Interleaved sum of C-minors equal to the selected maximal A-minor.
 
     The sum runs over j-tuples with i_1 <= j_1 < i_2 <= j_2 < ... < i_d;
-    the result is asserted equal to the direct determinant.
+    the C-minors are read from fmp's minor table, and the result is
+    asserted equal to the direct determinant.
     """
     cols = list(cols)
     d = fmp.A.rows
     if len(cols) != d or sorted(cols) != cols:
         raise ValueError("need a strictly increasing d-subset of columns")
-    total = Fraction(0)
     if d == 1:
         total = Fraction(1)  # empty product over C-minors
     else:
-        for js in combinations(range(fmp.C.cols), d - 1):
-            if all(cols[r] <= js[r] < cols[r + 1] for r in range(d - 1)):
-                total += fmp.C.minor(range(d - 1), js)
+        total = Fraction(sum(
+            c for js, c in fmp.chi.items()
+            if all(cols[r] <= js[r] < cols[r + 1] for r in range(d - 1))),
+            fmp.scale)
     direct = fmp.A.minor(range(d), cols)
     if total != direct:
         raise AssertionError("interleaving formula disagrees with determinant")
@@ -170,19 +179,14 @@ def f_tp_closed(fmp: FlatMaxPositive):
     """
     d = fmp.A.rows
     N = fmp.A.cols
-    poly = []
     terms = []
     if d == 1:
-        comp = (N,)
-        poly = q_product(comp)
-        terms.append((comp, Fraction(1)))
+        terms.append(((N,), Fraction(1)))
     else:
-        chi, scale = maximal_minors(fmp.C)
         for js in combinations(range(1, N), d - 1):
-            coef = Fraction(chi[tuple(j - 1 for j in js)], scale)
+            coef = Fraction(fmp.chi[tuple(j - 1 for j in js)], fmp.scale)
             comp = (js[0],) + tuple(js[r + 1] - js[r] for r in range(d - 2)) \
                 + (N - js[-1],)
-            poly = poly_add(poly, poly_scale(coef, q_product(comp)))
             terms.append((comp, coef))
     cert = BoxCertificate(d, tuple(terms))
-    return normalize([frac(c) for c in poly]), cert
+    return cert.expand(), cert

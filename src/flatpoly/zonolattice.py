@@ -72,7 +72,7 @@ class ZonotopeContext:
             raise ormatroid.NotFlat("witness does not certify flatness")
         self.unimodular = all(
             vol == 1 for _, vol in ormatroid.enumerate_bases(self.mctx))
-        self._lex_tiling = None
+        self._tiling = None
 
     def _cramer_witness(self, basis):
         """h with h(column b) = 1 for b in the basis, by Cramer's rule on the
@@ -119,26 +119,25 @@ class Tile:
         return pts
 
 
-def tiling(ctx: ZonotopeContext, rho=ormatroid.LEX_ORDER):
-    """One shifted parallelepiped per basis; together they tile the zonotope.
+def tiling(ctx: ZonotopeContext):
+    """One shifted parallelepiped per basis, shifted by its externally
+    semi-active columns under LEX_ORDER; together they tile the zonotope.
 
-    The LEX_ORDER tiling, which trimming and lattice enumeration share, is
-    built once per context."""
-    lex = rho == ormatroid.LEX_ORDER
-    if lex and ctx._lex_tiling is not None:
-        return ctx._lex_tiling
+    Trimming and lattice enumeration share the tiling, so it is built once
+    per context."""
+    if ctx._tiling is not None:
+        return ctx._tiling
     tiles = []
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
-        ext, _ = ormatroid.ext_semiactivity(ctx.mctx, basis, rho)
+        ext, _ = ormatroid.ext_semiactivity(ctx.mctx, basis,
+                                            ormatroid.LEX_ORDER)
         shift = [0] * ctx.k
         for j in ext:
             for i, c in enumerate(ctx.column(j)):
                 shift[i] += c
         tiles.append(Tile(tuple(basis), tuple(shift)))
-    tiles = tuple(tiles)
-    if lex:
-        ctx._lex_tiling = tiles
-    return tiles
+    ctx._tiling = tuple(tiles)
+    return ctx._tiling
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,36 @@
 """Fixtures shared by several test modules."""
 
 import random
+import signal
 
 import pytest
 
 from flatpoly import corpus, totpos
 from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
                                standard_orientation)
+
+#: Wall-clock limit per test, in seconds.  The slowest test takes about
+#: 12 s, so only a test that does not terminate (say, a simplex that cycles)
+#: reaches it.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outlives TEST_TIME_LIMIT_S.  It is not an
+    Exception, so neither library code nor hypothesis (which would shrink
+    the failing example by running it again) catches it."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

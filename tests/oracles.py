@@ -25,9 +25,9 @@ instead: fundamental cycles by tree paths, fundamental cuts and the
 per-edge grading by one component walk per tree edge. tree_count is the
 Kirchhoff determinant over Fractions.
 
-The library's simplex pivots on an integer tableau over one common
-denominator. FractionSimplex is the same two-phase Bland simplex over
-Fractions, which must reach the same outcome by the same pivots.
+The library's standard-form simplex pivots on an integer tableau over one
+common denominator. FractionSimplex is the same two-phase Bland simplex
+over Fractions, which must reach the same outcome by the same pivots.
 """
 
 from dataclasses import dataclass
@@ -378,22 +378,29 @@ def is_generic(ctx: MatroidContext, rho) -> bool:
     return all(dot(c.lam, rho) != 0 for c in circuits(ctx))
 
 
+def upper_bound_rows(n, extra):
+    """Rows x_j + s_j over the variables x_1..x_n, `extra` further
+    variables, then the slacks s_1..s_n.  With right-hand sides u_j they
+    state x_j <= u_j in standard form."""
+    return [[int(j == c) for c in range(n)] + [0] * extra
+            + [int(j == c) for c in range(n)] for j in range(n)]
+
+
 def max_epsilon(ctx, point, l):
     """Largest eps with point + eps*l still in the zonotope, by exact LP."""
     N = ctx.matrix.cols
-    # Variables: t_1..t_N in [0,1], then eps >= 0.
+    # Variables: t_1..t_N in [0,1], then eps >= 0, then the slacks of t.
     rows = []
     rhs = []
     for i in range(ctx.k):
         row = [ctx.matrix.entries[i][j] for j in range(N)]
         row.append(-frac(l[i]))
-        rows.append(row)
+        rows.append(row + [0] * N)
         rhs.append(frac(point[i]))
     prog = lpexact.LinearProgram.build(
-        objective=[0] * N + [1],
-        eq_lhs=rows,
-        eq_rhs=rhs,
-        bounds=[(0, 1)] * N + [(0, None)],
+        objective=[0] * N + [1] + [0] * N,
+        eq_lhs=rows + upper_bound_rows(N, 1),
+        eq_rhs=rhs + [1] * N,
     )
     out = lpexact.lp_solve(prog)
     if out.status != lpexact.OPTIMAL:
@@ -416,11 +423,10 @@ def zonotope_membership(ctx, point) -> bool:
     """Exact LP membership test for an arbitrary rational point."""
     N = ctx.matrix.cols
     prog = lpexact.LinearProgram.build(
-        objective=[0] * N,
-        eq_lhs=[[ctx.matrix.entries[i][j] for j in range(N)]
-                for i in range(ctx.k)],
-        eq_rhs=[frac(x) for x in point],
-        bounds=[(0, 1)] * N,
+        objective=[0] * 2 * N,
+        eq_lhs=[[ctx.matrix.entries[i][j] for j in range(N)] + [0] * N
+                for i in range(ctx.k)] + upper_bound_rows(N, 0),
+        eq_rhs=[frac(x) for x in point] + [1] * N,
     )
     return lpexact.lp_solve(prog).status == lpexact.OPTIMAL
 
@@ -446,7 +452,7 @@ def trimmed_zonotope_points(n_vertices, edges, part1):
 
 
 class FractionSimplex:
-    """Bounded-variable simplex state over columns 0..n-1 (real) plus
+    """Standard-form simplex state over columns 0..n-1 (real) plus
     n..n+m-1 (artificial), with every tableau entry a Fraction.
 
     pivots lists the (row, column) of every pivot made, in order."""
@@ -456,41 +462,17 @@ class FractionSimplex:
         self.m = len(p.eq_lhs)
         self.n = len(p.objective)
         m, n = self.m, self.n
-        self.lo = [b[0] for b in p.bounds] + [Fraction(0)] * m
-        self.hi = [b[1] for b in p.bounds] + [None] * m
-        # Nonbasic start: rest each real variable at a finite bound (or 0).
-        self.value = []
-        for l, h in zip(self.lo[:n], self.hi[:n]):
-            self.value.append(l if l is not None else
-                              (h if h is not None else Fraction(0)))
-        self.value += [Fraction(0)] * m
-        # Residual decides each artificial's sign so it starts >= 0.
-        resid = []
-        for row, b in zip(p.eq_lhs, p.eq_rhs):
-            resid.append(b - sum((a * v for a, v in zip(row, self.value[:n])),
-                                 Fraction(0)))
+        # Each artificial's sign makes it start >= 0.
         self.T = []
         self.beta = []
         for i, (row, b) in enumerate(zip(p.eq_lhs, p.eq_rhs)):
-            sign = Fraction(-1) if resid[i] < 0 else Fraction(1)
+            sign = Fraction(-1) if b < 0 else Fraction(1)
             art = [Fraction(0)] * m
             art[i] = sign
             self.T.append([sign * a for a in row] + art)
             self.beta.append(sign * b)
         self.basis = list(range(n, n + m))
         self.in_basis = [False] * n + [True] * m
-
-    def basic_values(self):
-        """x_B = beta - sum of nonbasic columns times their rest values."""
-        xb = list(self.beta)
-        for j in range(self.n):
-            v = self.value[j]
-            if self.in_basis[j] or v == 0:
-                continue
-            for i in range(self.m):
-                if self.T[i][j] != 0:
-                    xb[i] -= self.T[i][j] * v
-        return xb
 
     def pivot(self, r, col):
         self.pivots.append((r, col))
@@ -506,74 +488,46 @@ class FractionSimplex:
         self.in_basis[col] = True
         self.basis[r] = col
 
-    def run(self, obj, allowed):
-        """Maximize obj over the allowed entering columns. Returns True if
-        an optimum was reached, False on unboundedness."""
-        m = self.m
+    def run(self, obj, hold_artificials):
+        """Maximize obj over the real columns. Returns True if an optimum
+        was reached, False on unboundedness. With hold_artificials, a basic
+        artificial row with a nonzero entry in the entering column gives
+        ratio 0."""
+        n, m = self.n, self.m
         while True:
-            z = [Fraction(0)] * (self.n + m)
+            z = [Fraction(0)] * (n + m)
             for i, bi in enumerate(self.basis):
                 f = obj[bi]
                 if f != 0:
                     row = self.T[i]
-                    for j in range(self.n + m):
+                    for j in range(n + m):
                         if row[j] != 0:
                             z[j] += f * row[j]
-            xb = self.basic_values()
-            enter = sigma = None
-            for j in allowed:
-                if self.in_basis[j]:
-                    continue
-                rc = obj[j] - z[j]
-                v = self.value[j]
-                at_lo = self.lo[j] is not None and v == self.lo[j]
-                at_hi = self.hi[j] is not None and v == self.hi[j]
-                if at_lo and at_hi:
-                    continue   # fixed variable, cannot move
-                if rc > 0 and (at_lo or not at_hi):
-                    enter, sigma = j, Fraction(1)
-                    break
-                if rc < 0 and (at_hi or not at_lo):
-                    enter, sigma = j, Fraction(-1)
-                    break
+            enter = next((j for j in range(n)
+                          if not self.in_basis[j] and obj[j] - z[j] > 0),
+                         None)
             if enter is None:
                 return True
-            # Ratio test: x_enter moves by sigma * t, t >= 0.
-            limit = None           # (t, kind, row)
-            if sigma > 0 and self.hi[enter] is not None:
-                limit = (self.hi[enter] - self.value[enter], "flip", None)
-            elif sigma < 0 and self.lo[enter] is not None:
-                limit = (self.value[enter] - self.lo[enter], "flip", None)
+            limit = None           # (ratio, basic index, row)
             for i in range(m):
-                d = sigma * self.T[i][enter]
+                d = self.T[i][enter]
                 bi = self.basis[i]
-                if d > 0 and self.lo[bi] is not None:
-                    t = (xb[i] - self.lo[bi]) / d
-                elif d < 0 and self.hi[bi] is not None:
-                    t = (xb[i] - self.hi[bi]) / d
+                if hold_artificials and bi >= n and d != 0:
+                    t = Fraction(0)
+                elif d > 0:
+                    t = self.beta[i] / d
                 else:
                     continue
-                if limit is None or t < limit[0] or \
-                        (t == limit[0] and limit[1] == "pivot"
-                         and bi < self.basis[limit[2]]):
-                    limit = (t, "pivot", i)
+                if limit is None or (t, bi) < limit[:2]:
+                    limit = (t, bi, i)
             if limit is None:
                 return False
-            t, kind, row = limit
-            if kind == "flip":
-                self.value[enter] += sigma * t
-            else:
-                bi = self.basis[row]
-                d = sigma * self.T[row][enter]
-                self.value[bi] = self.lo[bi] if d > 0 else self.hi[bi]
-                self.value[enter] += sigma * t
-                self.pivot(row, enter)
+            self.pivot(limit[2], enter)
 
     def solution(self):
-        xb = self.basic_values()
-        x = list(self.value)
+        x = [Fraction(0)] * (self.n + self.m)
         for i, bi in enumerate(self.basis):
-            x[bi] = xb[i]
+            x[bi] = self.beta[i]
         return x
 
 
@@ -581,25 +535,18 @@ def fraction_lp_solve(p, pivots=None):
     """The two-phase Bland simplex of lpexact.lp_solve, pivoting over
     Fractions.  Returns the LpOutcome; when pivots is a list, the
     (row, column) of every pivot is appended to it."""
-    for lo, hi in p.bounds:
-        if lo is not None and hi is not None and lo > hi:
-            return lpexact.LpOutcome(lpexact.INFEASIBLE)
     s = FractionSimplex(p, [] if pivots is None else pivots)
     n, m = s.n, s.m
 
     # Phase 1: drive the artificials to zero.
     obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    s.run(obj1, range(n))
+    s.run(obj1, hold_artificials=False)
     x = s.solution()
     if any(x[j] != 0 for j in range(n, n + m)):
         return lpexact.LpOutcome(lpexact.INFEASIBLE)
-    # Freeze artificials at zero for phase 2 (basic ones stay degenerate).
-    for j in range(n, n + m):
-        s.hi[j] = Fraction(0)
-        s.value[j] = Fraction(0)
 
     obj2 = list(p.objective) + [Fraction(0)] * m
-    if not s.run(obj2, range(n)):
+    if not s.run(obj2, hold_artificials=True):
         return lpexact.LpOutcome(lpexact.UNBOUNDED)
     x = s.solution()[:n]
     opt = sum((c * v for c, v in zip(p.objective, x)), Fraction(0))

@@ -354,6 +354,10 @@ def test_tp_rejects_fewer_columns_than_rows(capsys):
     assert_input_error(capsys, ["tp", "--d", "3", "--n", "2"], "N >= d")
 
 
+def test_tp_rejects_zero_rows(capsys):
+    assert_input_error(capsys, ["tp", "--d", "0"], "at least one row")
+
+
 def _mutations(data, obj):
     """obj after one to three edits at hypothesis-chosen depths: a value
     replaced by junk, a key or list item dropped, or a list item

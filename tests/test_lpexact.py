@@ -11,70 +11,95 @@ from flatpoly.lpexact import LinearProgram, lp_solve
 from flatpoly.polyshape import box_certificate
 
 
-def solve(objective, eq_lhs, eq_rhs, bounds):
-    return lp_solve(LinearProgram.build(objective, eq_lhs, eq_rhs, bounds))
+def solve(objective, eq_lhs, eq_rhs):
+    return lp_solve(LinearProgram.build(objective, eq_lhs, eq_rhs))
+
+
+def with_upper_bounds(lhs, ub):
+    """Rows of lhs with one slack column per variable, plus the rows
+    x_j + s_j = ub_j: the bounds 0 <= x_j <= ub_j in standard form."""
+    n = len(ub)
+    rows = [list(row) + [0] * n for row in lhs]
+    return rows + oracles.upper_bound_rows(n, 0), list(ub)
 
 
 def test_single_bounded_variable():
-    out = solve([1], [], [], [(0, 1)])
+    # 0 <= x <= 1 as x + s = 1.
+    out = solve([1, 0], [[1, 1]], [1])
     assert out.status == lpexact.OPTIMAL and out.optimum == 1
+    assert out.witness == (1, 0)
 
 
 def test_empty_bound_interval():
-    assert solve([0], [], [], [(1, 0)]).status == lpexact.INFEASIBLE
+    # 1 <= x <= 0 as the pair of rows x - s1 = 1, x + s2 = 0.
+    out = solve([0, 0, 0], [[1, -1, 0], [1, 0, 1]], [1, 0])
+    assert out.status == lpexact.INFEASIBLE
 
 
 def test_unbounded_ray():
-    assert solve([1], [], [], [(0, None)]).status == lpexact.UNBOUNDED
+    assert solve([1], [], []).status == lpexact.UNBOUNDED
 
 
 def test_inconsistent_equalities():
-    out = solve([0], [[1], [2]], [1, 1], [(None, None)])
+    # A free x as x+ - x-.
+    out = solve([0, 0], [[1, -1], [2, -2]], [1, 1])
     assert out.status == lpexact.INFEASIBLE
 
 
 def test_witness_feasibility():
-    out = solve([1, 2], [[1, 1]], [5], [(0, 3), (0, 3)])
+    # max x0 + 2 x1, x0 + x1 = 5, 0 <= x <= 3.
+    rows, rhs = with_upper_bounds([[1, 1]], [3, 3])
+    out = solve([1, 2, 0, 0], rows, [5] + rhs)
     assert out.status == lpexact.OPTIMAL
     x = out.witness
     assert x[0] + x[1] == 5
-    assert all(0 <= v <= 3 for v in x)
+    assert all(0 <= v <= 3 for v in x[:2])
+    assert x[0] + x[2] == x[1] + x[3] == 3
     assert out.optimum == x[0] + 2 * x[1] == 8
 
 
 def test_free_variable():
-    out = solve([-1, 0], [[1, 1]], [3], [(None, None), (0, 2)])
+    # max -x0, x0 + x1 = 3, x0 free as x0+ - x0-, 0 <= x1 <= 2 with slack s.
+    out = solve([-1, 1, 0, 0], [[1, -1, 1, 0], [0, 0, 1, 1]], [3, 2])
     assert out.status == lpexact.OPTIMAL and out.optimum == -1
+    assert out.witness[0] - out.witness[1] == 1
 
 
 def test_negative_rhs_rows():
-    out = solve([1], [[-1]], [-2], [(0, 5)])
+    # max x, -x = -2, 0 <= x <= 5.
+    out = solve([1, 0], [[-1, 0], [1, 1]], [-2, 5])
     assert out.status == lpexact.OPTIMAL and out.optimum == 2
 
 
 def test_rational_data():
-    out = solve([1], [[Fraction(2, 3)]], [Fraction(1, 2)],
-                [(0, None)])
+    out = solve([1], [[Fraction(2, 3)]], [Fraction(1, 2)])
     assert out.optimum == Fraction(3, 4)
 
 
 def test_malformed():
     with pytest.raises(lpexact.MalformedProgram):
-        LinearProgram.build([1], [[1, 2]], [0], [(0, 1)])
+        LinearProgram.build([1], [[1, 2]], [0])
     with pytest.raises(lpexact.MalformedProgram):
-        LinearProgram.build([1], [[1]], [0, 0], [(0, 1)])
+        LinearProgram.build([1], [[1]], [0, 0])
     with pytest.raises(lpexact.MalformedProgram):
-        LinearProgram.build([1, 1], [], [], [(0, 1)])
+        LinearProgram.build([1, 1], [[1]], [0])
+
+
+def test_build_keeps_ints():
+    prog = LinearProgram.build([1, "1/2"], [[2, Fraction(1, 3)]], [3])
+    assert [type(x) for x in prog.objective] == [int, Fraction]
+    assert [type(x) for x in prog.eq_lhs[0]] == [int, Fraction]
+    assert type(prog.eq_rhs[0]) is int
 
 
 def test_duality_bound_by_hand():
     # max x1 + x2 s.t. x1 + 2 x2 = 4, x >= 0. Dual bound: y = 1 gives
     # y * 4 = 4 >= optimum; actual optimum is 4 at (4, 0).
-    out = solve([1, 1], [[1, 2]], [4], [(0, None), (0, None)])
+    out = solve([1, 1], [[1, 2]], [4])
     assert out.status == lpexact.OPTIMAL
     assert out.optimum == 4
     # max 2 x1 + 3 x2, x1 + x2 = 1, x >= 0: optimum 3 <= dual bound 3.
-    out = solve([2, 3], [[1, 1]], [1], [(0, None), (0, None)])
+    out = solve([2, 3], [[1, 1]], [1])
     assert out.optimum == 3
 
 
@@ -89,12 +114,13 @@ small = st.integers(min_value=-4, max_value=4)
 def test_deterministic_and_feasible(c, lhs, rhs):
     lhs = lhs[:len(rhs)]
     rhs = rhs[:len(lhs)]
-    prog = LinearProgram.build(c, lhs, rhs, [(0, 3)] * 3)
+    rows, ub = with_upper_bounds(lhs, [3] * 3)
+    prog = LinearProgram.build(c + [0] * 3, rows, rhs + ub)
     a = lp_solve(prog)
     b = lp_solve(prog)
     assert a == b
     if a.status == lpexact.OPTIMAL:
-        x = a.witness
+        x = a.witness[:3]
         for row, r in zip(lhs, rhs):
             assert sum(ri * xi for ri, xi in zip(row, x)) == r
         assert all(0 <= xi <= 3 for xi in x)
@@ -107,7 +133,8 @@ def test_deterministic_and_feasible(c, lhs, rhs):
 def test_box_lp_matches_vertex_scan(c, row, r):
     # All-bounded 2-variable programs: the optimum over the segment/region
     # equals the best vertex of the feasible polytope.
-    prog = LinearProgram.build(c, [row], [r], [(0, 2), (0, 2)])
+    rows, ub = with_upper_bounds([row], [2, 2])
+    prog = LinearProgram.build(c + [0, 0], rows, [r] + ub)
     out = lp_solve(prog)
     # Brute force on a fine rational grid of candidate points.
     grid = [Fraction(k, 4) for k in range(9)]
@@ -154,21 +181,10 @@ entries = st.one_of(st.sampled_from([0, 0, 1, -1, 2]),
 
 
 @st.composite
-def bound_pairs(draw):
-    lo = draw(entries)
-    kind = draw(st.sampled_from(["box", "box", "box", "lower", "upper",
-                                 "free", "fixed", "empty"]))
-    if kind == "box":
-        return lo, lo + draw(st.fractions(0, 3, max_denominator=2))
-    return {"lower": (lo, None), "upper": (None, lo), "free": (None, None),
-            "fixed": (lo, lo), "empty": (lo, lo - 1)}[kind]
-
-
-@st.composite
 def programs(draw):
-    """Rational rows and rhs, zero rows, every kind of bound pair, and
-    repeated rows, whose artificials stay basic at zero (degenerate)."""
-    n = draw(st.integers(1, 5))
+    """Rational rows and rhs, zero rows, and repeated rows, whose
+    artificials stay basic at zero (degenerate)."""
+    n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 4))
     row = st.lists(entries, min_size=n, max_size=n)
     rows = draw(st.lists(st.one_of(st.just([0] * n), row),
@@ -177,9 +193,8 @@ def programs(draw):
     if m and draw(st.booleans()):
         rows.append(rows[0])
         rhs.append(rhs[0])
-    bounds = draw(st.lists(bound_pairs(), min_size=n, max_size=n))
     c = draw(st.lists(entries, min_size=n, max_size=n))
-    return LinearProgram.build(c, rows, rhs, bounds)
+    return LinearProgram.build(c, rows, rhs)
 
 
 @given(programs())
@@ -197,8 +212,7 @@ def test_beale_degenerate_program():
         [[1, 0, 0, q(1, 4), -8, -1, 9],
          [0, 1, 0, q(1, 2), -12, q(-1, 2), 3],
          [0, 0, 1, 0, 0, 1, 0]],
-        [0, 0, 1],
-        [(0, None)] * 7)
+        [0, 0, 1])
     out, pivots = assert_routes_agree(prog)
     assert out.status == lpexact.OPTIMAL and out.optimum == q(5, 4)
     assert len(pivots) > 3
@@ -232,3 +246,11 @@ def test_tp_box_certificate_programs_match_fraction_oracle():
     assert len(progs) == 24
     for prog in progs:
         assert_routes_agree(prog)
+
+
+def test_box_certificate_rows_are_integers():
+    progs = tp_box_programs()
+    assert progs
+    for prog in progs:
+        assert all(type(x) is int for row in prog.eq_lhs for x in row)
+        assert all(type(x) is int for x in prog.objective)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
 from flatpoly import ormatroid, totpos
-from flatpoly.exactnum import Matrix
+from flatpoly.exactnum import Matrix, maximal_minors
 from flatpoly.polyshape import q_product, shape_report
 from flatpoly.totpos import (FlatMaxPositive, GridNetwork, NotMaxPositive,
                              ext_closed_form, f_tp_closed,
@@ -18,8 +19,36 @@ def test_network_validation():
         GridNetwork(2, 3, ((1, 1),))          # wrong row count
     with pytest.raises(ValueError):
         GridNetwork(1, 3, ((1, 0),))          # non-positive weight
+    with pytest.raises(ValueError, match="at least one row"):
+        GridNetwork(0, 3, ())
     net = GridNetwork(2, 3, ((1, 1), (1, 1)))
     assert net.last_row_unit
+
+
+def test_flat_maxpos_rejects_non_unit_last_row():
+    # The path matrix's last row is [6, 3, 1], not the all-ones row that
+    # the suffix-sum construction rebuilds.
+    net = GridNetwork(2, 3, ((1, 1), (2, 3)))
+    assert not net.last_row_unit
+    assert tp_from_network(net).entries[-1] == [6, 3, 1]
+    with pytest.raises(ValueError, match="unit weights"):
+        totpos.flat_maxpos_from_network(net)
+
+
+def test_tp_reads_one_minor_table():
+    # flat_maxpos_from_C tabulates C's minors; the closed form and the
+    # interleaving formula read that table instead of rebuilding it.
+    rng = random.Random(5)
+    with mock.patch.object(totpos, "maximal_minors",
+                           wraps=totpos.maximal_minors) as tab:
+        fmp = totpos.flat_maxpos_from_network(random_network(3, 6, rng))
+        poly, cert = f_tp_closed(fmp)
+        for cols in combinations(range(6), 3):
+            minor_via_C(fmp, cols)
+    assert tab.call_count == 1
+    assert (fmp.chi, fmp.scale) == maximal_minors(fmp.C)
+    assert poly == cert.expand() == \
+        ormatroid.f_poly_frac(ormatroid.MatroidContext(fmp.A))
 
 
 def test_tp_from_network_unit_weights():
@@ -119,7 +148,8 @@ def test_f_tp_closed_unit_example():
 
 
 def test_f_tp_closed_d1():
-    fmp = FlatMaxPositive(Matrix([[1, 1, 1, 1]]), Matrix([[0, 0, 0, 0]]))
+    fmp = FlatMaxPositive(Matrix([[1, 1, 1, 1]]), Matrix([[0, 0, 0, 0]]),
+                          {}, 1)
     poly, cert = f_tp_closed(fmp)
     assert poly == [1, 1, 1, 1] == q_product((4,))
 
