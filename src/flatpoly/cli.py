@@ -149,17 +149,22 @@ def suite_thm5_3(args, checks, rng):
 
 
 def suite_cor5_4(args, checks, rng):
-    """Graphic, dual-cographic, and Alexander routes agree on plane
-    bipartite graphs."""
-    for name in corpus.PLANE_BIPARTITE:
-        P, part1 = corpus.plane_bipartite(name)
-        alex = planardual.alexander_poly(P, part1)
+    """The Seifert determinant, the dual's cographic f and the primal's
+    graphic f agree on the corpus and on random plane bipartite graphs."""
+    graphs = [(name, corpus.plane_bipartite(name))
+              for name in corpus.PLANE_BIPARTITE]
+    graphs += [(f"random-{i}", corpus.random_plane_bipartite(rng))
+               for i in range(args.trials or 10)]
+    for name, (P, part1) in graphs:
+        seifert = planardual.alexander_poly(P, part1)
         res = planardual.dual_with_orientation(P, part1)
-        B = graphkit.cographic_matrix(res.dual)
-        f_dual = planardual.normalized(
-            ormatroid.f_poly(ormatroid.MatroidContext(B)))
-        _check(checks, f"duality[{name}]", alex == f_dual,
-               f"{alex} vs {f_dual}")
+        f_dual = planardual.normalized(ormatroid.f_poly(
+            ormatroid.MatroidContext(graphkit.cographic_matrix(res.dual))))
+        f_primal = planardual.normalized(ormatroid.f_poly(
+            ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))))
+        _check(checks, f"duality[{name}]", seifert == f_dual == f_primal,
+               f"seifert {seifert}, dual cographic f {f_dual}, "
+               f"primal graphic f {f_primal}")
 
 
 def suite_thm6_7(args, checks, rng):

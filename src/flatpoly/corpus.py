@@ -1,5 +1,6 @@
 """Built-in test corpus: plane bipartite graphs with embeddings, Eulerian
-digraphs, and generators for random Eulerian digraphs and flat matrices.
+digraphs, and generators for random plane bipartite graphs, Eulerian
+digraphs and flat matrices.
 
 The verify suites and the acceptance tests both draw on these instances.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graphkit import Digraph
+from .graphkit import Digraph, _component
 from .planardual import plane_from_coords
 
 
@@ -130,6 +131,63 @@ PLANE_BIPARTITE = {
 def plane_bipartite(name):
     n, edges, part1, coords, bends = PLANE_BIPARTITE[name]
     P = plane_from_coords(n, edges, coords, part1=part1, bends=bends)
+    return P, part1
+
+
+def _bridgeless(edges):
+    """True iff the edges form one connected graph in which every edge lies
+    on a cycle: its endpoints stay connected without it."""
+    ends = {v for e in edges for v in e}
+    n = max(ends) + 1
+    if _component(n, edges, min(ends)) != ends:
+        return False
+    return all(edges[i][1] in _component(n, edges[:i] + edges[i + 1:],
+                                         edges[i][0])
+               for i in range(len(edges)))
+
+
+def random_plane_bipartite(rng: random.Random):
+    """Random connected, bridgeless plane bipartite graph: a subgraph of a
+    grid of at most 3 x 4 vertices, with up to two edges doubled.
+
+    Grid edges are dropped, each with probability 1/2 and in random order,
+    while the rest stays connected and bridgeless. A doubled edge bends
+    through a point a quarter off its midpoint, inside a grid cell, so
+    nothing crosses it. The drawing is the grid under a random rational
+    scale and shear, so coordinates are ints and Fractions, and either
+    checkerboard class may be part 1.
+
+    Returns (PlaneGraph, part1).
+    """
+    rows, cols = rng.randint(2, 3), rng.randint(2, 4)
+    _n, edges, _part1, coords, _b = _grid(rows, cols)
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    kept = set(order)
+    for i in order:
+        if rng.randint(0, 1) and _bridgeless(
+                [edges[j] for j in sorted(kept - {i})]):
+            kept.discard(i)
+    edges = [edges[j] for j in sorted(kept)]
+    scale = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    shear = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    draw = lambda x, y: (scale * x + shear * y, y)
+    bends = {}
+    for i in rng.sample(range(len(edges)), rng.randint(0, 2)):
+        u, v = edges[i]
+        (ax, ay), (bx, by) = coords[u], coords[v]
+        side = Fraction(rng.choice((-1, 1)), 4)
+        bends[len(edges)] = draw(Fraction(ax + bx, 2) - side * (by - ay),
+                                 Fraction(ay + by, 2) + side * (bx - ax))
+        edges.append((u, v))
+    used = sorted({v for e in edges for v in e})
+    relabel = {v: i for i, v in enumerate(used)}
+    parity = rng.randint(0, 1)
+    part1 = [relabel[v] for v in used if sum(coords[v]) % 2 == parity]
+    P = plane_from_coords(len(used),
+                          [(relabel[u], relabel[v]) for u, v in edges],
+                          [draw(*coords[v]) for v in used], part1=part1,
+                          bends=bends)
     return P, part1
 
 

@@ -1,8 +1,10 @@
-"""Exact rational matrices: determinants and the table of maximal minors.
+"""Exact rational matrices: determinants, pencil determinants and the table
+of maximal minors.
 
 Bareiss fraction-free elimination on denominator-cleared integer rows is
 the one elimination routine; rank, flatness, linear expansions and the Gale
-dual are read from the minor table (Cramer's rule). Every result is exact.
+dual are read from the minor table (Cramer's rule), and the determinant of
+a pencil A + tB is interpolated from its values. Every result is exact.
 Matrices are immutable after construction and safe to share between
 workers.
 """
@@ -117,6 +119,8 @@ def bareiss_det(rows) -> int:
     (Bareiss 1968): every division is exact, so entries stay integers."""
     a = [list(r) for r in rows]
     n = len(a)
+    if n == 0:
+        return 1
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -133,6 +137,35 @@ def bareiss_det(rows) -> int:
                 ri[j] = (ri[j] * p - f * rk[j]) // prev
         prev = p
     return sign * a[n - 1][n - 1]
+
+
+def pencil_det(A, B):
+    """Integer coefficients of det(A + tB), constant term first and without
+    trailing zeros, for square integer matrices A and B of one size n.
+
+    bareiss_det gives the values at t = 0..n, and forward differences turn
+    them into the Newton form sum_k c_k t(t-1)...(t-k+1). The k-th
+    difference at i is k! times a Newton coefficient of the polynomial
+    shifted by i, an integer because the polynomial has integer
+    coefficients, so every division below is exact.
+    """
+    n = len(A)
+    values = [bareiss_det([[a + t * b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(A, B)]) for t in range(n + 1)]
+    newton = []
+    for k in range(1, n + 2):
+        newton.append(values[0])
+        values = [(y - x) // k for x, y in zip(values, values[1:])]
+    # Horner in the falling-factorial basis: p := p * (t - k) + c_k.
+    coeffs = []
+    for k in range(n, -1, -1):
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += newton[k]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def maximal_minors(A: Matrix):

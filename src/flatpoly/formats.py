@@ -50,6 +50,14 @@ def _count(x, what):
     return x
 
 
+def _vertices(obj):
+    """The vertex count of a graph object; a graph needs a vertex."""
+    n = _int(_field(obj, "vertices"), "vertices")
+    if n < 1:
+        raise FormatError(f"vertices must be at least 1, got {n}")
+    return n
+
+
 def _index(x, n, what):
     if not 0 <= _int(x, what) < n:
         raise FormatError(f"{what} {x} out of range 0..{n - 1}")
@@ -86,7 +94,7 @@ def _edges(obj, n):
 
 def _graph(obj):
     """(n, edges, part1) of a bigraph-v1 or planegraph-v1 object."""
-    n = _count(_field(obj, "vertices"), "vertices")
+    n = _vertices(obj)
     part1 = [_index(v, n, "part1 vertex")
              for v in _list(_field(obj, "part1"), "part1")]
     return n, _edges(obj, n), part1
@@ -139,7 +147,7 @@ def load_digraph(src) -> Digraph:
     """{"format":"digraph-v1","vertices":n,"edges":[[tail,head],...]}"""
     obj = _load(src)
     _expect(obj, "digraph-v1")
-    n = _count(_field(obj, "vertices"), "vertices")
+    n = _vertices(obj)
     return Digraph(n, _edges(obj, n))
 
 

@@ -25,6 +25,10 @@ instead: fundamental cycles by tree paths, fundamental cuts and the
 per-edge grading by one component walk per tree edge. tree_count is the
 Kirchhoff determinant over Fractions.
 
+The library interpolates det(A + tB) from Bareiss determinants at
+t = 0..n. pencil_det_cofactor expands it along the first row over Z[t]
+instead.
+
 The library's standard-form simplex pivots on an integer tableau over one
 common denominator. FractionSimplex is the same two-phase Bland simplex
 over Fractions, which must reach the same outcome by the same pivots.
@@ -39,7 +43,7 @@ from flatpoly import lpexact
 from flatpoly.exactnum import Matrix, dot, frac
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
                                eulerian_tour_order, spanning_trees)
-from flatpoly.polyshape import normalize
+from flatpoly.polyshape import normalize, poly_add, poly_mul
 from flatpoly.ormatroid import LEX_ORDER, MatroidContext, NotGeneric
 from flatpoly.zonolattice import bipartite_graph_context, lattice_points
 
@@ -134,6 +138,22 @@ def poly_eval(p, x):
     for a in reversed(p):
         acc = acc * x + a
     return acc
+
+
+def pencil_det_cofactor(A, B):
+    """det(A + tB) for square integer matrices, by cofactor expansion along
+    the first row with polynomial entries a + bt."""
+    def det(rows):
+        if not rows:
+            return [1]
+        total = []
+        for j, entry in enumerate(rows[0]):
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            term = poly_mul(entry, det(minor))
+            total = poly_add(total, [-c for c in term] if j % 2 else term)
+        return total
+    return det([[normalize([a, b]) for a, b in zip(ra, rb)]
+                for ra, rb in zip(A, B)])
 
 
 def reverse_in_degree(p, deg):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import corpus, formats, lpexact, polyshape
+from flatpoly import (corpus, exactnum, formats, graphkit, lpexact, ormatroid,
+                      polyshape)
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
@@ -120,11 +121,7 @@ def test_boxcert_rejects_nonpositive_d(tmp_path, capsys):
 
 
 def test_alexander(tmp_path, capsys):
-    P, part1 = corpus.plane_bipartite("C4")
-    rot = [[{"edge": e, "end": end} for (e, end) in r] for r in P.rotations]
-    path = write(tmp_path, "pg.json", {
-        "format": "planegraph-v1", "vertices": 4, "part1": part1,
-        "edges": [list(e) for e in P.digraph.edges], "rotations": rot})
+    path = write(tmp_path, "pg.json", planegraph_doc())
     code, rep = run(capsys, ["alexander", "--planegraph", path])
     assert code == 0 and rep["result_poly"]["coeffs"] == [2, 2]
 
@@ -176,6 +173,24 @@ def internal_failure(capsys, argv):
     assert code == 1 and cap.out == ""
     assert cap.err.startswith("error: internal check failed")
     assert "Traceback" not in cap.err
+
+
+def test_alexander_builds_no_minor_table(tmp_path, capsys, monkeypatch):
+    def no_table(A):
+        raise AssertionError("maximal_minors called")
+
+    monkeypatch.setattr(exactnum, "maximal_minors", no_table)
+    monkeypatch.setattr(ormatroid, "maximal_minors", no_table)
+    path = write(tmp_path, "pg.json", planegraph_doc("C6-doubled"))
+    code, rep = run(capsys, ["alexander", "--planegraph", path])
+    assert code == 0
+    assert rep["result_poly"]["coeffs"] == [3, 15, 33, 45, 45, 33, 15, 3]
+
+
+def test_alexander_dual_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphkit, "p_poly", lambda D, r=0: [1, 1])
+    path = write(tmp_path, "pg.json", planegraph_doc("grid2x3"))
+    internal_failure(capsys, ["alexander", "--planegraph", path])
 
 
 def test_boxcert_wrong_witness_exits_1(tmp_path, capsys, monkeypatch):
@@ -282,10 +297,10 @@ C4_BIGRAPH = {"format": "bigraph-v1", "vertices": 4, "part1": [0, 2],
               "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
 
 
-def c4_planegraph():
-    P, part1 = corpus.plane_bipartite("C4")
-    return {"format": "planegraph-v1", "vertices": 4, "part1": part1,
-            "edges": [list(e) for e in P.digraph.edges],
+def planegraph_doc(name="C4"):
+    P, part1 = corpus.plane_bipartite(name)
+    return {"format": "planegraph-v1", "vertices": P.digraph.n,
+            "part1": part1, "edges": [list(e) for e in P.digraph.edges],
             "rotations": [[{"edge": e, "end": end} for (e, end) in r]
                           for r in P.rotations]}
 
@@ -321,6 +336,22 @@ def test_pd_rejects_null_vertex_count(tmp_path, capsys):
     assert_input_error(capsys, ["pd", "--digraph", path], "vertices")
 
 
+@pytest.mark.parametrize("argv, obj", [
+    (["pd", "--digraph"], {"format": "digraph-v1", "vertices": 0,
+                           "edges": []}),
+    (["fa", "--bigraph"], {"format": "bigraph-v1", "vertices": 0,
+                           "part1": [], "edges": []}),
+    (["zonotope", "--bigraph"], {"format": "bigraph-v1", "vertices": 0,
+                                 "part1": [], "edges": []}),
+    (["alexander", "--planegraph"], {"format": "planegraph-v1",
+                                     "vertices": 0, "part1": [],
+                                     "edges": [], "rotations": []}),
+])
+def test_rejects_graph_without_vertices(tmp_path, capsys, argv, obj):
+    path = write(tmp_path, "g.json", obj)
+    assert_input_error(capsys, argv + [path], "vertices must be at least 1")
+
+
 def test_boxcert_rejects_nested_coefficient(tmp_path, capsys):
     path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "t",
                                       "coeffs": [[1]]})
@@ -343,7 +374,7 @@ def test_fa_rejects_disconnected_bigraph(tmp_path, capsys):
 
 
 def test_alexander_rejects_unknown_edge(tmp_path, capsys):
-    obj = c4_planegraph()
+    obj = planegraph_doc()
     obj["rotations"][0][0]["edge"] = 7
     path = write(tmp_path, "pg.json", obj)
     assert_input_error(capsys, ["alexander", "--planegraph", path],
@@ -403,7 +434,7 @@ FUZZ_CASES = [
     (["verify", "thm5_3", "--digraph"], {"format": "digraph-v1",
                                          "vertices": 2,
                                          "edges": [[0, 1], [1, 0]]}),
-    (["alexander", "--planegraph"], c4_planegraph()),
+    (["alexander", "--planegraph"], planegraph_doc()),
     (["boxcert", "--d", "2", "--poly"], {"format": "poly-v1",
                                          "variable": "t",
                                          "coeffs": [1, 3, 1]}),

@@ -4,9 +4,11 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from flatpoly.exactnum import Matrix, dot, frac, maximal_minors
+from flatpoly.exactnum import (Matrix, bareiss_det, dot, frac,
+                               maximal_minors, pencil_det)
 
-from oracles import apply, flat_witness, independent_rows, rank, solve
+from oracles import (apply, flat_witness, independent_rows,
+                     pencil_det_cofactor, rank, solve)
 
 
 def test_frac_coercions():
@@ -138,6 +140,41 @@ def test_maximal_minors_match_minor(rows):
     assert list(chi) == keys
     for key in keys:
         assert Fraction(chi[key], scale) == m.minor(range(m.rows), key)
+
+
+def square(n, entries=small):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def pencils(draw):
+    """(A, B) of one size n <= 5; B is sometimes zero, and sometimes both
+    share a zero row, which makes the pencil singular."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    A, B = draw(square(n)), draw(square(n))
+    kind = draw(st.sampled_from(["any", "b-zero", "singular"]))
+    if kind == "b-zero":
+        B = [[0] * n for _ in range(n)]
+    elif kind == "singular" and n:
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        A[i] = B[i] = [0] * n
+    return A, B
+
+
+@given(pencils())
+def test_pencil_det_matches_cofactor_expansion(pencil):
+    A, B = pencil
+    assert pencil_det(A, B) == pencil_det_cofactor(A, B)
+
+
+def test_pencil_det_by_hand():
+    assert pencil_det([], []) == [1] == [bareiss_det([])]
+    assert pencil_det([[-2]], [[2]]) == [-2, 2]
+    assert pencil_det([[0, 1], [1, 0]], [[1, 0], [0, 1]]) == [-1, 0, 1]
+    assert pencil_det([[1, 2], [2, 4]], [[0, 0], [0, 0]]) == []
+    # B singular, so the degree falls below n.
+    assert pencil_det([[1, 0], [0, 1]], [[1, 1], [0, 0]]) == [1, 1]
 
 
 def test_independent_rows_greedy():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from flatpoly.planardual import (DegenerateDual, MalformedRotation,
                                  PlaneGraph, alexander_poly,
                                  dual_plane_graph, dual_with_orientation,
                                  faces, is_alternating_dimap, normalized,
-                                 plane_from_coords)
+                                 plane_from_coords, seifert_poly)
 
 from oracles import tree_count
 
@@ -172,6 +173,58 @@ def test_duality_corollary():
         f_dual = normalized(ormatroid.f_poly(
             ormatroid.MatroidContext(graphkit.cographic_matrix(res.dual))))
         assert f_primal == f_dual == alexander_poly(P, part1)
+
+
+def primal_f(P):
+    return normalized(ormatroid.f_poly(
+        ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))))
+
+
+def murasugi_crowell_degree(P):
+    return len(P.digraph.edges) - P.digraph.n + 1
+
+
+def test_seifert_matches_primal_and_dual_for_every_dropped_face():
+    for name in corpus.PLANE_BIPARTITE:
+        P, part1 = corpus.plane_bipartite(name)
+        res = dual_with_orientation(P, part1)
+        expected = primal_f(P)
+        assert normalized(graphkit.p_poly(res.dual, 0)) == expected, name
+        assert len(expected) - 1 == murasugi_crowell_degree(P), name
+        walks = res.face_walks
+        for i in range(len(walks)):
+            dropped_first = (walks[i],) + walks[:i] + walks[i + 1:]
+            assert seifert_poly(dropped_first) == expected, (name, i)
+
+
+def test_seifert_matches_primal_and_dual_on_random_graphs():
+    rng = random.Random(0)
+    for i in range(40):
+        P, part1 = corpus.random_plane_bipartite(rng)
+        res = dual_with_orientation(P, part1)
+        seifert = seifert_poly(res.face_walks)
+        assert seifert == primal_f(P) == \
+            normalized(graphkit.p_poly(res.dual, 0)), i
+        assert len(seifert) - 1 == murasugi_crowell_degree(P), i
+        assert alexander_poly(P, part1) == seifert, i
+
+
+def test_random_plane_bipartite_is_seeded():
+    def draw(seed):
+        rng = random.Random(seed)
+        return [corpus.random_plane_bipartite(rng) for _ in range(20)]
+    first, again = draw(3), draw(3)
+    assert [(P.digraph.edges, P.rotations, part1) for P, part1 in first] == \
+        [(P.digraph.edges, P.rotations, part1) for P, part1 in again]
+    # Parallel edges occur, so the bent copies are exercised.
+    assert any(len(set(P.digraph.edges)) < len(P.digraph.edges)
+               for P, _ in first)
+
+
+def test_alexander_checks_murasugi_crowell_degree(monkeypatch):
+    monkeypatch.setattr(planardual, "seifert_poly", lambda walks: [2])
+    with pytest.raises(AssertionError, match="degree"):
+        alexander_poly(*plane_c4())
 
 
 def test_euler_formula_enforced():
