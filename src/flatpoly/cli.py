@@ -34,18 +34,13 @@ def _shape_dict(p):
             "log_concave": s.log_concave, "trapezoidal": s.trapezoidal}
 
 
-def _graphic_ctx(n, edges, part1):
-    D = graphkit.standard_orientation(n, edges, part1)
-    return ormatroid.MatroidContext(graphkit.graphic_matrix(D))
-
-
 def cmd_fa(args):
     if args.matrix:
         m = formats.load_matrix(args.matrix)
         ctx = ormatroid.MatroidContext(m)
     elif args.bigraph:
-        n, edges, part1 = formats.load_bigraph(args.bigraph)
-        ctx = _graphic_ctx(n, edges, part1)
+        D = graphkit.standard_orientation(*formats.load_bigraph(args.bigraph))
+        ctx = ormatroid.MatroidContext(graphkit.graphic_matrix(D))
     else:
         raise UsageError("fa needs --matrix or --bigraph")
     poly = ormatroid.f_poly_frac(ctx)
@@ -76,11 +71,16 @@ def cmd_zonotope(args):
     adm = zonolattice.bipartite_admissible_l(n, part1)
     trimmed = zonolattice.trimmed_points(ctx, adm)
     levels, shift = zonolattice.level_poly(trimmed)
+    # Reports are in vertex coordinates.
+    lifted = zonolattice.LatticePointSet(
+        tuple(map(zonolattice.incidence_point, trimmed.points)),
+        trimmed.levels)
     _report(args, "zonotope",
             lattice_points=zonolattice.lattice_point_count(ctx),
-            trimmed=formats.dump_points(trimmed),
+            trimmed=formats.dump_points(lifted),
             level_poly=formats.dump_poly(levels), level_shift=shift,
-            admissible_direction=list(adm.l), m=adm.m)
+            admissible_direction=list(zonolattice.incidence_point(adm.l)),
+            m=adm.m)
     return 0
 
 
@@ -97,10 +97,9 @@ def cmd_tp(args):
                          f"N = {fmp.A.cols}")
     poly, cert = totpos.f_tp_closed(fmp)
     _report(args, "tp", matrix=formats.dump_matrix(fmp.A),
-            result_poly={"format": "poly-v1", "variable": "q",
-                         "coeffs": [str(c) for c in poly]},
+            result_poly=formats.dump_poly(poly, variable="q"),
             certificate=[[list(comp), str(coef)] for comp, coef in cert.terms],
-            seed=getattr(args, "seed", None))
+            seed=args.seed)
     return 0
 
 
@@ -140,7 +139,8 @@ def suite_thm5_3(args, checks, rng):
     if args.digraph:
         digraphs = [formats.load_digraph(args.digraph)]
     else:
-        digraphs = [corpus.random_eulerian(rng, 8) for _ in range(10)]
+        digraphs = [corpus.random_eulerian(rng, 8)
+                    for _ in range(args.trials or 10)]
     for i, D in enumerate(digraphs):
         p = graphkit.p_poly(D, 0)
         B = graphkit.cographic_matrix(D)
@@ -168,14 +168,19 @@ def suite_cor5_4(args, checks, rng):
 
 
 def suite_thm6_7(args, checks, rng):
-    """Level polynomial of the trimmed zonotope matches f_poly shifted."""
-    for name in ("C4", "C6", "K23", "grid2x3", "theta222"):
-        n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+    """Level polynomial of the trimmed zonotope matches f_poly shifted, on
+    five corpus graphs and on random plane bipartite graphs."""
+    graphs = [(name, corpus.PLANE_BIPARTITE[name][:3])
+              for name in ("C4", "C6", "K23", "grid2x3", "theta222")]
+    for i in range(args.trials or 5):
+        P, part1 = corpus.random_plane_bipartite(rng)
+        graphs.append((f"random-{i}", (P.digraph.n, P.digraph.edges, part1)))
+    for name, (n, edges, part1) in graphs:
         ctx = zonolattice.bipartite_graph_context(n, edges, part1)
         adm = zonolattice.bipartite_admissible_l(n, part1)
         levels, shift = zonolattice.level_poly(
             zonolattice.trimmed_points(ctx, adm))
-        f = ormatroid.f_poly(_graphic_ctx(n, edges, part1))
+        f = ormatroid.f_poly(ctx.mctx)
         expected = polyshape.poly_shift(f, ctx.d - adm.m)
         _check(checks, f"level-identity[{name}]",
                shift == 0 and levels == expected, f"{levels} vs {expected}")

@@ -97,12 +97,6 @@ class Matrix:
         return self.submatrix(row_idx, col_idx).det()
 
 
-def dot(u, v) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dot of vectors of unequal length")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def _integer_rows(entries):
     """Rows scaled by their denominators' lcm; returns (int rows, scale),
     where scale is the product of the row multipliers."""

@@ -1,9 +1,9 @@
 """Zonotopes of integer matrices: semi-activity tiling, lattice points,
 admissible directions, trimming, and level polynomials.
 
-Ambient dimension k may exceed the rank d (incidence matrices); a fixed
-row subset of full rank plays the role of projection coordinates, both for
-basis volumes and for the Cramer expansions read from its minor table.
+The matrix is flat and of full row rank. A bipartite graph enters through
+its graphic matrix, the incidence matrix without its last row, and
+incidence_point lifts a point back to vertex coordinates.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, ormatroid
-from .exactnum import (Matrix, _integer_rows, _swapped_minor, bareiss_det, dot,
-                       frac)
+from .exactnum import Matrix, _integer_rows, bareiss_det, frac
 from .polyshape import normalize
 
 
@@ -25,83 +24,44 @@ class NotAdmissible(ValueError):
     pass
 
 
-class NotInSpan(ValueError):
-    pass
-
-
 class ZonotopeContext:
-    """Integer matrix with a flatness witness and a projection row set.
+    """A flat integer matrix of full row rank with its minor table.
 
-    proj_rows defaults to all rows. The projected matrix must have full row
-    rank; it defines the volume form and is the presentation for matroid
-    computations. Every column must be, in all rows, the combination of
-    the first basis that the projected rows give it, so the projected rows
-    lose no rank. The witness defaults to the linear form that is 1 on the
-    first basis, supported on the projected rows.
+    The level form is the linear form that is 1 on every column. By
+    Cramer's rule on the first basis B, h_r = det(B with row r replaced by
+    ones) / det(B); it is kept as integer numerators over chi(B).
     """
 
-    def __init__(self, matrix: Matrix, witness=None, proj_rows=None):
+    def __init__(self, matrix: Matrix):
         for row in matrix.entries:
             for x in row:
                 if x.denominator != 1:
                     raise ValueError("zonotope matrices must be integral")
         self.matrix = matrix
-        self.k = matrix.rows
-        self.proj_rows = list(range(self.k) if proj_rows is None
-                              else proj_rows)
-        self.projected = matrix.submatrix(self.proj_rows, range(matrix.cols))
-        self.mctx = ormatroid.MatroidContext(self.projected)
+        self.mctx = ormatroid.MatroidContext(matrix)
         self.d = self.mctx.rank_d
         self._columns = [[int(x) for x in matrix.column(j)]
                          for j in range(matrix.cols)]
         chi, basis = self.mctx.chi, self.mctx.first_basis
-        for j in range(matrix.cols):
-            if j not in basis and not _combines_to(
-                    self, basis,
-                    [_swapped_minor(chi, basis, i, j)
-                     for i in range(self.d)],
-                    chi[basis], self._columns[j]):
-                raise ValueError("projection rows do not have full rank")
-        if witness is None:
-            witness = self._cramer_witness(basis)
-        self.witness = [frac(x) for x in witness]
-        (w,), scale = _integer_rows([self.witness])
-        if len(w) != self.k or any(
-                sum(a * c for a, c in zip(w, col)) != scale
-                for col in self._columns):
-            raise ormatroid.NotFlat("witness does not certify flatness")
-        self.unimodular = all(
-            vol == 1 for _, vol in ormatroid.enumerate_bases(self.mctx))
-        self._tiling = None
-
-    def _cramer_witness(self, basis):
-        """h with h(column b) = 1 for b in the basis, by Cramer's rule on the
-        projected rows: h_r = det(B, row r replaced by ones) / det(B)."""
-        B = [[self._columns[b][r] for b in basis] for r in self.proj_rows]
+        B = [[self._columns[b][r] for b in basis] for r in range(self.d)]
         ones = [1] * self.d
-        h = [Fraction(0)] * self.k
-        for i, r in enumerate(self.proj_rows):
-            h[r] = Fraction(bareiss_det(B[:i] + [ones] + B[i + 1:]),
-                            self.mctx.chi[basis])
-        return h
+        self._level_nums = [bareiss_det(B[:r] + [ones] + B[r + 1:])
+                            for r in range(self.d)]
+        self._level_den = chi[basis]
+        # The matrix is integral, so the table's scale is 1.
+        self.unimodular = all(abs(c) <= 1 for c in chi.values())
+        self._tiling = None
 
     def column(self, j):
         return list(self._columns[j])
 
     def level(self, point):
-        val = dot(self.witness, [frac(x) for x in point])
-        if val.denominator != 1:
+        val, rem = divmod(sum(h * x for h, x in
+                              zip(self._level_nums, point, strict=True)),
+                          self._level_den)
+        if rem:
             raise ValueError("level functional is not integral on the point")
-        return int(val)
-
-
-def _combines_to(ctx: ZonotopeContext, basis, nums, den, v) -> bool:
-    """True iff den * v equals sum_i nums[i] * column(basis[i]) in all k
-    rows: whether v is the combination of the basis columns whose Cramer
-    numerators over the basis minor den are nums."""
-    cols = [ctx._columns[b] for b in basis]
-    return all(den * v[r] == sum(n * c[r] for n, c in zip(nums, cols))
-               for r in range(ctx.k))
+        return val
 
 
 @dataclass(frozen=True)
@@ -131,7 +91,7 @@ def tiling(ctx: ZonotopeContext):
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
         ext, _ = ormatroid.ext_semiactivity(ctx.mctx, basis,
                                             ormatroid.LEX_ORDER)
-        shift = [0] * ctx.k
+        shift = [0] * ctx.d
         for j in ext:
             for i, c in enumerate(ctx.column(j)):
                 shift[i] += c
@@ -174,24 +134,19 @@ def lattice_point_count(ctx: ZonotopeContext) -> int:
 def basis_expansions(ctx: ZonotopeContext, l):
     """The coefficients of l in every basis, keyed by basis tuple.
 
-    By Cramer's rule, the coefficient of basis[i] is the minor of the
-    projected rows with l in place of column basis[i], over the basis
-    minor from the context's minor table. l is in the column span iff its
-    expansion in the first basis reproduces it in all rows.
+    By Cramer's rule, the coefficient of basis[i] is the minor with l in
+    place of column basis[i], over the basis minor from the context's
+    minor table. The matrix has full row rank, so l is in the column span.
     """
-    if len(l) != ctx.k:
+    if len(l) != ctx.d:
         raise ValueError("direction length must equal row count")
     (l_int,), scale = _integer_rows([[frac(x) for x in l]])
-    l_col = [l_int[r] for r in ctx.proj_rows]
-    cols = [[col[r] for r in ctx.proj_rows] for col in ctx._columns]
     chi = ctx.mctx.chi
     out = {}
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
-        B = [cols[b] for b in basis]
-        nums = [bareiss_det(B[:i] + [l_col] + B[i + 1:])
+        B = [ctx._columns[b] for b in basis]
+        nums = [bareiss_det(B[:i] + [l_int] + B[i + 1:])
                 for i in range(len(B))]
-        if not out and not _combines_to(ctx, basis, nums, chi[basis], l_int):
-            raise NotInSpan("vector outside the column span")
         den = chi[basis] * scale
         out[basis] = [Fraction(n, den) for n in nums]
     return out
@@ -231,29 +186,32 @@ def _last_part2_vertex(n_vertices, part1):
 
 
 def bipartite_graph_context(n_vertices, edges, part1):
-    """ZonotopeContext of the standard-orientation incidence matrix.
+    """ZonotopeContext of the standard orientation's graphic matrix.
 
-    Projection drops the last part-2 vertex coordinate; the flatness
-    witness is the part-1 indicator, so levels sum the part-1 coordinates.
+    Every column is 1 on the part-1 coordinate sum of incidence_point, and
+    the level form is the one linear form on the span that is 1 on every
+    column, so levels sum the part-1 vertex coordinates.
     """
     D = graphkit.standard_orientation(n_vertices, edges, part1)
-    if not graphkit.is_connected(D):
-        raise graphkit.Disconnected("graph must be connected")
-    dropped = _last_part2_vertex(n_vertices, part1)
-    A = graphkit.incidence_matrix(D)
-    part1 = set(part1)
-    witness = [Fraction(int(v in part1)) for v in range(n_vertices)]
-    proj_rows = [v for v in range(n_vertices) if v != dropped]
-    return ZonotopeContext(A, witness, proj_rows)
+    # An empty part 2 leaves no admissible direction.
+    _last_part2_vertex(n_vertices, part1)
+    return ZonotopeContext(graphkit.graphic_matrix(D))
 
 
 def bipartite_admissible_l(n_vertices, part1) -> AdmissibleVector:
-    """Sum-zero integer vector: positive everywhere except one negative
-    part-2 coordinate; m-admissible for the incidence matrix with
-    m = |part1|."""
+    """m-admissible direction for the graphic matrix, m = |part1|: in
+    incidence coordinates, 1 everywhere except -(n - 1) at the last part-2
+    vertex, so it sums to zero; its last coordinate is dropped."""
     l = [1] * n_vertices
     l[_last_part2_vertex(n_vertices, part1)] = -(n_vertices - 1)
-    return AdmissibleVector(tuple(l), len(set(part1)))
+    return AdmissibleVector(tuple(l[:-1]), len(set(part1)))
+
+
+def incidence_point(p):
+    """A point of the graphic matrix's column span in incidence
+    coordinates: every incidence column sums to zero, so the dropped last
+    coordinate is minus the sum of the others."""
+    return tuple(p) + (-sum(p),)
 
 
 def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):

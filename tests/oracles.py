@@ -1,7 +1,7 @@
 """Slow, independent routes to the linear-algebra, oriented-matroid and
 zonotope data, for tests only.
 
-The library reads rank, flatness, linear expansions and span membership
+The library reads rank, flatness, linear expansions and the level form
 off its table of integer maximal minors (Bareiss elimination and Cramer's
 rule). The Fraction Gauss-Jordan routines below (rref, rank, kernel_basis,
 solve, apply, flat_witness, independent_rows) derive them by elimination
@@ -40,12 +40,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from flatpoly import lpexact
-from flatpoly.exactnum import Matrix, dot, frac
+from flatpoly.exactnum import Matrix, frac
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
-                               eulerian_tour_order, spanning_trees)
+                               eulerian_tour_order, incidence_matrix,
+                               spanning_trees, standard_orientation)
 from flatpoly.polyshape import normalize, poly_add, poly_mul
 from flatpoly.ormatroid import LEX_ORDER, MatroidContext, NotGeneric
-from flatpoly.zonolattice import bipartite_graph_context, lattice_points
+from flatpoly.zonolattice import (bipartite_graph_context, incidence_point,
+                                  lattice_points)
 
 
 def rref(A: Matrix):
@@ -113,7 +115,8 @@ def apply(A: Matrix, x):
     """Matrix-vector product A x."""
     if len(x) != A.cols:
         raise ValueError("vector length must equal column count")
-    return [dot(row, x) for row in A.entries]
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0))
+            for row in A.entries]
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -355,7 +358,7 @@ def orient_circuit(c: SignedCircuit, rho) -> SignedCircuit:
     """Return c or its negation so the generic vector sees it positively."""
     if rho == LEX_ORDER:
         return c if c.lam[c.support[0]] > 0 else c.negate()
-    val = dot(c.lam, rho)
+    val = sum(a * b for a, b in zip(c.lam, rho))
     if val == 0:
         raise NotGeneric(f"rho is orthogonal to circuit {c.support}")
     return c if val > 0 else c.negate()
@@ -395,7 +398,8 @@ def circuits(ctx: MatroidContext):
 
 def is_generic(ctx: MatroidContext, rho) -> bool:
     """True iff rho is orthogonal to no circuit."""
-    return all(dot(c.lam, rho) != 0 for c in circuits(ctx))
+    return all(sum(a * b for a, b in zip(c.lam, rho)) != 0
+               for c in circuits(ctx))
 
 
 def upper_bound_rows(n, extra):
@@ -412,7 +416,7 @@ def max_epsilon(ctx, point, l):
     # Variables: t_1..t_N in [0,1], then eps >= 0, then the slacks of t.
     rows = []
     rhs = []
-    for i in range(ctx.k):
+    for i in range(ctx.d):
         row = [ctx.matrix.entries[i][j] for j in range(N)]
         row.append(-frac(l[i]))
         rows.append(row + [0] * N)
@@ -439,33 +443,36 @@ def trimmed_points_lp(ctx, adm):
     return out
 
 
-def zonotope_membership(ctx, point) -> bool:
-    """Exact LP membership test for an arbitrary rational point."""
-    N = ctx.matrix.cols
+def zonotope_membership(A: Matrix, point) -> bool:
+    """Exact LP membership test for an arbitrary rational point in the
+    zonotope of A's columns."""
+    N = A.cols
     prog = lpexact.LinearProgram.build(
         objective=[0] * 2 * N,
-        eq_lhs=[[ctx.matrix.entries[i][j] for j in range(N)] + [0] * N
-                for i in range(ctx.k)] + upper_bound_rows(N, 0),
+        eq_lhs=[row + [0] * N for row in A.entries] + upper_bound_rows(N, 0),
         eq_rhs=[frac(x) for x in point] + [1] * N,
     )
     return lpexact.lp_solve(prog).status == lpexact.OPTIMAL
 
 
 def translated(n_vertices, part1, points):
-    """Points moved by -e_j, where j is the one negative coordinate of the
-    bipartite admissible direction, sorted."""
+    """Points in incidence coordinates moved by -e_j, where j is the one
+    negative coordinate of the bipartite admissible direction, sorted."""
     j = [v for v in range(n_vertices) if v not in set(part1)][-1]
     return sorted(p[:j] + (p[j] - 1,) + p[j + 1:] for p in points)
 
 
 def trimmed_zonotope_points(n_vertices, edges, part1):
     """Lattice points of the simplex-trimmed zonotope of a bipartite graph:
-    the translated lattice points x with x + e_i inside the zonotope for
-    every vertex i, by one membership LP per (x, i)."""
+    the translated lattice points x, lifted to incidence coordinates, with
+    x + e_i inside the incidence matrix's zonotope for every vertex i, by
+    one membership LP per (x, i)."""
     ctx = bipartite_graph_context(n_vertices, edges, part1)
+    A = incidence_matrix(standard_orientation(n_vertices, edges, part1))
+    lifted = map(incidence_point, lattice_points(ctx).points)
     out = []
-    for x in translated(n_vertices, part1, lattice_points(ctx).points):
-        if all(zonotope_membership(ctx, x[:i] + (x[i] + 1,) + x[i + 1:])
+    for x in translated(n_vertices, part1, lifted):
+        if all(zonotope_membership(A, x[:i] + (x[i] + 1,) + x[i + 1:])
                for i in range(n_vertices)):
             out.append(x)
     return out

@@ -78,6 +78,17 @@ def test_verify_suites_pass(capsys):
         assert rep["checks"] and all(c["pass"] for c in rep["checks"])
 
 
+def test_verify_trials_sets_graph_counts(capsys):
+    # thm5_3 checks --trials digraphs; thm6_7 checks its five corpus graphs
+    # and --trials random ones.
+    code, rep = run(capsys, ["verify", "thm5_3", "--trials", "3"])
+    assert code == 0 and len(rep["checks"]) == 3
+    code, rep = run(capsys, ["verify", "thm6_7", "--trials", "3"])
+    assert code == 0 and len(rep["checks"]) == 8
+    assert [c["check"] for c in rep["checks"][5:]] == [
+        f"level-identity[random-{i}]" for i in range(3)]
+
+
 def test_verify_rejects_negative_trials(capsys):
     for suite in ("thm8_8", "lemma8_1", "thm3_5"):
         code, rep = run(capsys, ["verify", suite, "--trials", "-1"])
@@ -134,6 +145,20 @@ def test_zonotope(tmp_path, capsys):
     assert code == 0
     assert rep["level_poly"]["coeffs"] == [0, 2, 2]
     assert len(rep["trimmed"]["points"]) == 4
+    # Points and direction are in vertex coordinates, also when the last
+    # vertex, whose row the graphic matrix drops, is in part 1.
+    assert rep["trimmed"]["points"] == [[0, -1, 1, 0], [1, -2, 1, 0],
+                                        [1, -1, 0, 0], [1, -1, 1, -1]]
+    assert rep["admissible_direction"] == [1, 1, 1, -3]
+    path = write(tmp_path, "h.json", {
+        "format": "bigraph-v1", "vertices": 4, "part1": [1, 3],
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+    code, rep = run(capsys, ["zonotope", "--bigraph", path])
+    assert code == 0
+    assert rep["trimmed"]["points"] == [[-2, 1, 0, 1], [-1, 0, 0, 1],
+                                        [-1, 1, -1, 1], [-1, 1, 0, 0]]
+    assert rep["trimmed"]["levels"] == [2, 1, 2, 1]
+    assert rep["admissible_direction"] == [1, 1, -3, 1]
 
 
 def test_zonotope_solves_no_lp(tmp_path, capsys, monkeypatch):
@@ -152,6 +177,18 @@ def test_tp_seeded_deterministic(capsys):
     code1, rep1 = run(capsys, ["tp", "--d", "2", "--n", "4", "--seed", "9"])
     code2, rep2 = run(capsys, ["tp", "--d", "2", "--n", "4", "--seed", "9"])
     assert code1 == code2 == 0 and rep1 == rep2
+
+
+def test_tp_result_feeds_boxcert(tmp_path, capsys):
+    # Integer coefficients are JSON numbers, so boxcert reads tp's report.
+    for n, seed in ((3, 0), (4, 0), (5, 0), (3, 2)):
+        code, rep = run(capsys, ["tp", "--d", "2", "--n", str(n),
+                                 "--seed", str(seed)])
+        coeffs = rep["result_poly"]["coeffs"]
+        assert code == 0 and all(type(c) is int for c in coeffs), n
+        path = write(tmp_path, f"tp{n}.json", rep["result_poly"])
+        code, rep = run(capsys, ["boxcert", "--poly", path, "--d", "2"])
+        assert code == 0 and rep["box_positive"], n
 
 
 def test_boxcert(tmp_path, capsys):
@@ -371,6 +408,8 @@ def test_fa_rejects_disconnected_bigraph(tmp_path, capsys):
                                       "part1": [0, 2],
                                       "edges": [[0, 1], [2, 3]]})
     assert_input_error(capsys, ["fa", "--bigraph", path], "not connected")
+    assert_input_error(capsys, ["zonotope", "--bigraph", path],
+                       "not connected")
 
 
 def test_alexander_rejects_unknown_edge(tmp_path, capsys):

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from flatpoly.exactnum import (Matrix, bareiss_det, dot, frac,
+from flatpoly.exactnum import (Matrix, bareiss_det, frac,
                                maximal_minors, pencil_det)
 
 from oracles import (apply, flat_witness, independent_rows,
@@ -194,8 +194,3 @@ def test_labels():
     assert m.labels == ["a", "b"]
     with pytest.raises(ValueError):
         Matrix([[1, 2]], labels=["a", "a"])
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(ValueError):
-        dot([1], [1, 2])

@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from flatpoly import corpus, graphkit, ormatroid, zonolattice
-from flatpoly.exactnum import Matrix, dot
+from flatpoly.exactnum import Matrix
 from flatpoly.polyshape import poly_shift, shape_report
 from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
                                   basis_expansions, bipartite_admissible_l,
                                   bipartite_graph_context, check_admissible,
-                                  lattice_point_count, lattice_points,
-                                  level_poly, tiling,
+                                  incidence_point, lattice_point_count,
+                                  lattice_points, level_poly, tiling,
                                   trimmed_points, trimming_vertex)
 
-from oracles import (apply, flat_witness, max_epsilon, rank, solve,
+from oracles import (flat_witness, max_epsilon, rank, solve,
                      translated, tree_count, trimmed_points_lp,
                      trimmed_zonotope_points, zonotope_membership)
 
@@ -71,10 +71,10 @@ def test_lattice_points_match_membership_lp():
     ctx = bipartite_graph_context(n, edges, part1)
     pts = lattice_points(ctx)
     for p in pts.points:
-        assert zonotope_membership(ctx, p)
+        assert zonotope_membership(ctx.matrix, p)
     # A point outside is rejected.
     outside = tuple(x + 5 for x in pts.points[0])
-    assert not zonotope_membership(ctx, outside)
+    assert not zonotope_membership(ctx.matrix, outside)
 
 
 def test_check_admissible_segment():
@@ -87,16 +87,17 @@ def test_check_admissible_segment():
 
 def test_check_admissible_k12():
     # Star with center 0 and leaves 1, 2; netflows (1, 1, -2).
-    # Center is vertex 0 (part 2), so l = (-2, 1, 1) in vertex order.
+    # Center is vertex 0 (part 2), so l = (-2, 1, 1) in vertex order, and
+    # (-2, 1) in graphic-matrix coordinates.
     ctx = bipartite_graph_context(3, [(1, 0), (2, 0)], [1, 2])
-    ok, _ = check_admissible(ctx, [-2, 1, 1], 2)
+    ok, _ = check_admissible(ctx, [-2, 1], 2)
     assert ok
 
 
 def test_bipartite_admissible_l():
     adm = bipartite_admissible_l(4, [0, 2])
-    assert adm.l == (1, 1, 1, -3) and adm.m == 2
-    assert sum(adm.l) == 0
+    assert incidence_point(adm.l) == (1, 1, 1, -3) and adm.m == 2
+    assert sum(incidence_point(adm.l)) == 0
     n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["C4"]
     ctx = bipartite_graph_context(n, edges, part1)
     ok, _ = check_admissible(ctx, adm.l, adm.m)
@@ -149,7 +150,7 @@ def test_trimmed_points_match_membership_oracle():
         ctx = bipartite_graph_context(n, edges, part1)
         adm = bipartite_admissible_l(n, part1)
         tr = trimmed_points(ctx, adm)
-        assert translated(n, part1, tr.points) == \
+        assert translated(n, part1, map(incidence_point, tr.points)) == \
             trimmed_zonotope_points(n, edges, part1), name
 
 
@@ -212,12 +213,10 @@ def test_basis_expansions_match_solve():
         ctx = bipartite_graph_context(n, edges, part1)
         adm = bipartite_admissible_l(n, part1)
         rational = [Fraction(x, 2 + i % 3) for i, x in enumerate(adm.l)]
-        rational[-1] -= sum(rational)   # back into the sum-zero span
         for l in (adm.l, rational):
-            proj_l = [Fraction(l[i]) for i in ctx.proj_rows]
             for basis, alphas in basis_expansions(ctx, l).items():
-                sub = ctx.projected.submatrix(range(ctx.d), basis)
-                assert alphas == solve(sub, proj_l)[0], (name, basis)
+                sub = ctx.matrix.submatrix(range(ctx.d), basis)
+                assert alphas == solve(sub, l)[0], (name, basis)
 
 
 def test_lattice_point_count_matches_point_set():
@@ -263,12 +262,10 @@ def outcome(build):
     return "ok"
 
 
-def oracle_outcome(m, proj_rows):
-    """The same verdict by Fraction row reduction: the projected rows must
-    be independent and carry the whole rank, and some linear form must be
-    1 on every column."""
-    if rank(m.submatrix(proj_rows, range(m.cols))) != len(proj_rows) or \
-            rank(m) != len(proj_rows):
+def oracle_outcome(m):
+    """The same verdict by Fraction row reduction: the rows must be
+    independent, and some linear form must be 1 on every column."""
+    if rank(m) != m.rows:
         return "rank"
     return "ok" if flat_witness(m) is not None else "not flat"
 
@@ -278,14 +275,14 @@ def stacked(m, row):
 
 
 def test_context_checks_match_elimination_oracles(flat_corpus):
-    # Full row rank and flatness (MatroidContext), span of the projected
-    # rows, the default witness's levels and NotInSpan (ZonotopeContext),
-    # each read from the minor table, against Fraction row reduction.
+    # Full row rank and flatness (MatroidContext and ZonotopeContext) and
+    # the level form (ZonotopeContext), each read from the minor table,
+    # against Fraction row reduction.
     rng = random.Random(7)
     seen = set()
     for name, m in flat_corpus:
         d, N = m.rows, m.cols
-        rows = range(d)
+        integral = all(x.denominator == 1 for row in m.entries for x in row)
         bumped = [row[:] for row in m.entries]
         bumped[rng.randrange(d)][rng.randrange(N)] += 1
         cases = [m, Matrix(bumped),                       # non-flat
@@ -294,47 +291,55 @@ def test_context_checks_match_elimination_oracles(flat_corpus):
                                                    m.entries[-1])])]
         for case in cases:
             got = outcome(lambda: ormatroid.MatroidContext(case))
-            assert got == oracle_outcome(case, range(case.rows)), name
+            assert got == oracle_outcome(case), name
             seen.add(got)
-        if any(x.denominator != 1 for row in m.entries for x in row):
+            if integral:
+                assert outcome(lambda: ZonotopeContext(case)) == got, name
+                seen.add(("zonotope", got))
+        if not integral:
             continue
-        # k = d + 1 rows projected to the first d: the extra row is in the
-        # row space (the last row doubled) or, mostly, outside it.
-        for extra in ([2 * x for x in m.entries[-1]],
-                      [rng.randint(-2, 2) for _ in range(N)]):
-            big = stacked(m, extra)
-            got = outcome(lambda: ZonotopeContext(big, proj_rows=rows))
-            assert got == oracle_outcome(big, rows), name
-            seen.add(("zonotope", got))
-            if got != "ok":
-                continue
-            ctx = ZonotopeContext(big, proj_rows=rows)
-            h = flat_witness(big)
-            # Tile vertices: every lattice point when ctx is unimodular.
-            for p in {p for t in tiling(ctx) for p in t.lattice_points(ctx)}:
-                assert ctx.level(p) == dot(h, p), name
-            for l in (apply(big, [rng.randint(-3, 3) for _ in range(N)]),
-                      [rng.randint(-3, 3) for _ in range(d + 1)]):
-                try:
-                    basis_expansions(ctx, l)
-                    inside = True
-                except zonolattice.NotInSpan:
-                    inside = False
-                assert inside == (solve(big, l) is not None), name
-                seen.add(("span", inside))
+        ctx = ZonotopeContext(m)
+        h = flat_witness(m)
+        # Tile vertices: every lattice point when ctx is unimodular.
+        for p in {p for t in tiling(ctx) for p in t.lattice_points(ctx)}:
+            assert ctx.level(p) == sum(a * x for a, x in zip(h, p)), name
     assert seen >= {"ok", "rank", "not flat", ("zonotope", "ok"),
-                    ("zonotope", "rank"), ("span", True), ("span", False)}
+                    ("zonotope", "rank"), ("zonotope", "not flat")}
 
 
-def test_supplied_witness_is_checked():
+def test_context_rejects_incidence_matrix():
+    # The incidence matrix has rank n - 1 < n; graphs enter through
+    # graphic_matrix.
     n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["C4"]
-    A = graphkit.incidence_matrix(
-        graphkit.standard_orientation(n, edges, part1))
-    rows = [0, 1, 2]
-    part2 = [Fraction(int(v not in part1)) for v in range(n)]
-    with pytest.raises(ormatroid.NotFlat):
-        ZonotopeContext(A, part2, rows)       # -1 on every column
-    with pytest.raises(ormatroid.NotFlat):
-        ZonotopeContext(A, [1, 0, 1], rows)   # wrong length
-    part1_ind = [Fraction(int(v in part1)) for v in range(n)]
-    assert ZonotopeContext(A, part1_ind, rows).witness == part1_ind
+    D = graphkit.standard_orientation(n, edges, part1)
+    with pytest.raises(ValueError, match="full row rank"):
+        ZonotopeContext(graphkit.incidence_matrix(D))
+
+
+def test_graphic_coordinates_on_random_graphs():
+    # On random plane bipartite graphs, some with the dropped last vertex
+    # in part 1: the lifted columns are the incidence columns, a trimmed
+    # point's level is the part-1 sum of its incidence coordinates, and
+    # the level identity holds.
+    rng = random.Random(0)
+    dropped_part1 = 0
+    for i in range(40):
+        P, part1 = corpus.random_plane_bipartite(rng)
+        n, edges = P.digraph.n, P.digraph.edges
+        dropped_part1 += (n - 1) in part1
+        ctx = bipartite_graph_context(n, edges, part1)
+        A = graphkit.incidence_matrix(
+            graphkit.standard_orientation(n, edges, part1))
+        assert [incidence_point(ctx.column(j)) for j in range(A.cols)] == \
+            [tuple(A.column(j)) for j in range(A.cols)], i
+        adm = bipartite_admissible_l(n, part1)
+        tr = trimmed_points(ctx, adm)
+        for p, z in zip(tr.points, tr.levels):
+            q = incidence_point(p)
+            assert sum(q) == 0, i
+            assert ctx.level(p) == z == sum(q[v] for v in part1), i
+        levels, shift = level_poly(tr)
+        assert shift == 0, i
+        assert levels == poly_shift(ormatroid.f_poly(ctx.mctx),
+                                    ctx.d - adm.m), i
+    assert dropped_part1 > 0
