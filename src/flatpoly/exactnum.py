@@ -56,18 +56,11 @@ class Matrix:
         self.entries = entries
         self.labels = labels
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
 
     def __repr__(self):
         return f"Matrix({self.entries!r})"
-
-    def entry(self, i, j) -> Fraction:
-        return self.entries[i][j]
 
     def column(self, j):
         return [self.entries[i][j] for i in range(self.rows)]

@@ -18,8 +18,12 @@ class FormatError(ValueError):
 def _load(path_or_obj):
     if isinstance(path_or_obj, dict):
         return path_or_obj
-    with open(path_or_obj) as fh:
-        obj = json.load(fh)
+    try:
+        with open(path_or_obj) as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        # A missing or unreadable file (a directory, say) is bad input.
+        raise FormatError(str(e)) from e
     if not isinstance(obj, dict):
         raise FormatError(f"top level must be a JSON object, got "
                           f"{type(obj).__name__}")
@@ -136,11 +140,21 @@ def load_poly(src):
             for c in _list(_field(obj, "coeffs"), "coeffs")]
 
 
+def _number(x):
+    """An integer as a JSON int, another rational as a "p/q" string."""
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else _rat_str(x)
+
+
 def dump_poly(coeffs, variable="t") -> dict:
-    """Integer coefficients as JSON ints, other rationals as "p/q"."""
     return {"format": "poly-v1", "variable": variable,
-            "coeffs": [int(c) if c.denominator == 1 else _rat_str(c)
-                       for c in map(Fraction, coeffs)]}
+            "coeffs": [_number(c) for c in coeffs]}
+
+
+def dump_certificate(cert) -> list:
+    """A box certificate's [composition, coefficient] pairs, with the
+    coefficients written as dump_poly writes them."""
+    return [[list(comp), _number(coef)] for comp, coef in cert.terms]
 
 
 def load_digraph(src) -> Digraph:

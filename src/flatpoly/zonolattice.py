@@ -1,8 +1,12 @@
-"""Zonotopes of integer matrices: semi-activity tiling, lattice points,
-admissible directions, trimming, and level polynomials.
+"""Zonotopes of integer matrices: semi-activity tiling, lattice point
+count, admissible directions, trimming, and level polynomials.
 
-The matrix is flat and of full row rank. A bipartite graph enters through
-its graphic matrix, the incidence matrix without its last row, and
+The matrix is flat and of full row rank, and everything is read from its
+table of maximal minors: tiles from external semi-activity, the lattice
+point count from internal activity, and a direction's expansion in every
+basis from its expansion in the first. Every column lies on level 1, so a
+sum of k columns lies on level k. A bipartite graph enters through its
+graphic matrix, the incidence matrix without its last row, and
 incidence_point lifts a point back to vertex coordinates.
 """
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, ormatroid
-from .exactnum import Matrix, _integer_rows, bareiss_det, frac
+from .exactnum import Matrix, _integer_rows, _swapped_minor, bareiss_det, frac
 from .polyshape import normalize
 
 
@@ -25,12 +29,7 @@ class NotAdmissible(ValueError):
 
 
 class ZonotopeContext:
-    """A flat integer matrix of full row rank with its minor table.
-
-    The level form is the linear form that is 1 on every column. By
-    Cramer's rule on the first basis B, h_r = det(B with row r replaced by
-    ones) / det(B); it is kept as integer numerators over chi(B).
-    """
+    """A flat integer matrix of full row rank with its minor table."""
 
     def __init__(self, matrix: Matrix):
         for row in matrix.entries:
@@ -42,60 +41,37 @@ class ZonotopeContext:
         self.d = self.mctx.rank_d
         self._columns = [[int(x) for x in matrix.column(j)]
                          for j in range(matrix.cols)]
-        chi, basis = self.mctx.chi, self.mctx.first_basis
-        B = [[self._columns[b][r] for b in basis] for r in range(self.d)]
-        ones = [1] * self.d
-        self._level_nums = [bareiss_det(B[:r] + [ones] + B[r + 1:])
-                            for r in range(self.d)]
-        self._level_den = chi[basis]
         # The matrix is integral, so the table's scale is 1.
-        self.unimodular = all(abs(c) <= 1 for c in chi.values())
+        self.unimodular = all(abs(c) <= 1 for c in self.mctx.chi.values())
         self._tiling = None
 
     def column(self, j):
         return list(self._columns[j])
-
-    def level(self, point):
-        val, rem = divmod(sum(h * x for h, x in
-                              zip(self._level_nums, point, strict=True)),
-                          self._level_den)
-        if rem:
-            raise ValueError("level functional is not integral on the point")
-        return val
 
 
 @dataclass(frozen=True)
 class Tile:
     basis: tuple
     shift: tuple   # sum of externally semi-active columns
-
-    def lattice_points(self, ctx: ZonotopeContext):
-        """All 2^d vertices of the shifted parallelepiped (unimodular case)."""
-        pts = [tuple(self.shift)]
-        for b in self.basis:
-            col = ctx.column(b)
-            pts = [p for p in pts] + \
-                  [tuple(x + c for x, c in zip(p, col)) for p in pts]
-        return pts
+    ext: int       # their number, which is the level of shift
 
 
 def tiling(ctx: ZonotopeContext):
     """One shifted parallelepiped per basis, shifted by its externally
     semi-active columns under LEX_ORDER; together they tile the zonotope.
 
-    Trimming and lattice enumeration share the tiling, so it is built once
-    per context."""
+    Built once per context."""
     if ctx._tiling is not None:
         return ctx._tiling
     tiles = []
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
-        ext, _ = ormatroid.ext_semiactivity(ctx.mctx, basis,
-                                            ormatroid.LEX_ORDER)
+        ext, n_ext = ormatroid.ext_semiactivity(ctx.mctx, basis,
+                                                ormatroid.LEX_ORDER)
         shift = [0] * ctx.d
         for j in ext:
             for i, c in enumerate(ctx.column(j)):
                 shift[i] += c
-        tiles.append(Tile(tuple(basis), tuple(shift)))
+        tiles.append(Tile(tuple(basis), tuple(shift), n_ext))
     ctx._tiling = tuple(tiles)
     return ctx._tiling
 
@@ -109,66 +85,60 @@ class LatticePointSet:
         return len(self.points)
 
 
-def _point_set(ctx: ZonotopeContext, pts):
-    pts = sorted(set(map(tuple, pts)))
-    return LatticePointSet(tuple(pts), tuple(ctx.level(p) for p in pts))
-
-
-def _tile_vertices(ctx: ZonotopeContext):
-    """Integer points of the zonotope, as the union of tile vertex sets."""
-    if not ctx.unimodular:
-        raise NotUnimodular("lattice enumeration needs a unimodular matrix")
-    return {p for tile in tiling(ctx) for p in tile.lattice_points(ctx)}
-
-
-def lattice_points(ctx: ZonotopeContext):
-    """Integer points of the zonotope with their levels."""
-    return _point_set(ctx, _tile_vertices(ctx))
-
-
 def lattice_point_count(ctx: ZonotopeContext) -> int:
-    """Number of integer points of the zonotope, without their levels."""
-    return len(_tile_vertices(ctx))
+    """Number of integer points of the zonotope of a unimodular matrix.
+
+    There is one per independent set of columns (Stanley 1991), and by
+    Crapo's activity expansion that is T(2, 1) = sum over bases B of
+    2^int(B). basis[i] is internally active iff no smaller column j
+    outside B can replace it, that is chi(B, basis[i] -> j) = 0.
+    """
+    if not ctx.unimodular:
+        raise NotUnimodular("lattice point count needs a unimodular matrix")
+    chi = ctx.mctx.chi
+    total = 0
+    for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
+        internal = sum(
+            not any(j not in basis and _swapped_minor(chi, basis, i, j)
+                    for j in range(b))
+            for i, b in enumerate(basis))
+        total += 2 ** internal
+    return total
 
 
 def basis_expansions(ctx: ZonotopeContext, l):
     """The coefficients of l in every basis, keyed by basis tuple.
 
-    By Cramer's rule, the coefficient of basis[i] is the minor with l in
-    place of column basis[i], over the basis minor from the context's
-    minor table. The matrix has full row rank, so l is in the column span.
+    l is expanded once in the first basis B0 by Cramer's rule, as
+    l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0). By
+    linearity chi(B, b_i -> l) = sum_k a_k chi(B, b_i -> B0[k]), where
+    B0[k] = b_i gives chi(B) and any other B0[k] in B repeats a column and
+    gives 0. The coefficient of b_i is chi(B, b_i -> l) / chi(B).
     """
     if len(l) != ctx.d:
         raise ValueError("direction length must equal row count")
     (l_int,), scale = _integer_rows([[frac(x) for x in l]])
-    chi = ctx.mctx.chi
+    chi, b0 = ctx.mctx.chi, ctx.mctx.first_basis
+    B0 = [ctx._columns[b] for b in b0]
+    # Pairs (a_k * chi(B0) * scale, B0[k]) with a_k != 0.
+    a = [(bareiss_det(B0[:k] + [l_int] + B0[k + 1:]), c)
+         for k, c in enumerate(b0)]
+    a = [(n, c) for n, c in a if n]
+    den0 = chi[b0] * scale
     out = {}
     for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
-        B = [ctx._columns[b] for b in basis]
-        nums = [bareiss_det(B[:i] + [l_int] + B[i + 1:])
-                for i in range(len(B))]
-        den = chi[basis] * scale
-        out[basis] = [Fraction(n, den) for n in nums]
+        cb = chi[basis]
+        alphas = []
+        for i, b in enumerate(basis):
+            num = 0
+            for n, c in a:
+                if c == b:
+                    num += n * cb
+                elif c not in basis:
+                    num += n * _swapped_minor(chi, basis, i, c)
+            alphas.append(Fraction(num, den0 * cb))
+        out[basis] = alphas
     return out
-
-
-def _first_violation(ctx: ZonotopeContext, expansions, m):
-    """The first basis whose expansion does not have exactly m positive
-    and d - m negative coefficients, or None."""
-    for basis, alphas in expansions.items():
-        pos = sum(1 for a in alphas if a > 0)
-        neg = sum(1 for a in alphas if a < 0)
-        if pos != m or neg != ctx.d - m:
-            return basis
-    return None
-
-
-def check_admissible(ctx: ZonotopeContext, l, m):
-    """Definition check: every basis expansion of l has exactly m positive
-    and d - m negative coefficients. Returns (True, None) or
-    (False, first violating basis)."""
-    bad = _first_violation(ctx, basis_expansions(ctx, l), m)
-    return bad is None, bad
 
 
 @dataclass(frozen=True)
@@ -188,9 +158,8 @@ def _last_part2_vertex(n_vertices, part1):
 def bipartite_graph_context(n_vertices, edges, part1):
     """ZonotopeContext of the standard orientation's graphic matrix.
 
-    Every column is 1 on the part-1 coordinate sum of incidence_point, and
-    the level form is the one linear form on the span that is 1 on every
-    column, so levels sum the part-1 vertex coordinates.
+    Every column is 1 on the part-1 coordinate sum of incidence_point, so
+    levels sum the part-1 vertex coordinates.
     """
     D = graphkit.standard_orientation(n_vertices, edges, part1)
     # An empty part 2 leaves no admissible direction.
@@ -216,18 +185,29 @@ def incidence_point(p):
 
 def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     """Integer points that can move a positive distance along l and stay
-    inside: the trimming vertex of each tile, one point per tile. The
-    expansion of l in each basis is solved once, for both the admissibility
-    check and the vertices."""
+    inside: the trimming vertex of each tile, one point per tile.
+
+    l is m-admissible when every basis expansion of it has m positive and
+    d - m negative coefficients. The expansions are solved once, for both
+    that check and the vertices. A vertex sums the tile's Ext(B) columns
+    and its basis columns with negative coefficients, so its level is
+    their number.
+    """
     expansions = basis_expansions(ctx, adm.l)
-    bad = _first_violation(ctx, expansions, adm.m)
-    if bad is not None:
-        raise NotAdmissible(f"direction fails at basis {bad}")
+    for basis, alphas in expansions.items():
+        if sum(a > 0 for a in alphas) != adm.m or \
+                sum(a < 0 for a in alphas) != ctx.d - adm.m:
+            raise NotAdmissible(f"direction fails at basis {basis}")
     if not ctx.unimodular:
         raise NotUnimodular("trimming by tile vertices needs a unimodular "
                             "matrix")
-    return _point_set(ctx, [trimming_vertex(ctx, tile, expansions[tile.basis])
-                            for tile in tiling(ctx)])
+    levels = {}
+    for tile in tiling(ctx):
+        alphas = expansions[tile.basis]
+        levels[trimming_vertex(ctx, tile, alphas)] = \
+            tile.ext + sum(a < 0 for a in alphas)
+    pts = sorted(levels)
+    return LatticePointSet(tuple(pts), tuple(levels[p] for p in pts))
 
 
 def level_poly(points: LatticePointSet):

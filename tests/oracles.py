@@ -17,6 +17,13 @@ oracles decide trimming by exact LPs instead: one LP per lattice point for
 the largest step along l, or, for bipartite graphs, one membership LP per
 vertex and candidate point.
 
+The library counts a unimodular zonotope's lattice points by internal
+activity, expands a direction in every basis from its expansion in the
+first, and takes a point's level as its number of summed columns.
+lattice_points lists the points instead, as the union of all 2^d vertices
+of every tile, with levels by flat_witness; check_admissible solves each
+basis expansion by row reduction.
+
 The library presents a digraph's graphic matroid by its reduced incidence
 matrix and the cographic one by the Gale dual read from that matrix's
 minor table, and grades spanning trees by one rooted walk per tree. The
@@ -45,9 +52,11 @@ from flatpoly.graphkit import (Digraph, _acyclic, _component,
                                eulerian_tour_order, incidence_matrix,
                                spanning_trees, standard_orientation)
 from flatpoly.polyshape import normalize, poly_add, poly_mul
-from flatpoly.ormatroid import LEX_ORDER, MatroidContext, NotGeneric
-from flatpoly.zonolattice import (bipartite_graph_context, incidence_point,
-                                  lattice_points)
+from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
+                                enumerate_bases)
+from flatpoly.zonolattice import (LatticePointSet, NotUnimodular,
+                                  bipartite_graph_context, incidence_point,
+                                  tiling)
 
 
 def rref(A: Matrix):
@@ -117,6 +126,10 @@ def apply(A: Matrix, x):
         raise ValueError("vector length must equal column count")
     return [sum((a * b for a, b in zip(row, x)), Fraction(0))
             for row in A.entries]
+
+
+def identity(n) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -400,6 +413,38 @@ def is_generic(ctx: MatroidContext, rho) -> bool:
     """True iff rho is orthogonal to no circuit."""
     return all(sum(a * b for a, b in zip(c.lam, rho)) != 0
                for c in circuits(ctx))
+
+
+def tile_vertices(ctx, tile):
+    """All 2^d vertices of a tile's shifted parallelepiped."""
+    pts = [tile.shift]
+    for b in tile.basis:
+        col = ctx.column(b)
+        pts += [tuple(x + c for x, c in zip(p, col)) for p in pts]
+    return pts
+
+
+def lattice_points(ctx):
+    """Integer points of a unimodular zonotope, as the union of tile vertex
+    sets, with their levels by the row-reduced flat_witness."""
+    if not ctx.unimodular:
+        raise NotUnimodular("lattice enumeration needs a unimodular matrix")
+    h = flat_witness(ctx.matrix)
+    pts = sorted({p for t in tiling(ctx) for p in tile_vertices(ctx, t)})
+    return LatticePointSet(tuple(pts), tuple(
+        sum(a * x for a, x in zip(h, p)) for p in pts))
+
+
+def check_admissible(ctx, l, m):
+    """(True, None) if every basis expansion of l, solved by row
+    reduction, has m positive and d - m negative coefficients, else
+    (False, the first basis that does not)."""
+    for basis, _vol in enumerate_bases(ctx.mctx):
+        alphas = solve(ctx.matrix.submatrix(range(ctx.d), basis), l)[0]
+        if sum(a > 0 for a in alphas) != m or \
+                sum(a < 0 for a in alphas) != ctx.d - m:
+            return False, basis
+    return True, None
 
 
 def upper_bound_rows(n, extra):

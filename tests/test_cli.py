@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpoly import (corpus, exactnum, formats, graphkit, lpexact, ormatroid,
-                      polyshape)
+                      polyshape, zonolattice)
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
@@ -87,6 +87,20 @@ def test_verify_trials_sets_graph_counts(capsys):
     assert code == 0 and len(rep["checks"]) == 8
     assert [c["check"] for c in rep["checks"][5:]] == [
         f"level-identity[random-{i}]" for i in range(3)]
+
+
+def test_thm6_7_reads_levels_from_points(capsys, monkeypatch):
+    # Levels permuted among the trimmed points keep the level polynomial,
+    # so only the points' part-1 sums catch them.
+    trimmed = zonolattice.trimmed_points
+
+    def permuted(ctx, adm):
+        tr = trimmed(ctx, adm)
+        return zonolattice.LatticePointSet(tr.points, tr.levels[::-1])
+
+    monkeypatch.setattr(zonolattice, "trimmed_points", permuted)
+    code, rep = run(capsys, ["verify", "thm6_7", "--trials", "1"])
+    assert code == 1 and not rep["checks"][0]["pass"]
 
 
 def test_verify_rejects_negative_trials(capsys):
@@ -181,14 +195,19 @@ def test_tp_seeded_deterministic(capsys):
 
 def test_tp_result_feeds_boxcert(tmp_path, capsys):
     # Integer coefficients are JSON numbers, so boxcert reads tp's report.
+    # Certificate coefficients are written the same way.
     for n, seed in ((3, 0), (4, 0), (5, 0), (3, 2)):
         code, rep = run(capsys, ["tp", "--d", "2", "--n", str(n),
                                  "--seed", str(seed)])
         coeffs = rep["result_poly"]["coeffs"]
         assert code == 0 and all(type(c) is int for c in coeffs), n
+        assert all(type(c) is int for _, c in rep["certificate"]), n
         path = write(tmp_path, f"tp{n}.json", rep["result_poly"])
         code, rep = run(capsys, ["boxcert", "--poly", path, "--d", "2"])
         assert code == 0 and rep["box_positive"], n
+        assert all(type(c) is int for _, c in rep["certificate"]), n
+    code, rep = run(capsys, ["tp", "--d", "3", "--n", "6", "--seed", "7"])
+    assert code == 0 and rep["certificate"][0] == [[1, 1, 4], "1/8"]
 
 
 def test_boxcert(tmp_path, capsys):
@@ -275,6 +294,13 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _ = run(capsys, ["fa", "--matrix", str(tmp_path / "missing.json")])
     assert code == 2
+    # A directory given as an input file is bad input, not a crash.
+    for argv in (["fa", "--matrix", str(tmp_path)],
+                 ["zonotope", "--bigraph", str(tmp_path)],
+                 ["boxcert", "--poly", str(tmp_path), "--d", "2"]):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("error: "), argv
     assert main(["not-a-command"]) == 2
 
 

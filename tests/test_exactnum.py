@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from flatpoly.exactnum import (Matrix, bareiss_det, frac,
                                maximal_minors, pencil_det)
 
-from oracles import (apply, flat_witness, independent_rows,
+from oracles import (apply, flat_witness, identity, independent_rows,
                      pencil_det_cofactor, rank, solve)
 
 
@@ -21,7 +21,7 @@ def test_frac_coercions():
 
 
 def test_minor_identity():
-    assert Matrix.identity(2).minor([0, 1], [0, 1]) == 1
+    assert identity(2).minor([0, 1], [0, 1]) == 1
 
 
 def test_minor_by_hand():
@@ -38,7 +38,7 @@ def test_minor_shape_errors():
 
 
 def test_solve_identity():
-    m = Matrix.identity(3)
+    m = identity(3)
     x, ker = solve(m, [1, 2, 3])
     assert x == [1, 2, 3] and ker == []
 
@@ -55,7 +55,7 @@ def test_solve_inconsistent():
 
 
 def test_flat_witness_identity():
-    assert flat_witness(Matrix.identity(2)) == [1, 1]
+    assert flat_witness(identity(2)) == [1, 1]
 
 
 def test_flat_witness_three_columns():
@@ -70,7 +70,7 @@ def test_flat_witness_not_flat():
 
 def test_rank():
     assert rank(Matrix([[0, 0, 0], [0, 0, 0]])) == 0
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(identity(3)) == 3
 
 
 def test_rank_incidence():

@@ -9,12 +9,12 @@ from flatpoly.polyshape import poly_shift, shape_report
 from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
                                   basis_expansions, bipartite_admissible_l,
-                                  bipartite_graph_context, check_admissible,
-                                  incidence_point, lattice_point_count,
-                                  lattice_points, level_poly, tiling,
+                                  bipartite_graph_context, incidence_point,
+                                  lattice_point_count, level_poly, tiling,
                                   trimmed_points, trimming_vertex)
 
-from oracles import (flat_witness, max_epsilon, rank, solve,
+from oracles import (check_admissible, flat_witness, identity,
+                     lattice_points, max_epsilon, rank, solve, tile_vertices,
                      translated, tree_count, trimmed_points_lp,
                      trimmed_zonotope_points, zonotope_membership)
 
@@ -34,7 +34,7 @@ def test_tiling_segment():
 
 
 def test_tiling_identity():
-    ctx = ZonotopeContext(Matrix.identity(2))
+    ctx = ZonotopeContext(identity(2))
     tiles = tiling(ctx)
     assert len(tiles) == 1 and tiles[0].shift == (0, 0)
 
@@ -55,7 +55,7 @@ def test_lattice_points_segment():
 
 
 def test_lattice_points_square():
-    ctx = ZonotopeContext(Matrix.identity(2))
+    ctx = ZonotopeContext(identity(2))
     assert lattice_points(ctx).points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -64,6 +64,8 @@ def test_lattice_points_require_unimodular():
     assert not ctx.unimodular
     with pytest.raises(NotUnimodular):
         lattice_points(ctx)
+    with pytest.raises(NotUnimodular):
+        lattice_point_count(ctx)
 
 
 def test_lattice_points_match_membership_lp():
@@ -115,7 +117,7 @@ def test_max_epsilon_and_trimming_segment():
 
 
 def test_trimming_identity_square():
-    ctx = ZonotopeContext(Matrix.identity(2))
+    ctx = ZonotopeContext(identity(2))
     tr = trimmed_points(ctx, AdmissibleVector((1, -1), 1))
     assert tr.points == ((0, 1),)
     assert list(tr.points) == trimmed_points_lp(
@@ -220,10 +222,44 @@ def test_basis_expansions_match_solve():
 
 
 def test_lattice_point_count_matches_point_set():
-    for name in ("C4", "C6", "K23", "theta222", "C4-doubled"):
-        n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+    # The internal-activity count against the union of all tile vertices,
+    # on the corpus and on random plane bipartite graphs.
+    graphs = [(name, (n, edges, part1)) for name, (n, edges, part1, _c, _b)
+              in corpus.PLANE_BIPARTITE.items()]
+    rng = random.Random(7)
+    for i in range(40):
+        P, part1 = corpus.random_plane_bipartite(rng)
+        graphs.append((i, (P.digraph.n, P.digraph.edges, part1)))
+    for name, (n, edges, part1) in graphs:
         ctx = bipartite_graph_context(n, edges, part1)
-        assert lattice_point_count(ctx) == len(lattice_points(ctx)), name
+        vertices = {p for t in tiling(ctx) for p in tile_vertices(ctx, t)}
+        assert lattice_point_count(ctx) == len(vertices), name
+
+
+def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
+    # Besides the minor table, zonolattice runs Bareiss only to expand l
+    # in the first basis: at most d determinants per expansion, none for
+    # the context, the tiling, the count or the levels.
+    calls = []
+    det = zonolattice.bareiss_det
+
+    def counting(rows):
+        calls.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(zonolattice, "bareiss_det", counting)
+    for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
+        ctx = bipartite_graph_context(n, edges, part1)
+        tiling(ctx)
+        lattice_point_count(ctx)
+        assert calls == [], name
+        adm = bipartite_admissible_l(n, part1)
+        basis_expansions(ctx, adm.l)
+        assert len(calls) <= ctx.d, name
+        calls.clear()
+        trimmed_points(ctx, adm)
+        assert len(calls) <= ctx.d, name
+        calls.clear()
 
 
 def test_trimmed_zonotope_points_examples():
@@ -275,9 +311,10 @@ def stacked(m, row):
 
 
 def test_context_checks_match_elimination_oracles(flat_corpus):
-    # Full row rank and flatness (MatroidContext and ZonotopeContext) and
-    # the level form (ZonotopeContext), each read from the minor table,
-    # against Fraction row reduction.
+    # Full row rank and flatness (MatroidContext and ZonotopeContext), the
+    # tile levels and the lattice point count (ZonotopeContext), each read
+    # from the minor table, against Fraction row reduction and the tile
+    # vertex sets.
     rng = random.Random(7)
     seen = set()
     for name, m in flat_corpus:
@@ -300,9 +337,11 @@ def test_context_checks_match_elimination_oracles(flat_corpus):
             continue
         ctx = ZonotopeContext(m)
         h = flat_witness(m)
-        # Tile vertices: every lattice point when ctx is unimodular.
-        for p in {p for t in tiling(ctx) for p in t.lattice_points(ctx)}:
-            assert ctx.level(p) == sum(a * x for a, x in zip(h, p)), name
+        # A tile's shift sums its Ext columns, so its level is their count.
+        for t in tiling(ctx):
+            assert t.ext == sum(a * x for a, x in zip(h, t.shift)), name
+        if ctx.unimodular:
+            assert lattice_point_count(ctx) == len(lattice_points(ctx)), name
     assert seen >= {"ok", "rank", "not flat", ("zonotope", "ok"),
                     ("zonotope", "rank"), ("zonotope", "not flat")}
 
@@ -334,10 +373,12 @@ def test_graphic_coordinates_on_random_graphs():
             [tuple(A.column(j)) for j in range(A.cols)], i
         adm = bipartite_admissible_l(n, part1)
         tr = trimmed_points(ctx, adm)
+        h = flat_witness(ctx.matrix)
         for p, z in zip(tr.points, tr.levels):
             q = incidence_point(p)
             assert sum(q) == 0, i
-            assert ctx.level(p) == z == sum(q[v] for v in part1), i
+            assert sum(a * x for a, x in zip(h, p)) == z == \
+                sum(q[v] for v in part1), i
         levels, shift = level_poly(tr)
         assert shift == 0, i
         assert levels == poly_shift(ormatroid.f_poly(ctx.mctx),
