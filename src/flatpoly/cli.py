@@ -269,11 +269,13 @@ def cmd_verify(args):
 # explore
 
 def _explore_instance(family, rng):
+    """(integer polynomial, instance JSON, box certificate or None); a tp
+    instance carries the closed form's d-fold certificate."""
     if family == "tp":
         d = rng.randint(1, 4)
         N = rng.randint(d + 1, d + 4)
         fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
-        poly, _ = totpos.f_tp_closed(fmp)
+        poly, cert = totpos.f_tp_closed(fmp)
         if any(c.denominator != 1 for c in poly):
             # Shape flags only need the coefficient ratios; scale to ints.
             from math import lcm
@@ -281,15 +283,15 @@ def _explore_instance(family, rng):
             poly = [int(c * scale) for c in poly]
         else:
             poly = [int(c) for c in poly]
-        return poly, formats.dump_matrix(fmp.A)
+        return poly, formats.dump_matrix(fmp.A), cert
     if family == "semibalanced":
         D, levels = corpus.random_semibalanced(rng)
         poly = ormatroid.f_poly(
             ormatroid.MatroidContext(graphkit.graphic_matrix(D)))
-        return poly, formats.dump_digraph(D)
+        return poly, formats.dump_digraph(D), None
     if family == "random-flat":
         ctx = corpus.random_flat_matrix(rng)
-        return ormatroid.f_poly(ctx), formats.dump_matrix(ctx.matrix)
+        return ormatroid.f_poly(ctx), formats.dump_matrix(ctx.matrix), None
     raise UsageError(f"unknown family {family!r}")
 
 
@@ -300,7 +302,7 @@ def cmd_explore(args):
     stats = {"trials": args.trials, "trapezoidal": 0, "log_concave": 0,
              "box_positive": 0}
     for t in range(args.trials):
-        poly, instance = _explore_instance(args.family, rng)
+        poly, instance, cert = _explore_instance(args.family, rng)
         shape = polyshape.shape_report(poly)
         if not shape.trapezoidal:
             _report(args, "explore", family=args.family, seed=args.seed,
@@ -312,9 +314,9 @@ def cmd_explore(args):
         stats["trapezoidal"] += 1
         if shape.log_concave and shape.no_internal_zeros:
             stats["log_concave"] += 1
-        deg_d = 2 if len(poly) > 1 else 1
-        if polyshape.box_certificate(poly, deg_d) is not None:
-            stats["box_positive"] += 1
+        if cert is None:
+            cert = polyshape.box_certificate(poly, 2 if len(poly) > 1 else 1)
+        stats["box_positive"] += cert is not None
     _report(args, "explore", family=args.family, seed=args.seed, stats=stats,
             checks=[{"check": "trapezoidal", "pass": True,
                      "detail": f"{args.trials} trials"}])

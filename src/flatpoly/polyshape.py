@@ -1,4 +1,4 @@
-"""Integer polynomials, q-numbers, and coefficient-shape predicates.
+"""Integer polynomials, q-number products, and coefficient-shape predicates.
 
 A polynomial is a list of coefficients, index i = coefficient of t^i,
 normalized so there is no trailing zero (the zero polynomial is []).
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 from math import lcm
 
 from . import lpexact
@@ -28,36 +28,27 @@ def poly_add(p, q):
                       for i in range(n)])
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(out)
-
-
-def poly_scale(c, p):
-    return normalize([c * a for a in p])
-
 def poly_shift(p, k):
     """Multiply by t^k."""
     return normalize([0] * k + list(p))
 
 
-def q_number(m):
-    """[m]_q = 1 + q + ... + q^(m-1)."""
-    if m < 1:
-        raise ValueError("q-number index must be positive")
-    return [1] * m
+def _times_q_number(p, m):
+    """p * [m]_q, [m]_q = 1 + q + ... + q^(m-1), as a running window sum:
+    coefficient i is p[i-m+1] + ... + p[i], so the cost is O(len p + m)."""
+    out = list(accumulate(p + [0] * (m - 1)))
+    for i in range(len(out) - 1, m - 1, -1):
+        out[i] -= out[i - m]
+    return out
 
 
 def q_product(ms):
     """Product of q-numbers [m1]_q ... [md]_q; degree sum(ms) - len(ms)."""
     out = [1]
     for m in ms:
-        out = poly_mul(out, q_number(m))
+        if m < 1:
+            raise ValueError("q-number index must be positive")
+        out = _times_q_number(out, m)
     return out
 
 
@@ -130,31 +121,37 @@ class BoxCertificate:
     terms: tuple
 
     def expand(self):
-        """The combination's coefficients as Fractions: the sum of
-        coef * L * q_product(comp) runs in integers, with L the lcm of the
-        coefficient denominators, and is divided by L once at the end."""
+        """The combination's coefficients as Fractions. q-numbers commute,
+        so terms whose compositions permute each other merge first and one
+        product per partition is expanded: the sum of coef * L * q_product
+        runs in integers, with L the lcm of the coefficient denominators,
+        and is divided by L once at the end."""
         L = lcm(*(coef.denominator for _, coef in self.terms))
-        out = []
+        merged = {}
         for comp, coef in self.terms:
-            k = coef.numerator * (L // coef.denominator)
-            out = poly_add(out, poly_scale(k, q_product(comp)))
+            part = tuple(sorted(comp))
+            merged[part] = merged.get(part, 0) + \
+                coef.numerator * (L // coef.denominator)
+        out = []
+        for part, k in merged.items():
+            out = poly_add(out, [k * a for a in q_product(part)])
         return [Fraction(a, L) for a in out]
 
 
-def _compositions(total, parts):
-    """All compositions of total into `parts` positive parts, lexicographic."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for cut in combinations(range(1, total), parts - 1):
-        prev = 0
-        comp = []
-        for c in cut:
-            comp.append(c - prev)
-            prev = c
-        comp.append(total - prev)
-        yield tuple(comp)
+def _q_columns(total, parts):
+    """(composition, q_product(composition)) for the compositions of total
+    into 1 <= parts <= total positive parts, lexicographic, depth first: a
+    child extends its parent's product by one window sum, so siblings share
+    the factors of their prefix."""
+    def walk(prefix, prod, left, k):
+        if k == 1:
+            yield prefix + (left,), _times_q_number(prod, left)
+            return
+        for m in range(1, left - k + 2):
+            yield from walk(prefix + (m,), _times_q_number(prod, m),
+                            left - m, k - 1)
+
+    return walk((), [1], total, parts)
 
 
 def box_certificate(p, d):
@@ -173,13 +170,11 @@ def box_certificate(p, d):
     if any(a < 0 for a in p):
         raise ValueError("certificates exist only for nonnegative coefficients")
     D = len(p) - 1
-    comps = list(_compositions(D + d, d))
-    if not comps:
-        return None
+    comps, columns = zip(*_q_columns(D + d, d))
     # One equality per coefficient of t^0 .. t^D, one variable per
     # composition; every product has degree D, so its coefficients are a
     # full integer column.
-    rows = zip(*(q_product(c) for c in comps))
+    rows = zip(*columns)
     prog = lpexact.LinearProgram.build(
         objective=[0] * len(comps), eq_lhs=rows, eq_rhs=p)
     out = lpexact.lp_solve(prog)

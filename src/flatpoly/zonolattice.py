@@ -188,24 +188,25 @@ def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     inside: the trimming vertex of each tile, one point per tile.
 
     l is m-admissible when every basis expansion of it has m positive and
-    d - m negative coefficients. The expansions are solved once, for both
+    d - m negative coefficients. Each expansion's signs are read once, for
     that check and the vertices. A vertex sums the tile's Ext(B) columns
     and its basis columns with negative coefficients, so its level is
     their number.
     """
-    expansions = basis_expansions(ctx, adm.l)
-    for basis, alphas in expansions.items():
-        if sum(a > 0 for a in alphas) != adm.m or \
-                sum(a < 0 for a in alphas) != ctx.d - adm.m:
+    signs = {}
+    for basis, alphas in basis_expansions(ctx, adm.l).items():
+        # A Fraction's denominator is positive: its sign is its numerator's.
+        s = signs[basis] = [(n > 0) - (n < 0)
+                            for n in (a.numerator for a in alphas)]
+        if s.count(1) != adm.m or s.count(-1) != ctx.d - adm.m:
             raise NotAdmissible(f"direction fails at basis {basis}")
     if not ctx.unimodular:
         raise NotUnimodular("trimming by tile vertices needs a unimodular "
                             "matrix")
     levels = {}
     for tile in tiling(ctx):
-        alphas = expansions[tile.basis]
-        levels[trimming_vertex(ctx, tile, alphas)] = \
-            tile.ext + sum(a < 0 for a in alphas)
+        s = signs[tile.basis]
+        levels[trimming_vertex(ctx, tile, s)] = tile.ext + s.count(-1)
     pts = sorted(levels)
     return LatticePointSet(tuple(pts), tuple(levels[p] for p in pts))
 
@@ -226,15 +227,15 @@ def level_poly(points: LatticePointSet):
     return normalize(out), shift
 
 
-def trimming_vertex(ctx: ZonotopeContext, tile: Tile, alphas):
+def trimming_vertex(ctx: ZonotopeContext, tile: Tile, signs):
     """The unique trimmed point of a tile: its shift plus the basis columns
-    carrying negative coefficients in alphas, the expansion of l in the
-    tile's basis."""
+    carrying negative coefficients in the expansion of l in the tile's
+    basis. signs holds those coefficients or just their signs."""
     p = list(tile.shift)
-    for a, b in zip(alphas, tile.basis):
-        if a < 0:
+    for s, b in zip(signs, tile.basis):
+        if s < 0:
             for i, c in enumerate(ctx.column(b)):
                 p[i] += c
-        elif a == 0:
+        elif s == 0:
             raise NotAdmissible("zero coefficient in basis expansion")
     return tuple(p)

@@ -36,6 +36,12 @@ The library interpolates det(A + tB) from Bareiss determinants at
 t = 0..n. pencil_det_cofactor expands it along the first row over Z[t]
 instead.
 
+The library multiplies by a q-number as a running window sum and walks the
+compositions of a box LP's columns depth first. poly_mul is schoolbook
+polynomial multiplication, the independent product route, and
+_compositions lists compositions from cut sets, the reference column
+order.
+
 The library's standard-form simplex pivots on an integer tableau over one
 common denominator. FractionSimplex is the same two-phase Bland simplex
 over Fractions, which must reach the same outcome by the same pivots.
@@ -51,7 +57,7 @@ from flatpoly.exactnum import Matrix, frac
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
                                eulerian_tour_order, incidence_matrix,
                                spanning_trees, standard_orientation)
-from flatpoly.polyshape import normalize, poly_add, poly_mul
+from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases)
 from flatpoly.zonolattice import (LatticePointSet, NotUnimodular,
@@ -147,6 +153,32 @@ def independent_rows(A: Matrix):
     """Indices of the lexicographically first maximal set of linearly
     independent rows (the pivot columns of the transpose)."""
     return rref(transpose(A))[1]
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return normalize(out)
+
+
+def _compositions(total, parts):
+    """All compositions of total into `parts` positive parts, lexicographic."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for cut in combinations(range(1, total), parts - 1):
+        prev = 0
+        comp = []
+        for c in cut:
+            comp.append(c - prev)
+            prev = c
+        comp.append(total - prev)
+        yield tuple(comp)
 
 
 def poly_eval(p, x):

@@ -275,6 +275,15 @@ def test_explore_families(capsys):
         assert rep["stats"]["trapezoidal"] == 2
 
 
+def test_explore_counts_tp_closed_form_certificates(capsys):
+    # Every tp instance carries the closed form's d-fold certificate; a
+    # d = 2 search alone finds only 56 of these 60.
+    code, rep = run(capsys, ["explore", "--family", "tp", "--trials", "60",
+                             "--seed", "1"])
+    assert code == 0
+    assert rep["stats"]["box_positive"] == 60
+
+
 def test_explore_zero_trials(capsys):
     code, _ = run(capsys, ["explore", "--family", "tp", "--trials", "0",
                            "--seed", "0"])

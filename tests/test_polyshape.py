@@ -1,12 +1,22 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from flatpoly import polyshape
-from flatpoly.polyshape import (box_certificate, normalize, poly_mul,
-                                poly_shift, q_number, q_product,
+from flatpoly.polyshape import (BoxCertificate, _q_columns, box_certificate,
+                                normalize, poly_add, poly_shift, q_product,
                                 shape_report)
 
-from oracles import poly_eval, reverse_in_degree
+from oracles import _compositions, poly_eval, poly_mul, reverse_in_degree
+
+
+def oracle_q_product(ms):
+    out = [1]
+    for m in ms:
+        out = poly_mul(out, [1] * m)
+    return out
 
 
 def test_normalize():
@@ -15,10 +25,13 @@ def test_normalize():
 
 
 def test_q_number():
-    assert q_number(1) == [1]
-    assert q_number(4) == [1, 1, 1, 1]
+    # [m]_q is the one-part q-product.
+    assert q_product((1,)) == [1]
+    assert q_product((4,)) == [1, 1, 1, 1]
     with pytest.raises(ValueError):
-        q_number(0)
+        q_product((0,))
+    with pytest.raises(ValueError):
+        q_product((2, 0, 3))
 
 
 def test_q_product_examples():
@@ -32,12 +45,83 @@ def test_q_product_degree():
     assert len(q_product(ms)) - 1 == sum(ms) - len(ms)
 
 
-@given(st.lists(st.integers(min_value=1, max_value=5),
-                min_size=1, max_size=4), st.randoms())
+@given(st.lists(st.integers(min_value=1, max_value=8),
+                min_size=0, max_size=6), st.randoms())
 def test_q_product_symmetric(ms, rnd):
+    # The window-sum product equals repeated schoolbook multiplication and
+    # does not depend on the order of the parts.
     shuffled = list(ms)
     rnd.shuffle(shuffled)
-    assert q_product(ms) == q_product(shuffled)
+    assert q_product(ms) == oracle_q_product(ms) == q_product(shuffled)
+
+
+def test_q_columns_follow_composition_order():
+    # The depth-first walk lists the compositions in the oracle's
+    # lexicographic order, each with its schoolbook product.
+    for D in range(9):
+        for d in range(1, 6):
+            walk = list(_q_columns(D + d, d))
+            assert [comp for comp, _ in walk] == \
+                list(_compositions(D + d, d))
+            for comp, column in walk:
+                assert column == oracle_q_product(comp)
+                assert len(column) == D + 1
+
+
+def oracle_expand(terms):
+    out = []
+    for comp, coef in terms:
+        out = poly_add(out, [coef * a for a in oracle_q_product(comp)])
+    return out
+
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(min_value=1, max_value=5),
+                                   min_size=1, max_size=4),
+                          coefficients),
+                min_size=0, max_size=8),
+       st.randoms())
+def test_expand_matches_term_by_term_oracle(draws, rnd):
+    # Each drawn composition appears with one or two shuffled copies, so
+    # the merge by partition meets permuted and repeated compositions and
+    # coefficients that cancel.
+    terms = []
+    for comp, coef in draws:
+        terms.append((tuple(comp), coef))
+        if rnd.random() < 0.5:
+            perm = list(comp)
+            rnd.shuffle(perm)
+            terms.append((tuple(perm), rnd.choice((coef, -coef, coef / 3))))
+    rnd.shuffle(terms)
+    got = BoxCertificate(2, tuple(terms)).expand()
+    assert got == oracle_expand(terms)
+    assert all(type(a) is Fraction for a in got)
+
+
+def test_box_witness_compositions_are_nondecreasing():
+    # Permuted compositions give equal LP columns, and the nondecreasing
+    # one comes first in lexicographic order; Bland's rule never enters a
+    # later duplicate, so every witness term is nondecreasing.
+    rng = random.Random(12)
+    feasible = 0
+    for _ in range(200):
+        d = rng.randint(2, 5)
+        D = rng.randint(1, 6)
+        comps = list(_compositions(D + d, d))
+        terms = [(rng.choice(comps), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 4))]
+        p = oracle_expand(terms)
+        if rng.random() < 0.25:
+            p = [p[0] + 1] + p[1:]
+        cert = box_certificate(p, d)
+        if cert is None:
+            continue
+        feasible += 1
+        for comp, _ in cert.terms:
+            assert list(comp) == sorted(comp)
+    assert feasible >= 140
 
 
 def test_shape_knot_coefficients():

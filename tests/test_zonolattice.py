@@ -130,6 +130,18 @@ def test_trimming_rejects_inadmissible():
         trimmed_points(ctx, AdmissibleVector((1,), 0))
 
 
+def test_trimming_rejects_zero_coefficients():
+    # +-(1, 1) is +- the middle column, so its expansion in a basis holding
+    # that column has a zero, and no m makes it admissible. Apart from the
+    # zeros, (1, 1) expands with no negative coefficient and (-1, -1) with
+    # no positive one, so a zero read as either sign would pass.
+    ctx = ZonotopeContext(Matrix([[1, 1, 1], [0, 1, 2]]))
+    for l in ((1, 1), (-1, -1)):
+        for m in (0, 1, 2):
+            with pytest.raises(NotAdmissible):
+                trimmed_points(ctx, AdmissibleVector(l, m))
+
+
 def test_trimming_requires_unimodular():
     # (1, -1) is 1-admissible here, so the unimodularity check decides.
     ctx = ZonotopeContext(Matrix([[2, 1], [0, 1]]))
