@@ -16,6 +16,7 @@ import sys
 
 from . import (corpus, formats, graphkit, ormatroid, planardual, polyshape,
                totpos, zonolattice)
+from .exactnum import _integer_rows
 
 
 class UsageError(ValueError):
@@ -217,7 +218,7 @@ def suite_lemma8_1(args, checks, rng):
         fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
         ctx = ormatroid.MatroidContext(fmp.A)
         ok = True
-        for basis, _vol in ormatroid.enumerate_bases(ctx):
+        for basis in ormatroid.enumerate_bases(ctx):
             _, ext = ormatroid.ext_semiactivity(ctx, basis, ormatroid.LEX_ORDER)
             if ext != totpos.ext_closed_form([b + 1 for b in basis], N):
                 ok = False
@@ -276,13 +277,8 @@ def _explore_instance(family, rng):
         N = rng.randint(d + 1, d + 4)
         fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
         poly, cert = totpos.f_tp_closed(fmp)
-        if any(c.denominator != 1 for c in poly):
-            # Shape flags only need the coefficient ratios; scale to ints.
-            from math import lcm
-            scale = lcm(*[c.denominator for c in poly])
-            poly = [int(c * scale) for c in poly]
-        else:
-            poly = [int(c) for c in poly]
+        # Shape flags only need the coefficient ratios; scale to ints.
+        (poly,), _ = _integer_rows([poly])
         return poly, formats.dump_matrix(fmp.A), cert
     if family == "semibalanced":
         D, levels = corpus.random_semibalanced(rng)

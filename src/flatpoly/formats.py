@@ -142,8 +142,7 @@ def load_poly(src):
 
 def _number(x):
     """An integer as a JSON int, another rational as a "p/q" string."""
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else _rat_str(x)
+    return x.numerator if x.denominator == 1 else _rat_str(x)
 
 
 def dump_poly(coeffs, variable="t") -> dict:

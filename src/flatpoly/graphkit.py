@@ -1,5 +1,5 @@
-"""Digraphs, spanning trees, matrix presentations, Eulerian tours, and the
-k-spanning-tree polynomial of an Eulerian digraph.
+"""Digraphs, spanning trees, matrix presentations, and the k-spanning-tree
+polynomial of an Eulerian digraph.
 
 Edges are an ordered list of (tail, head) pairs; the input order is the
 ground-set order everywhere. Parallel edges are distinct ground-set
@@ -42,9 +42,6 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph({self.n}, {self.edges})"
-
-    def reverse(self):
-        return Digraph(self.n, [(h, t) for t, h in self.edges])
 
 
 def _component(n, edge_pairs, start=0):
@@ -147,44 +144,6 @@ def cographic_matrix(D: Digraph) -> Matrix:
     return dual_matrix(graphic_matrix(D))
 
 
-def eulerian_tour_order(D: Digraph, r):
-    """Edge indices in the order of an Eulerian tour starting at r.
-
-    Hierholzer's algorithm, taking the smallest unused edge index at each
-    step, so the tour is deterministic.
-    """
-    if not 0 <= r < D.n:
-        raise ValueError(f"root {r} is not a vertex (0..{D.n - 1})")
-    if not is_connected(D):
-        raise NotEulerian("graph is not connected")
-    indeg = [0] * D.n
-    outdeg = [0] * D.n
-    out_edges = [[] for _ in range(D.n)]
-    for i, (t, h) in enumerate(D.edges):
-        outdeg[t] += 1
-        indeg[h] += 1
-        out_edges[t].append(i)
-    if indeg != outdeg:
-        raise NotEulerian("in-degree != out-degree at some vertex")
-    for lst in out_edges:
-        lst.sort(reverse=True)  # pop() returns the smallest index
-    tour = []
-    stack = [(r, None)]
-    while stack:
-        v, via = stack[-1]
-        if out_edges[v]:
-            e = out_edges[v].pop()
-            stack.append((D.edges[e][1], e))
-        else:
-            stack.pop()
-            if via is not None:
-                tour.append(via)
-    tour.reverse()
-    if len(tour) != len(D.edges):
-        raise NotEulerian("graph is not connected")
-    return tour
-
-
 def p_poly(D: Digraph, r=0):
     """Spanning trees graded by the number of edges pointing away from r.
 
@@ -193,7 +152,16 @@ def p_poly(D: Digraph, r=0):
     """
     # Eulerian check up front: the polynomial's root-independence and its
     # matroid interpretation need it.
-    eulerian_tour_order(D, r)
+    if not 0 <= r < D.n:
+        raise ValueError(f"root {r} is not a vertex (0..{D.n - 1})")
+    if not is_connected(D):
+        raise NotEulerian("graph is not connected")
+    balance = [0] * D.n
+    for t, h in D.edges:
+        balance[t] += 1
+        balance[h] -= 1
+    if any(balance):
+        raise NotEulerian("in-degree != out-degree at some vertex")
     edges = D.edges
     counts = {}
     for tree in spanning_trees(D):

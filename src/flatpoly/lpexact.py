@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import _integer_rows, frac
+from .exactnum import _integer_rows
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -35,14 +35,12 @@ class MalformedProgram(ValueError):
     pass
 
 
-def _exact(x):
-    """ints stay ints; the tableau reads only numerators and denominators."""
-    return x if isinstance(x, int) else frac(x)
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to  eq_lhs x = eq_rhs,  x >= 0."""
+    """maximize objective . x  subject to  eq_lhs x = eq_rhs,  x >= 0.
+
+    Entries are ints or Fractions: the tableau reads only their numerators
+    and denominators."""
 
     objective: tuple
     eq_lhs: tuple       # tuple of rows
@@ -50,10 +48,10 @@ class LinearProgram:
 
     @staticmethod
     def build(objective, eq_lhs, eq_rhs):
-        objective = tuple(map(_exact, objective))
+        objective = tuple(objective)
         n = len(objective)
-        eq_lhs = tuple(tuple(map(_exact, row)) for row in eq_lhs)
-        eq_rhs = tuple(map(_exact, eq_rhs))
+        eq_lhs = tuple(map(tuple, eq_lhs))
+        eq_rhs = tuple(eq_rhs)
         if any(len(row) != n for row in eq_lhs):
             raise MalformedProgram("constraint row length mismatch")
         if len(eq_lhs) != len(eq_rhs):
@@ -180,12 +178,15 @@ def lp_solve(p: LinearProgram) -> LpOutcome:
 
     # A positive scale to integers keeps every reduced-cost sign, and so
     # every pivot.
-    (obj2,), _ = _integer_rows([p.objective])
+    (obj2,), scale = _integer_rows([p.objective])
     if not s.run(obj2 + [0] * m, hold_artificials=True):
         return LpOutcome(UNBOUNDED)
     x = [Fraction(0)] * n
+    opt = 0
     for b, bi in zip(s.beta, s.basis):
         if bi < n:
             x[bi] = Fraction(b, s.den)
-    opt = sum((c * v for c, v in zip(p.objective, x)), Fraction(0))
-    return LpOutcome(OPTIMAL, opt, tuple(x))
+            opt += obj2[bi] * b
+    # Every nonbasic value is zero, so c . x = sum obj2[bi] * beta_i over
+    # scale * den.
+    return LpOutcome(OPTIMAL, Fraction(opt, scale * s.den), tuple(x))

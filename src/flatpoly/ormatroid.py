@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exactnum import Matrix, _first_basis, _swapped_minor, maximal_minors
-from .polyshape import normalize
+from .exactnum import (Matrix, _first_basis, _integer_rows, _swapped_minor,
+                       maximal_minors)
 
 #: Symbolic generic vector: orient every circuit so its minimal support
 #: element lands in the positive part (the epsilon-power order).
@@ -60,11 +60,11 @@ class MatroidContext:
 
 
 def enumerate_bases(ctx: MatroidContext):
-    """Yield (basis tuple, |det| volume) in lexicographic order."""
-    chi, scale = ctx.chi, ctx.scale
-    for cand, c in chi.items():
+    """Yield every basis tuple in lexicographic order; the volume of basis
+    B is abs(ctx.chi[B]) / ctx.scale."""
+    for cand, c in ctx.chi.items():
         if c != 0:
-            yield cand, Fraction(abs(c), scale)
+            yield cand
 
 
 def ext_semiactivity(ctx: MatroidContext, basis, rho):
@@ -111,18 +111,24 @@ def ext_semiactivity(ctx: MatroidContext, basis, rho):
 def f_poly_frac(ctx: MatroidContext, rho=LEX_ORDER):
     """Coefficient of t^k = total basis volume at external semi-activity k.
 
-    Coefficients are Fractions; use f_poly for the integer-coefficient form.
+    The integer volumes |chi(B)| are summed per activity count and each
+    sum is divided by the table's scale, so the coefficients are Fractions;
+    use f_poly for the integer-coefficient form. A vector rho is cleared of
+    its denominators first: a positive scale keeps the sign of every
+    circuit value, so the same elements are active and the same bases
+    raise NotGeneric.
     """
+    if rho != LEX_ORDER:
+        (rho,), _ = _integer_rows([rho])
+    chi = ctx.chi
     coeffs = {}
-    for basis, vol in enumerate_bases(ctx):
+    for basis in enumerate_bases(ctx):
         _, ext = ext_semiactivity(ctx, basis, rho)
-        coeffs[ext] = coeffs.get(ext, Fraction(0)) + vol
-    if not coeffs:
-        return []
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, v in coeffs.items():
-        out[k] = v
-    return normalize(out)
+        coeffs[ext] = coeffs.get(ext, 0) + abs(chi[basis])
+    # A MatroidContext has a basis, and every volume is positive, so the
+    # top coefficient is nonzero.
+    return [Fraction(coeffs.get(k, 0), ctx.scale)
+            for k in range(max(coeffs) + 1)]
 
 
 def f_poly(ctx: MatroidContext, rho=LEX_ORDER):

@@ -231,18 +231,16 @@ def _ccw_cmp(u, v):
     return (cross < 0) - (cross > 0)
 
 
-def plane_from_coords(n_vertices, edges, coords, part1=None, bends=None):
-    """Build a plane graph from a drawing with straight or singly-bent edges.
+def plane_from_coords(n_vertices, edges, coords, part1, bends=None):
+    """Build a plane graph from a drawing with straight or singly-bent edges,
+    its edges directed from part1 to part 2.
 
     Coordinates are ints or Fractions. Rotations sort incident edges
     counterclockwise by the direction of their initial segment, exactly.
     bends, when given, maps edge index to an interior waypoint, which lets
     parallel edges coexist.
     """
-    if part1 is not None:
-        D = graphkit.standard_orientation(n_vertices, edges, part1)
-    else:
-        D = Digraph(n_vertices, edges)
+    D = graphkit.standard_orientation(n_vertices, edges, part1)
     bends = bends or {}
     incident = [[] for _ in range(n_vertices)]
     for i, (t, h) in enumerate(D.edges):

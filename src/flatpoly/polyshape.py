@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 from . import lpexact
+from .exactnum import _integer_rows
 
 
 def normalize(coeffs):
@@ -126,12 +126,11 @@ class BoxCertificate:
         product per partition is expanded: the sum of coef * L * q_product
         runs in integers, with L the lcm of the coefficient denominators,
         and is divided by L once at the end."""
-        L = lcm(*(coef.denominator for _, coef in self.terms))
+        (scaled,), L = _integer_rows([[coef for _, coef in self.terms]])
         merged = {}
-        for comp, coef in self.terms:
+        for (comp, _), k in zip(self.terms, scaled):
             part = tuple(sorted(comp))
-            merged[part] = merged.get(part, 0) + \
-                coef.numerator * (L // coef.denominator)
+            merged[part] = merged.get(part, 0) + k
         out = []
         for part, k in merged.items():
             out = poly_add(out, [k * a for a in q_product(part)])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphkit, ormatroid
-from .exactnum import Matrix, _integer_rows, _swapped_minor, bareiss_det, frac
+from .exactnum import Matrix, _integer_rows, _swapped_minor, bareiss_det
 from .polyshape import normalize
 
 
@@ -32,18 +32,16 @@ class ZonotopeContext:
     """A flat integer matrix of full row rank with its minor table."""
 
     def __init__(self, matrix: Matrix):
-        for row in matrix.entries:
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError("zonotope matrices must be integral")
+        # Clearing denominators scales nothing iff every entry is an integer.
+        rows, scale = _integer_rows(matrix.entries)
+        if scale != 1:
+            raise ValueError("zonotope matrices must be integral")
         self.matrix = matrix
         self.mctx = ormatroid.MatroidContext(matrix)
         self.d = self.mctx.rank_d
-        self._columns = [[int(x) for x in matrix.column(j)]
-                         for j in range(matrix.cols)]
+        self._columns = list(zip(*rows))
         # The matrix is integral, so the table's scale is 1.
         self.unimodular = all(abs(c) <= 1 for c in self.mctx.chi.values())
-        self._tiling = None
 
     def column(self, j):
         return list(self._columns[j])
@@ -58,13 +56,9 @@ class Tile:
 
 def tiling(ctx: ZonotopeContext):
     """One shifted parallelepiped per basis, shifted by its externally
-    semi-active columns under LEX_ORDER; together they tile the zonotope.
-
-    Built once per context."""
-    if ctx._tiling is not None:
-        return ctx._tiling
+    semi-active columns under LEX_ORDER; together they tile the zonotope."""
     tiles = []
-    for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
+    for basis in ormatroid.enumerate_bases(ctx.mctx):
         ext, n_ext = ormatroid.ext_semiactivity(ctx.mctx, basis,
                                                 ormatroid.LEX_ORDER)
         shift = [0] * ctx.d
@@ -72,8 +66,7 @@ def tiling(ctx: ZonotopeContext):
             for i, c in enumerate(ctx.column(j)):
                 shift[i] += c
         tiles.append(Tile(tuple(basis), tuple(shift), n_ext))
-    ctx._tiling = tuple(tiles)
-    return ctx._tiling
+    return tuple(tiles)
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ def lattice_point_count(ctx: ZonotopeContext) -> int:
         raise NotUnimodular("lattice point count needs a unimodular matrix")
     chi = ctx.mctx.chi
     total = 0
-    for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
+    for basis in ormatroid.enumerate_bases(ctx.mctx):
         internal = sum(
             not any(j not in basis and _swapped_minor(chi, basis, i, j)
                     for j in range(b))
@@ -107,7 +100,8 @@ def lattice_point_count(ctx: ZonotopeContext) -> int:
 
 
 def basis_expansions(ctx: ZonotopeContext, l):
-    """The coefficients of l in every basis, keyed by basis tuple.
+    """The coefficients of l, ints or Fractions, in every basis, keyed by
+    basis tuple.
 
     l is expanded once in the first basis B0 by Cramer's rule, as
     l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0). By
@@ -117,7 +111,7 @@ def basis_expansions(ctx: ZonotopeContext, l):
     """
     if len(l) != ctx.d:
         raise ValueError("direction length must equal row count")
-    (l_int,), scale = _integer_rows([[frac(x) for x in l]])
+    (l_int,), scale = _integer_rows([l])
     chi, b0 = ctx.mctx.chi, ctx.mctx.first_basis
     B0 = [ctx._columns[b] for b in b0]
     # Pairs (a_k * chi(B0) * scale, B0[k]) with a_k != 0.
@@ -126,7 +120,7 @@ def basis_expansions(ctx: ZonotopeContext, l):
     a = [(n, c) for n, c in a if n]
     den0 = chi[b0] * scale
     out = {}
-    for basis, _vol in ormatroid.enumerate_bases(ctx.mctx):
+    for basis in ormatroid.enumerate_bases(ctx.mctx):
         cb = chi[basis]
         alphas = []
         for i, b in enumerate(basis):

@@ -55,8 +55,8 @@ from itertools import combinations
 from flatpoly import lpexact
 from flatpoly.exactnum import Matrix, frac
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
-                               eulerian_tour_order, incidence_matrix,
-                               spanning_trees, standard_orientation)
+                               incidence_matrix, spanning_trees,
+                               standard_orientation)
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases)
@@ -330,8 +330,7 @@ def tree_cographic_matrix(D: Digraph, tree) -> Matrix:
 def p_poly_cuts(D: Digraph, r=0):
     """Spanning trees graded by the number of edges pointing away from r,
     with one component walk per tree edge: d points away from r iff its
-    tail stays on r's side when d is removed."""
-    eulerian_tour_order(D, r)
+    tail stays on r's side when d is removed. D is Eulerian."""
     counts = {}
     for tree in spanning_trees(D):
         k = 0
@@ -471,7 +470,7 @@ def check_admissible(ctx, l, m):
     """(True, None) if every basis expansion of l, solved by row
     reduction, has m positive and d - m negative coefficients, else
     (False, the first basis that does not)."""
-    for basis, _vol in enumerate_bases(ctx.mctx):
+    for basis in enumerate_bases(ctx.mctx):
         alphas = solve(ctx.matrix.submatrix(range(ctx.d), basis), l)[0]
         if sum(a > 0 for a in alphas) != m or \
                 sum(a < 0 for a in alphas) != ctx.d - m:

@@ -5,8 +5,7 @@ import pytest
 from flatpoly import corpus, ormatroid, planardual
 from flatpoly.exactnum import maximal_minors
 from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
-                               NotEulerian, cographic_matrix,
-                               eulerian_tour_order, graphic_matrix,
+                               NotEulerian, cographic_matrix, graphic_matrix,
                                incidence_matrix, is_semibalanced, p_poly,
                                spanning_trees, standard_orientation)
 
@@ -60,7 +59,7 @@ def test_incidence_single_edge():
 
 def test_incidence_reversal_negates():
     D = Digraph(3, [(0, 1), (1, 2)])
-    R = D.reverse()
+    R = Digraph(3, [(1, 0), (2, 1)])
     a = incidence_matrix(D)
     b = incidence_matrix(R)
     assert ints(b) == [[-x for x in row] for row in ints(a)]
@@ -191,29 +190,12 @@ def test_flatness_characterizations_on_corpus():
         assert not flat(cographic_matrix(Digraph(D.n, [(h, t)] + rest)))
 
 
-def test_eulerian_tour_3cycle():
-    D = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert eulerian_tour_order(D, 0) == [0, 1, 2]
-    assert eulerian_tour_order(D, 1) == [1, 2, 0]
-
-
-def test_eulerian_tour_two_cycle():
-    D = Digraph(2, [(0, 1), (1, 0)])
-    assert eulerian_tour_order(D, 0) == [0, 1]
-
-
-def test_eulerian_tour_bowtie():
-    D = Digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    tour = eulerian_tour_order(D, 0)
-    assert sorted(tour) == list(range(6))
-    assert D.edges[tour[0]][0] == 0
-    for a, b in zip(tour, tour[1:]):
-        assert D.edges[a][1] == D.edges[b][0]
-
-
-def test_eulerian_tour_rejects():
-    with pytest.raises(NotEulerian):
-        eulerian_tour_order(Digraph(3, [(0, 1), (1, 2)]), 0)
+def test_p_poly_rejects_disconnected_or_bad_root():
+    two_cycles = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+    with pytest.raises(NotEulerian, match="not connected"):
+        p_poly(two_cycles, 0)
+    with pytest.raises(ValueError, match="root 2 is not a vertex"):
+        p_poly(Digraph(2, [(0, 1), (1, 0)]), 2)
 
 
 def test_p_poly_two_cycle():

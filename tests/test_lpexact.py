@@ -86,7 +86,8 @@ def test_malformed():
 
 
 def test_build_keeps_ints():
-    prog = LinearProgram.build([1, "1/2"], [[2, Fraction(1, 3)]], [3])
+    prog = LinearProgram.build([1, Fraction(1, 2)], [[2, Fraction(1, 3)]],
+                               [3])
     assert [type(x) for x in prog.objective] == [int, Fraction]
     assert [type(x) for x in prog.eq_lhs[0]] == [int, Fraction]
     assert type(prog.eq_rhs[0]) is int

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpoly import ormatroid
 from flatpoly.exactnum import Matrix
@@ -43,19 +45,24 @@ def test_context_rejects_non_flat():
         MatroidContext(Matrix([[1, 2]]))
 
 
+def bases_with_volumes(ctx):
+    return [(B, Fraction(abs(ctx.chi[B]), ctx.scale))
+            for B in enumerate_bases(ctx)]
+
+
 def test_enumerate_bases_ones_row():
-    assert list(enumerate_bases(ctx_ones(3))) == \
+    assert bases_with_volumes(ctx_ones(3)) == \
         [((0,), 1), ((1,), 1), ((2,), 1)]
 
 
 def test_enumerate_bases_321():
-    assert list(enumerate_bases(ctx_321())) == \
+    assert bases_with_volumes(ctx_321()) == \
         [((0, 1), 1), ((0, 2), 2), ((1, 2), 1)]
 
 
 def test_enumerate_bases_duplicate_column():
     ctx = MatroidContext(Matrix([[1, 0, 1], [0, 1, 0]]))
-    assert [b for b, _ in enumerate_bases(ctx)] == [(0, 1), (1, 2)]
+    assert list(enumerate_bases(ctx)) == [(0, 1), (1, 2)]
 
 
 def test_fundamental_circuit_ones():
@@ -91,7 +98,6 @@ def test_orient_circuit_lex():
 
 
 def test_orient_circuit_explicit_rho():
-    from fractions import Fraction
     c = SignedCircuit((0, 1, 2), (1, -2, 1))
     rho = [1, Fraction(1, 7), Fraction(1, 100)]
     assert orient_circuit(c, rho) is c
@@ -175,7 +181,7 @@ def test_ext_and_genericity_match_circuit_oracles(flat_corpus):
         ctx = MatroidContext(m)
         rhos = [LEX_ORDER] + [sample_generic_rho(ctx, rng)[0]
                               for _ in range(3)]
-        for basis, _vol in enumerate_bases(ctx):
+        for basis in enumerate_bases(ctx):
             for rho in rhos:
                 ext, count = ext_semiactivity(ctx, basis, rho)
                 assert ext == oracles.ext_set(ctx, basis, rho), (name, basis)
@@ -210,7 +216,7 @@ def test_palindromicity_and_negation():
 
 def test_mass_conservation():
     ctx = ctx_321()
-    total = sum(vol for _, vol in enumerate_bases(ctx))
+    total = sum(vol for _, vol in bases_with_volumes(ctx))
     assert sum(f_poly(ctx)) == total == 4
 
 
@@ -227,3 +233,45 @@ def test_sample_generic_rho_is_generic():
     for _ in range(5):
         rho, poly = sample_generic_rho(ctx, rng)
         assert is_generic(ctx, rho) and poly == f_poly_frac(ctx, rho)
+
+
+def test_f_poly_frac_builds_one_fraction_per_coefficient(monkeypatch):
+    # Volumes are summed as integers and divided by the scale once per
+    # coefficient, under the symbolic order and under a rational vector.
+    ctx = MatroidContext(Matrix([[Fraction(1, 2), 2, 1, Fraction(3, 4)],
+                                 [1, 1, 1, 1]]))
+    assert ctx.scale > 1
+    rho, _ = sample_generic_rho(ctx, random.Random(2))
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(ormatroid, "Fraction", CountingFraction)
+    for r in (LEX_ORDER, rho):
+        built.clear()
+        poly = f_poly_frac(ctx, r)
+        assert len(built) == len(poly), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_f_poly_frac_ignores_positive_rho_scale(flat_corpus, data):
+    # A positive scale keeps every circuit sign, so the polynomial and the
+    # vectors that raise NotGeneric are the same.
+    _name, m = data.draw(st.sampled_from(flat_corpus))
+    ctx = MatroidContext(m)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rho = data.draw(st.lists(small, min_size=m.cols, max_size=m.cols))
+    c = data.draw(st.fractions(min_value=Fraction(1, 9), max_value=9,
+                               max_denominator=9))
+
+    def outcome(r):
+        try:
+            return f_poly_frac(ctx, r)
+        except NotGeneric:
+            return NotGeneric
+
+    assert outcome([c * x for x in rho]) == outcome(rho)

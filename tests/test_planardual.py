@@ -35,9 +35,14 @@ def test_faces_c4():
 
 
 def test_faces_k4():
-    coords = [(0, 0), (20, 0), (10, 17), (10, 6)]
+    # K4 drawn at (0, 0), (20, 0), (10, 17) with vertex 3 inside at
+    # (10, 6); rotations are counterclockwise.
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    P = plane_from_coords(4, edges, coords)
+    P = PlaneGraph(Digraph(4, edges), [
+        [(0, "tail"), (2, "tail"), (1, "tail")],
+        [(3, "tail"), (4, "tail"), (0, "head")],
+        [(1, "head"), (5, "tail"), (3, "head")],
+        [(2, "head"), (4, "head"), (5, "head")]])
     walks = faces(P)
     assert len(walks) == 4
     assert all(len(w) == 3 for w in walks)
@@ -72,12 +77,12 @@ def test_exact_rotations_match_float_angles():
     tips = [(0, -1), (1, 1), (-1, 0), (1, 0), (-1, -1), (0, 1), (1, -1),
             (-1, 1)]
     P = plane_from_coords(9, [(0, i + 1) for i in range(8)],
-                          [(0, 0)] + tips)
+                          [(0, 0)] + tips, part1=[0])
     assert P.rotations[0] == float_rotation(P, [(0, 0)] + tips, {}, 0)
 
 
 def test_faces_single_edge():
-    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)])
+    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)], part1=[0])
     walks = faces(P)
     assert len(walks) == 1 and len(walks[0]) == 2
 
@@ -127,7 +132,7 @@ def test_is_alternating_dimap_negative():
 
 
 def test_is_alternating_dimap_odd_degree():
-    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)])
+    P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)], part1=[0])
     assert not is_alternating_dimap(P)
 
 

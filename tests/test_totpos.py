@@ -134,7 +134,7 @@ def test_ext_closed_form_matches_matrix():
         net = random_network(d, N, rng)
         A = tp_from_network(net)
         ctx = ormatroid.MatroidContext(A)
-        for basis, _vol in ormatroid.enumerate_bases(ctx):
+        for basis in ormatroid.enumerate_bases(ctx):
             _, ext = ormatroid.ext_semiactivity(ctx, basis,
                                                 ormatroid.LEX_ORDER)
             assert ext == ext_closed_form([b + 1 for b in basis], N)

@@ -44,7 +44,8 @@ def test_tiling_c4_incidence():
     ctx = bipartite_graph_context(n, edges, part1)
     tiles = tiling(ctx)
     assert len(tiles) == 4
-    vols = sum(vol for _, vol in ormatroid.enumerate_bases(ctx.mctx))
+    vols = sum(Fraction(abs(ctx.mctx.chi[B]), ctx.mctx.scale)
+               for B in ormatroid.enumerate_bases(ctx.mctx))
     assert vols == 4
 
 
