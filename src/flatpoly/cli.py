@@ -36,6 +36,8 @@ def _shape_dict(p):
 
 
 def cmd_fa(args):
+    if args.matrix and args.bigraph:
+        raise UsageError("fa takes --matrix or --bigraph, not both")
     if args.matrix:
         m = formats.load_matrix(args.matrix)
         ctx = ormatroid.MatroidContext(m)

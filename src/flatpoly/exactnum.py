@@ -1,10 +1,13 @@
 """Exact rational matrices: determinants, pencil determinants and the table
 of maximal minors.
 
-Bareiss fraction-free elimination on denominator-cleared integer rows is
-the one elimination routine; rank, flatness, linear expansions and the Gale
-dual are read from the minor table (Cramer's rule), and the determinant of
-a pencil A + tB is interpolated from its values. Every result is exact.
+Everything runs on denominator-cleared integer rows. Bareiss
+fraction-free elimination gives determinants, and the determinant of a
+pencil A + tB is interpolated from its values. The minor table comes from
+one fraction-free Gauss-Jordan elimination, which yields the minors next
+to the first basis, and Cramer expansion, which yields every other minor
+with one exact division; rank, flatness, linear expansions and the Gale
+dual are read from that table (Cramer's rule). Every result is exact.
 Matrices are immutable after construction and safe to share between
 workers.
 """
@@ -155,17 +158,89 @@ def pencil_det(A, B):
     return coeffs
 
 
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, pivots
+    taken left to right.
+
+    Returns (basis, m): basis is the lexicographically first set of
+    independent columns, and m[i][j] is the determinant of those columns
+    with basis[i] replaced by column j in place. Each step divides exactly
+    by the previous pivot (Bareiss 1968, applied to every row); a row swap
+    negates the determinant, so it is undone by a final sign. Returns None
+    when the rank is below the row count.
+    """
+    a = [list(r) for r in rows]
+    d = len(a)
+    basis, prev, sign = [], 1, 1
+    for c in range(len(a[0])):
+        r = len(basis)
+        if r == d:
+            break
+        piv = next((i for i in range(r, d) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, ar = a[r][c], a[r]
+        for i in range(d):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ar)]
+        prev = p
+        basis.append(c)
+    if len(basis) < d:
+        return None
+    if sign < 0:
+        a = [[-x for x in row] for row in a]
+    return tuple(basis), a
+
+
 def maximal_minors(A: Matrix):
     """Integer maximal minors of A's denominator-cleared rows.
 
     Returns (chi, scale): chi maps every sorted A.rows-subset of columns to
     an integer, and the true minor at those columns is chi / scale. The
     scale is positive, so chi carries the signs of the true minors.
+
+    One elimination gives the first basis B0 and, for every column j, the
+    minors of B0 with one column replaced by j. The other entries follow by
+    the Grassmann-Pluecker relation: with c a column of S outside B0,
+    expanding c in B0 gives chi(S) * chi(B0) = sum over b_i in B0 - S of
+    chi(B0, b_i -> c) * chi(S, c -> b_i), replacements in place. Each term
+    has one column fewer outside B0, so entries are filled in order of
+    that count, each with one exact division. A rank-deficient matrix has
+    the all-zero table.
     """
     rows, scale = _integer_rows(A.entries)
-    cols = list(zip(*rows))
-    chi = {key: bareiss_det([cols[c] for c in key])
-           for key in combinations(range(A.cols), A.rows)}
+    d = A.rows
+    chi = dict.fromkeys(combinations(range(A.cols), d), 0)
+    reduced = _gauss_jordan(rows)
+    if reduced is None:
+        return chi, scale
+    b0, m = reduced
+    cb = chi[b0] = m[0][b0[0]]
+    outside = [True] * A.cols
+    for b in b0:
+        outside[b] = False
+    levels = [[] for _ in range(d + 1)]
+    for key in chi:
+        levels[sum(map(outside.__getitem__, key))].append(key)
+    cols = list(zip(*m))
+    for level in levels[1:]:
+        for key in level:
+            p = d - 1
+            while not outside[key[p]]:
+                p -= 1
+            # _swapped_minor(chi, key, p, b) per term, key minus c cut once.
+            rest = key[:p] + key[p + 1:]
+            total = 0
+            for b, x in zip(b0, cols[key[p]]):
+                if x and b not in rest:
+                    q = bisect_left(rest, b)
+                    y = chi[rest[:q] + (b,) + rest[q:]]
+                    total += -x * y if (q - p) % 2 else x * y
+            chi[key] = total // cb
     return chi, scale
 
 

@@ -13,7 +13,6 @@ incidence_point lifts a point back to vertex coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import graphkit, ormatroid
 from .exactnum import Matrix, _integer_rows, _swapped_minor, bareiss_det
@@ -100,8 +99,9 @@ def lattice_point_count(ctx: ZonotopeContext) -> int:
 
 
 def basis_expansions(ctx: ZonotopeContext, l):
-    """The coefficients of l, ints or Fractions, in every basis, keyed by
-    basis tuple.
+    """The coefficients of l, of ints or Fractions, in every basis, keyed
+    by basis tuple as (numerators, denominator): integers, the denominator
+    positive and shared by the basis's coefficients.
 
     l is expanded once in the first basis B0 by Cramer's rule, as
     l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0). By
@@ -122,7 +122,9 @@ def basis_expansions(ctx: ZonotopeContext, l):
     out = {}
     for basis in ormatroid.enumerate_bases(ctx.mctx):
         cb = chi[basis]
-        alphas = []
+        den = den0 * cb
+        sign = 1 if den > 0 else -1
+        nums = []
         for i, b in enumerate(basis):
             num = 0
             for n, c in a:
@@ -130,8 +132,8 @@ def basis_expansions(ctx: ZonotopeContext, l):
                     num += n * cb
                 elif c not in basis:
                     num += n * _swapped_minor(chi, basis, i, c)
-            alphas.append(Fraction(num, den0 * cb))
-        out[basis] = alphas
+            nums.append(sign * num)
+        out[basis] = (nums, sign * den)
     return out
 
 
@@ -188,10 +190,10 @@ def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     their number.
     """
     signs = {}
-    for basis, alphas in basis_expansions(ctx, adm.l).items():
-        # A Fraction's denominator is positive: its sign is its numerator's.
-        s = signs[basis] = [(n > 0) - (n < 0)
-                            for n in (a.numerator for a in alphas)]
+    for basis, (nums, _den) in basis_expansions(ctx, adm.l).items():
+        # The denominator is positive: a coefficient's sign is its
+        # numerator's.
+        s = signs[basis] = [(n > 0) - (n < 0) for n in nums]
         if s.count(1) != adm.m or s.count(-1) != ctx.d - adm.m:
             raise NotAdmissible(f"direction fails at basis {basis}")
     if not ctx.unimodular:

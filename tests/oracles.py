@@ -2,8 +2,7 @@
 zonotope data, for tests only.
 
 The library reads rank, flatness, linear expansions and the level form
-off its table of integer maximal minors (Bareiss elimination and Cramer's
-rule). The Fraction Gauss-Jordan routines below (rref, rank, kernel_basis,
+off its table of integer maximal minors (Cramer's rule). The Fraction Gauss-Jordan routines below (rref, rank, kernel_basis,
 solve, apply, flat_witness, independent_rows) derive them by elimination
 instead, and are the reference for those checks.
 
@@ -32,6 +31,10 @@ instead: fundamental cycles by tree paths, fundamental cuts and the
 per-edge grading by one component walk per tree edge. tree_count is the
 Kirchhoff determinant over Fractions.
 
+The library builds the table of maximal minors from one fraction-free
+Gauss-Jordan elimination and Cramer expansion. maximal_minors_bareiss runs
+one Bareiss determinant per column subset instead.
+
 The library interpolates det(A + tB) from Bareiss determinants at
 t = 0..n. pencil_det_cofactor expands it along the first row over Z[t]
 instead.
@@ -53,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from flatpoly import lpexact
-from flatpoly.exactnum import Matrix, frac
+from flatpoly.exactnum import Matrix, _integer_rows, bareiss_det, frac
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
                                incidence_matrix, spanning_trees,
                                standard_orientation)
@@ -186,6 +189,16 @@ def poly_eval(p, x):
     for a in reversed(p):
         acc = acc * x + a
     return acc
+
+
+def maximal_minors_bareiss(A: Matrix):
+    """(chi, scale) as exactnum.maximal_minors returns it, with one Bareiss
+    determinant per column subset."""
+    rows, scale = _integer_rows(A.entries)
+    cols = list(zip(*rows))
+    chi = {key: bareiss_det([cols[c] for c in key])
+           for key in combinations(range(A.cols), A.rows)}
+    return chi, scale
 
 
 def pencil_det_cofactor(A, B):

@@ -55,6 +55,36 @@ def test_fa_bigraph(tmp_path, capsys):
     assert code == 0 and rep["result_poly"]["coeffs"] == [2, 2]
 
 
+def test_fa_rejects_matrix_and_bigraph(tmp_path, capsys):
+    graph = write(tmp_path, "g.json", {
+        "format": "bigraph-v1", "vertices": 4, "part1": [0, 2],
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+    assert_input_error(capsys, ["fa", "--matrix", matrix_file(tmp_path),
+                                "--bigraph", graph], "not both")
+    assert_input_error(capsys, ["fa"], "fa needs --matrix or --bigraph")
+
+
+def test_fa_rejects_rank_deficient_matrix(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {
+        "format": "matrix-v1", "rows": 2, "cols": 3,
+        "entries": [["1", "2", "3"], ["2", "4", "6"]]})
+    assert main(["fa", "--matrix", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix must have full row rank\n"
+
+
+def test_tp_from_c_rejects_zero_minor(tmp_path, capsys):
+    path = write(tmp_path, "c.json", {
+        "format": "matrix-v1", "rows": 2, "cols": 3,
+        "entries": [[1, 1, 1], [1, 1, 2]]})
+    assert main(["tp", "--from-c", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: non-positive maximal minor at columns "
+                            "(0, 1)\n")
+
+
 def test_pd(tmp_path, capsys):
     path = write(tmp_path, "d.json", {
         "format": "digraph-v1", "vertices": 2, "edges": [[0, 1], [1, 0]]})

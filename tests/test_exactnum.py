@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from flatpoly import corpus, exactnum, totpos
 from flatpoly.exactnum import (Matrix, bareiss_det, frac,
                                maximal_minors, pencil_det)
+from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
+                               standard_orientation)
 
 from oracles import (apply, flat_witness, identity, independent_rows,
-                     pencil_det_cofactor, rank, solve)
+                     maximal_minors_bareiss, pencil_det_cofactor, rank,
+                     solve)
 
 
 def test_frac_coercions():
@@ -129,17 +134,86 @@ def test_det_matches_leibniz(rows):
     assert Matrix(rows).det() == leibniz_det(rows)
 
 
-@given(st.integers(min_value=1, max_value=3).flatmap(
-    lambda d: st.lists(st.lists(rational, min_size=d + 2, max_size=d + 2),
-                       min_size=d, max_size=d)))
-def test_maximal_minors_match_minor(rows):
-    m = Matrix(rows)
+@st.composite
+def minor_matrices(draw):
+    """Rows of a d x N matrix, d = 1..6 and N = d..10, with integer,
+    0/+-1 or rational entries. Some columns are zero or repeat an earlier
+    column, and sometimes the last row is a combination of the others (or
+    zero), which makes the matrix rank-deficient."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=d, max_value=10))
+    entries = draw(st.sampled_from([small, rational,
+                                    st.integers(min_value=-1, max_value=1)]))
+    cols = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["new", "new", "new", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append([0] * d)
+        elif kind == "repeat" and j:
+            cols.append(cols[draw(st.integers(min_value=0, max_value=j - 1))])
+        else:
+            cols.append(draw(st.lists(entries, min_size=d, max_size=d)))
+    rows = [list(r) for r in zip(*cols)]
+    if draw(st.booleans()):
+        if d == 1:
+            rows[0] = [0] * n
+        else:
+            a, b = draw(rational), draw(rational)
+            rows[-1] = [a * x + b * y
+                        for x, y in zip(rows[0], rows[(d - 1) // 2])]
+    return rows
+
+
+def assert_same_table(m):
     chi, scale = maximal_minors(m)
-    assert scale > 0
-    keys = list(combinations(range(m.cols), m.rows))
-    assert list(chi) == keys
-    for key in keys:
-        assert Fraction(chi[key], scale) == m.minor(range(m.rows), key)
+    want, want_scale = maximal_minors_bareiss(m)
+    assert scale == want_scale > 0
+    assert chi == want
+    assert list(chi) == list(want) == list(combinations(range(m.cols),
+                                                        m.rows))
+
+
+@settings(deadline=None)
+@given(minor_matrices())
+def test_maximal_minors_match_minor(rows):
+    assert_same_table(Matrix(rows))
+
+
+def test_maximal_minors_match_bareiss_on_corpus():
+    # Graphic and cographic matrices of the built-in plane bipartite
+    # graphs, random flat matrices, and the C of tp networks, d = 2..5.
+    mats = []
+    for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
+        D = standard_orientation(n, edges, part1)
+        mats += [graphic_matrix(D), cographic_matrix(D)]
+    rng = random.Random(14)
+    mats += [corpus.random_flat_matrix(rng).matrix for _ in range(30)]
+    for d in range(2, 6):
+        for n in range(d, d + 4):
+            for seed in range(3):
+                net = totpos.random_network(d, n, random.Random(seed))
+                mats.append(totpos.flat_maxpos_from_network(net).C)
+    for m in mats:
+        assert_same_table(m)
+
+
+def test_maximal_minors_runs_no_determinant(monkeypatch):
+    # One elimination for the whole table: no Bareiss determinant per
+    # column subset, on a 5 x 12 matrix and on a rank-deficient one.
+    rng = random.Random(5)
+    rows = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(4)]
+    rows.append([1] * 12)
+    deficient = rows[:4] + [[x + y for x, y in zip(rows[0], rows[1])]]
+    want = [maximal_minors_bareiss(Matrix(r)) for r in (rows, deficient)]
+
+    def no_det(rows):
+        raise AssertionError("bareiss_det called")
+
+    monkeypatch.setattr(exactnum, "bareiss_det", no_det)
+    got = [maximal_minors(Matrix(r)) for r in (rows, deficient)]
+    assert got == want
+    assert any(want[0][0].values())
+    assert not any(want[1][0].values())
 
 
 def square(n, entries=small):

@@ -197,7 +197,7 @@ def test_per_tile_unique_trimmed_point():
     adm = bipartite_admissible_l(n, part1)
     tiles = tiling(ctx)
     expansions = basis_expansions(ctx, adm.l)
-    verts = {trimming_vertex(ctx, tile, expansions[tile.basis])
+    verts = {trimming_vertex(ctx, tile, expansions[tile.basis][0])
              for tile in tiles}
     assert len(verts) == len(tiles)
     assert sorted(verts) == trimmed_points_lp(ctx, adm)
@@ -229,8 +229,10 @@ def test_basis_expansions_match_solve():
         adm = bipartite_admissible_l(n, part1)
         rational = [Fraction(x, 2 + i % 3) for i, x in enumerate(adm.l)]
         for l in (adm.l, rational):
-            for basis, alphas in basis_expansions(ctx, l).items():
+            for basis, (nums, den) in basis_expansions(ctx, l).items():
                 sub = ctx.matrix.submatrix(range(ctx.d), basis)
+                assert den > 0 and all(type(n) is int for n in nums)
+                alphas = [Fraction(n, den) for n in nums]
                 assert alphas == solve(sub, l)[0], (name, basis)
 
 
