@@ -259,6 +259,8 @@ def cmd_verify(args):
     if args.trials < 0:
         raise UsageError("--trials must be nonnegative (0 picks the suite's "
                          "default)")
+    if args.digraph and args.suite != "thm5_3":
+        raise UsageError("--digraph applies only to verify thm5_3")
     checks = []
     rng = random.Random(args.seed)
     SUITES[args.suite](args, checks, rng)

@@ -1,13 +1,14 @@
-"""Exact rational matrices: determinants, pencil determinants and the table
-of maximal minors.
+"""Exact rational matrices: determinants, pencil determinants, the
+fraction-free pivot, and the table of maximal minors.
 
-Everything runs on denominator-cleared integer rows. Bareiss
-fraction-free elimination gives determinants, and the determinant of a
-pencil A + tB is interpolated from its values. The minor table comes from
-one fraction-free Gauss-Jordan elimination, which yields the minors next
-to the first basis, and Cramer expansion, which yields every other minor
-with one exact division; rank, flatness, linear expansions and the Gale
-dual are read from that table (Cramer's rule). Every result is exact.
+Everything runs on denominator-cleared integer rows. Bareiss elimination
+gives determinants, and the determinant of a pencil A + tB is
+interpolated from its values. One pivot kernel, _pivot, does every other
+exact-division update: Gauss-Jordan here and the simplex tableau in
+lpexact. One Gauss-Jordan elimination yields the first basis B0 and the
+Cramer coefficients chi(B0, b_i -> j) of every column, from which rank,
+flatness, linear expansions and the Gale dual are read; Cramer expansion
+fills every other minor with one exact division. Every result is exact.
 Matrices are immutable after construction and safe to share between
 workers.
 """
@@ -24,9 +25,7 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like "p/q", and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (str, int)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
@@ -158,20 +157,43 @@ def pencil_det(A, B):
     return coeffs
 
 
+def _pivot(a, r, c, den):
+    """Fraction-free pivot on a[r][c] of an integer tableau over the
+    positive denominator den, in place (Edmonds 1967, Bareiss 1968).
+
+    A negative pivot negates row r first, so den stays |p| > 0. Every other
+    row becomes (row * p - f * a[r]) // den, an exact division, skipped
+    where f = 0 and p = den. Returns (|p|, -1 if row r was negated else 1).
+    """
+    ar = a[r]
+    p, flip = ar[c], 1
+    if p < 0:
+        p, flip = -p, -1
+        a[r] = ar = [-y for y in ar]
+    for i, row in enumerate(a):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            a[i] = [(x * p - f * y) // den for x, y in zip(row, ar)]
+        elif p != den:
+            a[i] = [x * p // den for x in row]
+    return p, flip
+
+
 def _gauss_jordan(rows):
     """Fraction-free Gauss-Jordan elimination of an integer matrix, pivots
     taken left to right.
 
     Returns (basis, m): basis is the lexicographically first set of
     independent columns, and m[i][j] is the determinant of those columns
-    with basis[i] replaced by column j in place. Each step divides exactly
-    by the previous pivot (Bareiss 1968, applied to every row); a row swap
-    negates the determinant, so it is undone by a final sign. Returns None
-    when the rank is below the row count.
+    with basis[i] replaced by column j in place. A row swap or a negated
+    pivot row negates the determinant, so both are undone by a final
+    sign. Returns None when the rank is below the row count.
     """
     a = [list(r) for r in rows]
     d = len(a)
-    basis, prev, sign = [], 1, 1
+    basis, den, sign = [], 1, 1
     for c in range(len(a[0])):
         r = len(basis)
         if r == d:
@@ -179,15 +201,9 @@ def _gauss_jordan(rows):
         piv = next((i for i in range(r, d) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        p, ar = a[r][c], a[r]
-        for i in range(d):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ar)]
-        prev = p
+        a[r], a[piv] = a[piv], a[r]
+        den, flip = _pivot(a, r, c, den)
+        sign *= flip if piv == r else -flip
         basis.append(c)
     if len(basis) < d:
         return None
@@ -201,26 +217,31 @@ def maximal_minors(A: Matrix):
 
     Returns (chi, scale): chi maps every sorted A.rows-subset of columns to
     an integer, and the true minor at those columns is chi / scale. The
-    scale is positive, so chi carries the signs of the true minors.
-
-    One elimination gives the first basis B0 and, for every column j, the
-    minors of B0 with one column replaced by j. The other entries follow by
-    the Grassmann-Pluecker relation: with c a column of S outside B0,
-    expanding c in B0 gives chi(S) * chi(B0) = sum over b_i in B0 - S of
-    chi(B0, b_i -> c) * chi(S, c -> b_i), replacements in place. Each term
-    has one column fewer outside B0, so entries are filled in order of
-    that count, each with one exact division. A rank-deficient matrix has
-    the all-zero table.
+    scale is positive, so chi carries the signs of the true minors. A
+    rank-deficient matrix has the all-zero table.
     """
     rows, scale = _integer_rows(A.entries)
-    d = A.rows
-    chi = dict.fromkeys(combinations(range(A.cols), d), 0)
     reduced = _gauss_jordan(rows)
     if reduced is None:
-        return chi, scale
-    b0, m = reduced
+        return dict.fromkeys(combinations(range(A.cols), A.rows), 0), scale
+    return _minor_table(*reduced), scale
+
+
+def _minor_table(b0, m):
+    """Every maximal minor from one elimination, as _gauss_jordan returns
+    it: the first basis b0 and, for every column j, the minors m[i][j] of
+    b0 with b0[i] replaced by j.
+
+    The other entries follow by the Grassmann-Pluecker relation: with c a
+    column of S outside B0, expanding c in B0 gives chi(S) * chi(B0) = sum
+    over b_i in B0 - S of chi(B0, b_i -> c) * chi(S, c -> b_i), replacements
+    in place. Each term has one column fewer outside B0, so entries are
+    filled in order of that count, each with one exact division.
+    """
+    d, n = len(m), len(m[0])
+    chi = dict.fromkeys(combinations(range(n), d), 0)
     cb = chi[b0] = m[0][b0[0]]
-    outside = [True] * A.cols
+    outside = [True] * n
     for b in b0:
         outside[b] = False
     levels = [[] for _ in range(d + 1)]
@@ -241,15 +262,7 @@ def maximal_minors(A: Matrix):
                     y = chi[rest[:q] + (b,) + rest[q:]]
                     total += -x * y if (q - p) % 2 else x * y
             chi[key] = total // cb
-    return chi, scale
-
-
-def _first_basis(chi):
-    """The lexicographically first basis in a minor table."""
-    basis = next((B for B, c in chi.items() if c != 0), None)
-    if basis is None:
-        raise ValueError("matrix must have full row rank")
-    return basis
+    return chi
 
 
 def _swapped_minor(chi, basis, i, j):
@@ -265,23 +278,25 @@ def _swapped_minor(chi, basis, i, j):
 
 
 def dual_matrix(A: Matrix) -> Matrix:
-    """Gale dual of a full-row-rank matrix, read from its minor table.
+    """Gale dual of a full-row-rank matrix, read from one elimination.
 
     With B the first basis, row k (one per column k not in B) holds
     -chi(B, b_i -> k) / chi(B) at column b_i and 1 at column k: the
     dependence that expresses column k in B. The rows span the orthogonal
     complement of A's row space.
     """
-    chi, _scale = maximal_minors(A)
-    basis = _first_basis(chi)
-    cb = chi[basis]
+    reduced = _gauss_jordan(_integer_rows(A.entries)[0])
+    if reduced is None:
+        raise ValueError("matrix must have full row rank")
+    basis, m = reduced
+    cb = m[0][basis[0]]
     rows = []
     for k in range(A.cols):
         if k in basis:
             continue
         row = [Fraction(0)] * A.cols
         row[k] = Fraction(1)
-        for i, b in enumerate(basis):
-            row[b] = Fraction(-_swapped_minor(chi, basis, i, k), cb)
+        for b, mk in zip(basis, m):
+            row[b] = Fraction(-mk[k], cb)
         rows.append(row)
     return Matrix(rows)

@@ -24,6 +24,8 @@ def _load(path_or_obj):
     except OSError as e:
         # A missing or unreadable file (a directory, say) is bad input.
         raise FormatError(str(e)) from e
+    except RecursionError as e:
+        raise FormatError("JSON nested too deeply") from e
     if not isinstance(obj, dict):
         raise FormatError(f"top level must be a JSON object, got "
                           f"{type(obj).__name__}")

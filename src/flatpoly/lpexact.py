@@ -8,9 +8,10 @@ den = |det B| of the current basis B, as in the integer pivoting of
 Edmonds (1967) and Avis's lrs.  Each equality row is cleared of its
 denominators once at set-up.  A pivot replaces every other entry x by
 (x * p - f * y) // den, which is an exact division because every entry is
-a minor of the integer system, and den becomes |p|.  Pricing tests one
-reduced-cost sign at a time in Bland order and stops at the first column
-that may enter.  The ratio test compares ratios by cross-multiplication
+a minor of the integer system, and den becomes |p|: exactnum._pivot, the
+pivot that every fraction-free elimination in flatpoly shares.  Pricing
+tests one reduced-cost sign at a time in Bland order and stops at the
+first column that may enter.  The ratio test compares ratios by cross-multiplication
 and breaks ties by the smaller basic index.  Witnesses are exact
 Fractions, so a returned witness satisfies every constraint as a rational
 identity.  Bland's rule guarantees termination, and since pivot selection
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import _integer_rows
+from .exactnum import _integer_rows, _pivot
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -72,11 +73,11 @@ class _Simplex:
 
     Row i of the integer system reads s_i L_i (a_i . x) + L_i art_i =
     s_i L_i b_i, where L_i clears the denominators of row i and the sign
-    s_i makes art_i start nonnegative.  T and beta hold den * B^-1 times
-    the real columns and the right-hand side, with den = |det B|, so beta
-    is den times the basic values.  The artificial columns never enter and
-    are never priced, so T leaves them out; den still counts them through
-    det B.
+    s_i makes art_i start nonnegative.  Row i of T holds den * B^-1 times
+    the real columns and then the right-hand side, with den = |det B|, so
+    its last entry is den times the value of basis[i].  The artificial
+    columns never enter and are never priced, so T leaves them out; den
+    still counts them through det B.
     """
 
     def __init__(self, p: LinearProgram):
@@ -88,36 +89,16 @@ class _Simplex:
             den *= lcm(b.denominator, *(a.denominator for a in row))
         self.den = den
         self.T = []
-        self.beta = []
         for row, b in zip(p.eq_lhs, p.eq_rhs):
             s = -den if b < 0 else den
-            self.T.append([s * a.numerator // a.denominator for a in row])
-            self.beta.append(s * b.numerator // b.denominator)
+            self.T.append([s * a.numerator // a.denominator
+                           for a in (*row, b)])
         self.basis = list(range(self.n, self.n + self.m))
         self.in_basis = [False] * self.n + [True] * self.m
 
     def pivot(self, r, col):
-        """Make col basic in row r: every other row becomes
-        (x * p - f * y) // den, an exact division, and den becomes |p|."""
-        T, beta, den = self.T, self.beta, self.den
-        prow, br = T[r], beta[r]
-        p = prow[col]
-        if p < 0:
-            # Negating the pivot row first keeps the new den positive.
-            p, br = -p, -br
-            T[r] = prow = [-y for y in prow]
-            beta[r] = br
-        for i, row in enumerate(T):
-            if i == r:
-                continue
-            f = row[col]
-            if f:
-                T[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
-                beta[i] = (beta[i] * p - f * br) // den
-            elif p != den:
-                T[i] = [x * p // den for x in row]
-                beta[i] = beta[i] * p // den
-        self.den = p
+        """Make col basic in row r; den becomes |p|."""
+        self.den, _ = _pivot(self.T, r, col, self.den)
         self.in_basis[self.basis[r]] = False
         self.in_basis[col] = True
         self.basis[r] = col
@@ -148,12 +129,11 @@ class _Simplex:
             enter = self._entering(obj)
             if enter is None:
                 return True
-            # Ratio test: the smallest beta_i / d_i, then the smaller basic
+            # Ratio test: the smallest b_i / d_i, then the smaller basic
             # index; r is the leaving row, and br / dr its ratio.
             r = None
-            for i, (row, b, bi) in enumerate(zip(self.T, self.beta,
-                                                 self.basis)):
-                d = row[enter]
+            for i, (row, bi) in enumerate(zip(self.T, self.basis)):
+                b, d = row[-1], row[enter]
                 if hold_artificials and bi >= n and d:
                     b, d = 0, 1
                 elif d <= 0:
@@ -173,7 +153,7 @@ def lp_solve(p: LinearProgram) -> LpOutcome:
 
     # Phase 1: drive the artificials to zero.
     s.run([0] * n + [-1] * m, hold_artificials=False)
-    if any(b for b, bi in zip(s.beta, s.basis) if bi >= n):
+    if any(row[-1] for row, bi in zip(s.T, s.basis) if bi >= n):
         return LpOutcome(INFEASIBLE)
 
     # A positive scale to integers keeps every reduced-cost sign, and so
@@ -183,10 +163,10 @@ def lp_solve(p: LinearProgram) -> LpOutcome:
         return LpOutcome(UNBOUNDED)
     x = [Fraction(0)] * n
     opt = 0
-    for b, bi in zip(s.beta, s.basis):
+    for row, bi in zip(s.T, s.basis):
         if bi < n:
-            x[bi] = Fraction(b, s.den)
-            opt += obj2[bi] * b
-    # Every nonbasic value is zero, so c . x = sum obj2[bi] * beta_i over
+            x[bi] = Fraction(row[-1], s.den)
+            opt += obj2[bi] * row[-1]
+    # Every nonbasic value is zero, so c . x = sum obj2[bi] * T[i][-1] over
     # scale * den.
     return LpOutcome(OPTIMAL, Fraction(opt, scale * s.den), tuple(x))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exactnum import (Matrix, _first_basis, _integer_rows, _swapped_minor,
-                       maximal_minors)
+from .exactnum import (Matrix, _gauss_jordan, _integer_rows, _minor_table,
+                       _swapped_minor)
 
 #: Symbolic generic vector: orient every circuit so its minimal support
 #: element lands in the positive part (the epsilon-power order).
@@ -35,23 +35,23 @@ class NotFlat(ValueError):
 class MatroidContext:
     """A flat matrix of full row rank with its table of maximal minors.
 
-    Both conditions are read from the table: full row rank means some
-    maximal minor is nonzero, and flatness is checked on the first basis.
+    Both conditions are read from one elimination at the first basis B0:
+    full row rank means B0 exists, and flatness means the Cramer
+    coefficients of every column in B0 sum to 1, that is every column of
+    the elimination sums to chi(B0). The table is then filled from it.
     """
 
     def __init__(self, matrix: Matrix):
         self.matrix = matrix
         self.rank_d = matrix.rows
-        self.chi, self.scale = maximal_minors(matrix)
-        chi = self.chi
-        basis = _first_basis(chi)
-        # The linear form that is 1 on the basis columns is 1 on column j
-        # iff the Cramer coefficients of j in the basis sum to 1.
-        for j in range(matrix.cols):
-            if j not in basis and sum(
-                    _swapped_minor(chi, basis, i, j)
-                    for i in range(self.rank_d)) != chi[basis]:
-                raise NotFlat("no linear form evaluates to 1 on every column")
+        rows, self.scale = _integer_rows(matrix.entries)
+        reduced = _gauss_jordan(rows)
+        if reduced is None:
+            raise ValueError("matrix must have full row rank")
+        basis, m = reduced
+        if any(sum(col) != m[0][basis[0]] for col in zip(*m)):
+            raise NotFlat("no linear form evaluates to 1 on every column")
+        self.chi = _minor_table(basis, m)
         self.first_basis = basis
 
     @property

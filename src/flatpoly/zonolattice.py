@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphkit, ormatroid
-from .exactnum import Matrix, _integer_rows, _swapped_minor, bareiss_det
+from .exactnum import Matrix, _gauss_jordan, _integer_rows, _swapped_minor
 from .polyshape import normalize
 
 
@@ -104,7 +104,8 @@ def basis_expansions(ctx: ZonotopeContext, l):
     positive and shared by the basis's coefficients.
 
     l is expanded once in the first basis B0 by Cramer's rule, as
-    l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0). By
+    l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0): one
+    elimination of [B0 | l] puts those determinants in its last column. By
     linearity chi(B, b_i -> l) = sum_k a_k chi(B, b_i -> B0[k]), where
     B0[k] = b_i gives chi(B) and any other B0[k] in B repeats a column and
     gives 0. The coefficient of b_i is chi(B, b_i -> l) / chi(B).
@@ -113,11 +114,10 @@ def basis_expansions(ctx: ZonotopeContext, l):
         raise ValueError("direction length must equal row count")
     (l_int,), scale = _integer_rows([l])
     chi, b0 = ctx.mctx.chi, ctx.mctx.first_basis
-    B0 = [ctx._columns[b] for b in b0]
+    _, m = _gauss_jordan([[ctx._columns[b][i] for b in b0] + [x]
+                          for i, x in enumerate(l_int)])
     # Pairs (a_k * chi(B0) * scale, B0[k]) with a_k != 0.
-    a = [(bareiss_det(B0[:k] + [l_int] + B0[k + 1:]), c)
-         for k, c in enumerate(b0)]
-    a = [(n, c) for n, c in a if n]
+    a = [(row[-1], c) for row, c in zip(m, b0) if row[-1]]
     den0 = chi[b0] * scale
     out = {}
     for basis in ormatroid.enumerate_bases(ctx.mctx):

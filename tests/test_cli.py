@@ -99,6 +99,20 @@ def test_verify_rejects_non_eulerian(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_rejects_digraph_for_other_suites(tmp_path, capsys):
+    # Only thm5_3 reads --digraph; every other suite rejects it rather than
+    # ignore the file, whether or not the file exists.
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": 2, "edges": [[0, 1], [1, 0]]})
+    for suite in ("thm3_5", "cor5_4", "thm6_7", "thm8_8", "lemma8_1",
+                  "lemma8_3"):
+        for digraph in (path, "/nonexistent"):
+            assert_input_error(capsys, ["verify", suite, "--digraph",
+                                        digraph], "--digraph")
+    code, rep = run(capsys, ["verify", "thm5_3", "--digraph", path])
+    assert code == 0 and len(rep["checks"]) == 1
+
+
 def test_verify_suites_pass(capsys):
     for suite in ("thm3_5", "thm5_3", "cor5_4", "thm6_7", "thm8_8",
                   "lemma8_1", "lemma8_3"):
@@ -152,6 +166,15 @@ def assert_input_error(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    # The decoder recurses once per nesting level, so a deep document
+    # overflows the stack; that is bad input, not a crash.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert_input_error(capsys, ["fa", "--matrix", str(path)],
+                       "nested too deeply")
 
 
 def test_pd_root_out_of_range(tmp_path, capsys):
@@ -262,11 +285,12 @@ def internal_failure(capsys, argv):
 
 
 def test_alexander_builds_no_minor_table(tmp_path, capsys, monkeypatch):
-    def no_table(A):
-        raise AssertionError("maximal_minors called")
+    def no_table(*args):
+        raise AssertionError("minor table built")
 
     monkeypatch.setattr(exactnum, "maximal_minors", no_table)
-    monkeypatch.setattr(ormatroid, "maximal_minors", no_table)
+    monkeypatch.setattr(exactnum, "_minor_table", no_table)
+    monkeypatch.setattr(ormatroid, "_minor_table", no_table)
     path = write(tmp_path, "pg.json", planegraph_doc("C6-doubled"))
     code, rep = run(capsys, ["alexander", "--planegraph", path])
     assert code == 0

@@ -13,7 +13,7 @@ from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
 
 from oracles import (apply, flat_witness, identity, independent_rows,
                      maximal_minors_bareiss, pencil_det_cofactor, rank,
-                     solve)
+                     rref, solve)
 
 
 def test_frac_coercions():
@@ -214,6 +214,52 @@ def test_maximal_minors_runs_no_determinant(monkeypatch):
     assert got == want
     assert any(want[0][0].values())
     assert not any(want[1][0].values())
+
+
+@st.composite
+def pivot_cases(draw):
+    """An integer matrix of at most 4 rows and 7 columns, and per row a
+    flag: make its pivot negative before pivoting."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                         min_size=d, max_size=d))
+    return rows, draw(st.lists(st.booleans(), min_size=d, max_size=d))
+
+
+@settings(deadline=None)
+@given(pivot_cases())
+def test_pivot_keeps_den_times_rref(case):
+    # Gauss-Jordan by _pivot alone, pivots left to right, row swaps made
+    # here. After each pivot den is |det| of the pivot block, and at the
+    # end every entry is den times the reduced row echelon form.
+    rows, negate = case
+    a = [r[:] for r in rows]
+    d = len(a)
+    order = list(range(d))
+    den, cols = 1, []
+    for c in range(len(a[0])):
+        r = len(cols)
+        if r == d:
+            break
+        piv = next((i for i in range(r, d) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        order[r], order[piv] = order[piv], order[r]
+        if negate[r] and a[r][c] > 0:
+            # Negating a row not yet pivoted negates its original row,
+            # which changes neither |det| nor the echelon form.
+            a[r] = [-x for x in a[r]]
+        negative = a[r][c] < 0
+        den, flip = exactnum._pivot(a, r, c, den)
+        cols.append(c)
+        assert flip == (-1 if negative else 1)
+        block = [[rows[order[i]][j] for j in cols] for i in range(r + 1)]
+        assert den == abs(bareiss_det(block)) > 0
+    want, pivots = rref(Matrix(rows))
+    assert pivots == cols
+    assert a == [[den * x for x in row] for row in want]
 
 
 def square(n, entries=small):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flatpoly import corpus, ormatroid, planardual
+from flatpoly import corpus, exactnum, ormatroid, planardual
 from flatpoly.exactnum import maximal_minors
 from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
                                NotEulerian, cographic_matrix, graphic_matrix,
@@ -304,6 +304,22 @@ def test_presentations_match_tree_references(presentation_corpus):
                                tree_graphic_matrix(D, tree)), D
         assert same_up_to_sign(cographic_matrix(D),
                                tree_cographic_matrix(D, tree)), D
+
+
+def test_cographic_matrix_builds_no_minor_table(monkeypatch):
+    # The Gale dual is read from one elimination of the graphic matrix,
+    # not from its table of maximal minors.
+    def no_table(*args):
+        raise AssertionError("minor table built")
+
+    for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
+        D = standard_orientation(n, edges, part1)
+        with monkeypatch.context() as mp:
+            mp.setattr(exactnum, "maximal_minors", no_table)
+            mp.setattr(exactnum, "_minor_table", no_table)
+            B = cographic_matrix(D)
+        tree = next(spanning_trees(D))
+        assert same_up_to_sign(B, tree_cographic_matrix(D, tree)), D
 
 
 def test_f_poly_matches_tree_references(presentation_corpus):

@@ -252,17 +252,17 @@ def test_lattice_point_count_matches_point_set():
 
 
 def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
-    # Besides the minor table, zonolattice runs Bareiss only to expand l
-    # in the first basis: at most d determinants per expansion, none for
-    # the context, the tiling, the count or the levels.
+    # Besides the elimination behind the matroid context, zonolattice
+    # eliminates only to expand l in the first basis: one Gauss-Jordan of
+    # [B0 | l] per expansion, none for the tiling, the count or the levels.
     calls = []
-    det = zonolattice.bareiss_det
+    gauss_jordan = zonolattice._gauss_jordan
 
     def counting(rows):
         calls.append(len(rows))
-        return det(rows)
+        return gauss_jordan(rows)
 
-    monkeypatch.setattr(zonolattice, "bareiss_det", counting)
+    monkeypatch.setattr(zonolattice, "_gauss_jordan", counting)
     for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
         ctx = bipartite_graph_context(n, edges, part1)
         tiling(ctx)
@@ -270,10 +270,10 @@ def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
         assert calls == [], name
         adm = bipartite_admissible_l(n, part1)
         basis_expansions(ctx, adm.l)
-        assert len(calls) <= ctx.d, name
+        assert calls == [ctx.d], name
         calls.clear()
         trimmed_points(ctx, adm)
-        assert len(calls) <= ctx.d, name
+        assert calls == [ctx.d], name
         calls.clear()
 
 
