@@ -4,6 +4,9 @@ named verification suites, and explore the open trapezoidality question.
 Reports are JSON on stdout (--pretty for indented output). Exit codes:
 0 success / all checks pass, 1 a check failed or a counterexample was
 found, 2 input or usage error.
+
+Every call starts a fresh interpreter, so each command imports only the
+modules it runs: the module level holds what every command uses.
 """
 
 from __future__ import annotations
@@ -11,12 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
-from . import (corpus, formats, graphkit, ormatroid, planardual, polyshape,
-               totpos, zonolattice)
-from .exactnum import _integer_rows
+from . import formats
 
 
 class UsageError(ValueError):
@@ -29,6 +29,8 @@ def _report(args, command, **fields):
 
 
 def _shape_dict(p):
+    from . import polyshape
+
     s = polyshape.shape_report(p)
     return {"palindromic": s.palindromic, "nonnegative": s.nonnegative,
             "no_internal_zeros": s.no_internal_zeros,
@@ -36,6 +38,8 @@ def _shape_dict(p):
 
 
 def cmd_fa(args):
+    from . import graphkit, ormatroid
+
     if args.matrix and args.bigraph:
         raise UsageError("fa takes --matrix or --bigraph, not both")
     if args.matrix:
@@ -53,6 +57,8 @@ def cmd_fa(args):
 
 
 def cmd_pd(args):
+    from . import graphkit
+
     D = formats.load_digraph(args.digraph)
     poly = graphkit.p_poly(D, args.root)
     _report(args, "pd", result_poly=formats.dump_poly(poly),
@@ -61,6 +67,8 @@ def cmd_pd(args):
 
 
 def cmd_alexander(args):
+    from . import planardual
+
     P, part1 = formats.load_planegraph(args.planegraph)
     poly = planardual.alexander_poly(P, part1)
     _report(args, "alexander", result_poly=formats.dump_poly(poly),
@@ -69,6 +77,8 @@ def cmd_alexander(args):
 
 
 def cmd_zonotope(args):
+    from . import zonolattice
+
     n, edges, part1 = formats.load_bigraph(args.bigraph)
     ctx = zonolattice.bipartite_graph_context(n, edges, part1)
     adm = zonolattice.bipartite_admissible_l(n, part1)
@@ -88,10 +98,14 @@ def cmd_zonotope(args):
 
 
 def cmd_tp(args):
+    from . import totpos
+
     if args.from_c:
         C = formats.load_matrix(args.from_c)
         fmp = totpos.flat_maxpos_from_C(C)
     else:
+        import random
+
         rng = random.Random(args.seed)
         net = totpos.random_network(args.d, args.n, rng)
         fmp = totpos.flat_maxpos_from_network(net)
@@ -107,6 +121,8 @@ def cmd_tp(args):
 
 
 def cmd_boxcert(args):
+    from . import polyshape
+
     p = formats.load_poly(args.poly)
     cert = polyshape.box_certificate(p, args.d)
     if cert is None:
@@ -127,6 +143,8 @@ def _check(checks, name, ok, detail=""):
 def suite_thm3_5(args, checks, rng):
     """f_poly is identical across the symbolic order and random generic
     vectors."""
+    from . import corpus, ormatroid
+
     ctxs = [corpus.random_flat_matrix(rng) for _ in range(6)]
     for i, ctx in enumerate(ctxs):
         polys = [ormatroid.f_poly_frac(ctx)] + \
@@ -139,9 +157,13 @@ def suite_thm3_5(args, checks, rng):
 
 def suite_thm5_3(args, checks, rng):
     """Tree-reversal polynomial equals the cographic basis polynomial."""
+    from . import graphkit, ormatroid
+
     if args.digraph:
         digraphs = [formats.load_digraph(args.digraph)]
     else:
+        from . import corpus
+
         digraphs = [corpus.random_eulerian(rng, 8)
                     for _ in range(args.trials or 10)]
     for i, D in enumerate(digraphs):
@@ -154,6 +176,8 @@ def suite_thm5_3(args, checks, rng):
 def suite_cor5_4(args, checks, rng):
     """The Seifert determinant, the dual's cographic f and the primal's
     graphic f agree on the corpus and on random plane bipartite graphs."""
+    from . import corpus, graphkit, ormatroid, planardual
+
     graphs = [(name, corpus.plane_bipartite(name))
               for name in corpus.PLANE_BIPARTITE]
     graphs += [(f"random-{i}", corpus.random_plane_bipartite(rng))
@@ -175,6 +199,8 @@ def suite_thm6_7(args, checks, rng):
     five corpus graphs and on random plane bipartite graphs. Levels are
     read from the points, as the part-1 sum of their vertex coordinates,
     not from the tile counts that f_poly also reads."""
+    from . import corpus, ormatroid, polyshape, zonolattice
+
     graphs = [(name, corpus.PLANE_BIPARTITE[name][:3])
               for name in ("C4", "C6", "K23", "grid2x3", "theta222")]
     for i in range(args.trials or 5):
@@ -200,6 +226,8 @@ def suite_thm6_7(args, checks, rng):
 
 def suite_thm8_8(args, checks, rng):
     """Closed-form TP polynomial equals brute-force enumeration."""
+    from . import ormatroid, totpos
+
     for i in range(args.trials or 8):
         d = rng.randint(1, 3)
         N = rng.randint(d + 1, d + 4)
@@ -214,6 +242,8 @@ def suite_thm8_8(args, checks, rng):
 
 def suite_lemma8_1(args, checks, rng):
     """Closed-form semi-activity equals the matrix computation."""
+    from . import ormatroid, totpos
+
     for i in range(args.trials or 5):
         d = rng.randint(1, 3)
         N = rng.randint(d + 1, d + 4)
@@ -231,6 +261,9 @@ def suite_lemma8_1(args, checks, rng):
 def suite_lemma8_3(args, checks, rng):
     """Interleaved C-minor sums equal direct determinants."""
     from itertools import combinations
+
+    from . import totpos
+
     for i in range(args.trials or 5):
         d = rng.randint(2, 4)
         N = rng.randint(d, d + 3)
@@ -261,6 +294,11 @@ def cmd_verify(args):
                          "default)")
     if args.digraph and args.suite != "thm5_3":
         raise UsageError("--digraph applies only to verify thm5_3")
+    if args.digraph and args.trials:
+        raise UsageError("--trials does not apply to verify thm5_3 "
+                         "--digraph, which checks the one digraph given")
+    import random
+
     checks = []
     rng = random.Random(args.seed)
     SUITES[args.suite](args, checks, rng)
@@ -277,6 +315,9 @@ def _explore_instance(family, rng):
     """(integer polynomial, instance JSON, box certificate or None); a tp
     instance carries the closed form's d-fold certificate."""
     if family == "tp":
+        from . import totpos
+        from .exactnum import _integer_rows
+
         d = rng.randint(1, 4)
         N = rng.randint(d + 1, d + 4)
         fmp = totpos.flat_maxpos_from_network(totpos.random_network(d, N, rng))
@@ -284,7 +325,11 @@ def _explore_instance(family, rng):
         # Shape flags only need the coefficient ratios; scale to ints.
         (poly,), _ = _integer_rows([poly])
         return poly, formats.dump_matrix(fmp.A), cert
+    from . import corpus, ormatroid
+
     if family == "semibalanced":
+        from . import graphkit
+
         D, levels = corpus.random_semibalanced(rng)
         poly = ormatroid.f_poly(
             ormatroid.MatroidContext(graphkit.graphic_matrix(D)))
@@ -298,6 +343,10 @@ def _explore_instance(family, rng):
 def cmd_explore(args):
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    import random
+
+    from . import polyshape
+
     rng = random.Random(args.seed)
     stats = {"trials": args.trials, "trapezoidal": 0, "log_concave": 0,
              "box_positive": 0}

@@ -2,16 +2,15 @@
 digraphs, and generators for random plane bipartite graphs, Eulerian
 digraphs and flat matrices.
 
-The verify suites and the acceptance tests both draw on these instances.
+The verify suites and the acceptance tests both draw on these instances;
+every rng argument is a random.Random.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .graphkit import Digraph, _component
-from .planardual import plane_from_coords
 
 
 def _circle_points(k):
@@ -129,6 +128,8 @@ PLANE_BIPARTITE = {
 
 
 def plane_bipartite(name):
+    from .planardual import plane_from_coords
+
     n, edges, part1, coords, bends = PLANE_BIPARTITE[name]
     P = plane_from_coords(n, edges, coords, part1=part1, bends=bends)
     return P, part1
@@ -146,7 +147,7 @@ def _bridgeless(edges):
                for i in range(len(edges)))
 
 
-def random_plane_bipartite(rng: random.Random):
+def random_plane_bipartite(rng):
     """Random connected, bridgeless plane bipartite graph: a subgraph of a
     grid of at most 3 x 4 vertices, with up to two edges doubled.
 
@@ -159,6 +160,8 @@ def random_plane_bipartite(rng: random.Random):
 
     Returns (PlaneGraph, part1).
     """
+    from .planardual import plane_from_coords
+
     rows, cols = rng.randint(2, 3), rng.randint(2, 4)
     _n, edges, _part1, coords, _b = _grid(rows, cols)
     order = list(range(len(edges)))
@@ -224,7 +227,7 @@ def eulerian_small(max_edges=6):
     return out
 
 
-def random_eulerian(rng: random.Random, max_edges=10):
+def random_eulerian(rng, max_edges=10):
     """Random connected Eulerian multi-digraph built from directed cycles
     through a shared vertex."""
     from .graphkit import is_connected
@@ -247,7 +250,7 @@ def random_eulerian(rng: random.Random, max_edges=10):
             return D
 
 
-def random_flat_matrix(rng: random.Random):
+def random_flat_matrix(rng):
     """MatroidContext of a random integer flat matrix of full row rank:
     all-ones last row with small random integers above."""
     from .exactnum import Matrix
@@ -267,7 +270,7 @@ def random_flat_matrix(rng: random.Random):
             continue
 
 
-def random_semibalanced(rng: random.Random):
+def random_semibalanced(rng):
     """Random connected leveled digraph: heads one level below tails.
 
     Returns a Digraph whose incidence matrix is flat (witnessed by the

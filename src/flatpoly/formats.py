@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from .exactnum import Matrix
 from .graphkit import Digraph
-from .planardual import PlaneGraph
 
 
 class FormatError(ValueError):
@@ -186,6 +185,7 @@ def load_planegraph(src):
 
     Returns (PlaneGraph, part1). Edges are reoriented part1 -> part2."""
     from .graphkit import standard_orientation
+    from .planardual import PlaneGraph
 
     obj = _load(src)
     _expect(obj, "planegraph-v1")

@@ -21,7 +21,7 @@ outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -36,16 +36,13 @@ class MalformedProgram(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(namedtuple("LinearProgram", "objective eq_lhs eq_rhs")):
     """maximize objective . x  subject to  eq_lhs x = eq_rhs,  x >= 0.
 
-    Entries are ints or Fractions: the tableau reads only their numerators
-    and denominators."""
+    eq_lhs is a tuple of rows. Entries are ints or Fractions: the tableau
+    reads only their numerators and denominators."""
 
-    objective: tuple
-    eq_lhs: tuple       # tuple of rows
-    eq_rhs: tuple
+    __slots__ = ()
 
     @staticmethod
     def build(objective, eq_lhs, eq_rhs):
@@ -60,11 +57,12 @@ class LinearProgram:
         return LinearProgram(objective, eq_lhs, eq_rhs)
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    status: str
-    optimum: Fraction | None = None
-    witness: tuple | None = None
+class LpOutcome(namedtuple("LpOutcome", "status optimum witness",
+                           defaults=(None, None))):
+    """status, then the optimum (a Fraction) and the witness (a tuple)
+    when the status is OPTIMAL, None otherwise."""
+
+    __slots__ = ()
 
 
 class _Simplex:

@@ -11,7 +11,6 @@ fundamental circuits are ratios of its entries.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .exactnum import (Matrix, _gauss_jordan, _integer_rows, _minor_table,
@@ -143,9 +142,9 @@ def f_poly(ctx: MatroidContext, rho=LEX_ORDER):
     return [int(c) for c in out]
 
 
-def sample_generic_rho(ctx: MatroidContext, rng: random.Random):
-    """(rho, f_poly_frac(ctx, rho)) for a random generic vector rho with
-    small-denominator rational entries.
+def sample_generic_rho(ctx: MatroidContext, rng):
+    """(rho, f_poly_frac(ctx, rho)) for a generic vector rho with
+    small-denominator rational entries drawn by rng, a random.Random.
 
     f_poly_frac visits every basis, so it raises NotGeneric exactly when
     rho is not generic; one pass both checks the sample and computes its

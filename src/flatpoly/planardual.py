@@ -9,7 +9,7 @@ traversal direction of an edge: (edge, True) runs tail -> head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cmp_to_key
 
 from . import graphkit
@@ -98,10 +98,11 @@ def faces(P: PlaneGraph):
     return walks
 
 
-@dataclass(frozen=True)
-class DualResult:
-    dual: Digraph        # dual edge e crosses primal edge e
-    face_walks: tuple    # primal face walks, dual vertex i = face i
+class DualResult(namedtuple("DualResult", "dual face_walks")):
+    """dual: a Digraph whose edge e crosses primal edge e; face_walks: the
+    primal face walks, dual vertex i being face i."""
+
+    __slots__ = ()
 
 
 def dual_with_orientation(P: PlaneGraph, part1) -> DualResult:

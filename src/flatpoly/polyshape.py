@@ -6,11 +6,10 @@ normalized so there is no trailing zero (the zero polynomial is []).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from . import lpexact
 from .exactnum import _integer_rows
 
 
@@ -52,20 +51,19 @@ def q_product(ms):
     return out
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    palindromic: bool
-    nonnegative: bool
-    no_internal_zeros: bool
-    log_concave: bool
-    trapezoidal: bool
+class ShapeReport(namedtuple("ShapeReport", "palindromic nonnegative "
+                             "no_internal_zeros log_concave trapezoidal")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.log_concave and self.no_internal_zeros and self.nonnegative \
-                and not self.trapezoidal:
+    def __new__(cls, palindromic, nonnegative, no_internal_zeros,
+                log_concave, trapezoidal):
+        if log_concave and no_internal_zeros and nonnegative \
+                and not trapezoidal:
             raise AssertionError(
                 "log-concave positive sequences with no internal zeros "
                 "must be trapezoidal")
+        return super().__new__(cls, palindromic, nonnegative,
+                               no_internal_zeros, log_concave, trapezoidal)
 
 
 def _is_trapezoidal(a):
@@ -108,8 +106,7 @@ def shape_report(p) -> ShapeReport:
                        log_concave, _is_trapezoidal(a))
 
 
-@dataclass(frozen=True)
-class BoxCertificate:
+class BoxCertificate(namedtuple("BoxCertificate", "degree_d terms")):
     """Positive combination of q-number products certifying a polynomial.
 
     terms is a tuple of (composition, coefficient) pairs; each composition
@@ -117,8 +114,7 @@ class BoxCertificate:
     the combination reproduces the certified polynomial exactly.
     """
 
-    degree_d: int
-    terms: tuple
+    __slots__ = ()
 
     def expand(self):
         """The combination's coefficients as Fractions. q-numbers commute,
@@ -158,9 +154,16 @@ def box_certificate(p, d):
     products of fixed total, or None when the exact feasibility LP over all
     compositions is infeasible.
 
+    A d-fold product of total D + d, D = deg(p), has at most D parts above
+    1 and [1]_q = 1, so for d > D the LP is solved over min(d, D)-fold
+    products (the 0-fold product is 1) and d - D parts 1 are prepended,
+    which keeps every composition nondecreasing.
+
     The returned certificate is re-verified by expansion, so a solver bug
     cannot produce a silently wrong answer.
     """
+    from . import lpexact
+
     if d < 1:
         raise ValueError(f"box certificates need d >= 1 factors, got {d}")
     p = normalize(p)
@@ -169,7 +172,8 @@ def box_certificate(p, d):
     if any(a < 0 for a in p):
         raise ValueError("certificates exist only for nonnegative coefficients")
     D = len(p) - 1
-    comps, columns = zip(*_q_columns(D + d, d))
+    k = min(d, D)
+    comps, columns = zip(*(_q_columns(D + k, k) if k else [((), [1])]))
     # One equality per coefficient of t^0 .. t^D, one variable per
     # composition; every product has degree D, so its coefficients are a
     # full integer column.
@@ -179,7 +183,8 @@ def box_certificate(p, d):
     out = lpexact.lp_solve(prog)
     if out.status != lpexact.OPTIMAL:
         return None
-    terms = tuple((comp, coef) for comp, coef in zip(comps, out.witness)
+    ones = (1,) * (d - k)
+    terms = tuple((ones + comp, coef) for comp, coef in zip(comps, out.witness)
                   if coef > 0)
     cert = BoxCertificate(d, terms)
     if cert.expand() != p:

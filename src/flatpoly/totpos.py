@@ -5,8 +5,7 @@ bases, and the explicit box-positive expansion of the basis polynomial.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,30 +17,28 @@ class NotMaxPositive(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GridNetwork:
+class GridNetwork(namedtuple("GridNetwork", "d N horizontal_weights")):
     """Planar grid network whose path-weight matrix is totally positive.
 
     d rows by N columns; horizontal edges run right to left with the given
-    positive weights (N - 1 per row), vertical edges run down with weight 1.
-    Source i sits at the right end of row i, sink j below column j of the
-    bottom row. Unit weights on the bottom row force an all-ones last row
-    of the path matrix.
+    positive weights (horizontal_weights: d rows of N - 1), vertical edges
+    run down with weight 1. Source i sits at the right end of row i, sink j
+    below column j of the bottom row. Unit weights on the bottom row force
+    an all-ones last row of the path matrix.
     """
 
-    d: int
-    N: int
-    horizontal_weights: tuple   # d rows of N - 1 weights
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d, N, horizontal_weights):
+        if d < 1:
             raise ValueError("a network needs at least one row")
-        if len(self.horizontal_weights) != self.d or \
-                any(len(r) != self.N - 1 for r in self.horizontal_weights):
+        if len(horizontal_weights) != d or \
+                any(len(r) != N - 1 for r in horizontal_weights):
             raise ValueError("need d rows of N - 1 horizontal weights")
-        for row in self.horizontal_weights:
+        for row in horizontal_weights:
             if any(w <= 0 for w in row):
                 raise ValueError("weights must be positive")
+        return super().__new__(cls, d, N, horizontal_weights)
 
     @property
     def last_row_unit(self):
@@ -66,9 +63,9 @@ def tp_from_network(net: GridNetwork) -> Matrix:
     return Matrix(rows)
 
 
-def random_network(d, N, rng: random.Random) -> GridNetwork:
-    """Weights from a small-denominator pool, seeded for reproducibility;
-    the last row has unit weights."""
+def random_network(d, N, rng) -> GridNetwork:
+    """Weights drawn by rng, a random.Random, from a small-denominator pool,
+    seeded for reproducibility; the last row has unit weights."""
     pool = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1),
             Fraction(2), Fraction(3), Fraction(4)]
     weights = []
@@ -80,16 +77,12 @@ def random_network(d, N, rng: random.Random) -> GridNetwork:
     return GridNetwork(d, N, tuple(weights))
 
 
-@dataclass(frozen=True)
-class FlatMaxPositive:
-    """Suffix-sum matrix with an all-ones last row, built from a matrix C
+class FlatMaxPositive(namedtuple("FlatMaxPositive", "A C chi scale")):
+    """Suffix-sum matrix A with an all-ones last row, built from a matrix C
     whose maximal minors are all positive.  C's maximal minors are
     chi / scale, as maximal_minors tabulates them."""
 
-    A: Matrix
-    C: Matrix
-    chi: dict
-    scale: int
+    __slots__ = ()
 
 
 def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:

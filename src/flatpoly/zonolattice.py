@@ -12,7 +12,7 @@ incidence_point lifts a point back to vertex coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import graphkit, ormatroid
 from .exactnum import Matrix, _gauss_jordan, _integer_rows, _swapped_minor
@@ -46,11 +46,11 @@ class ZonotopeContext:
         return list(self._columns[j])
 
 
-@dataclass(frozen=True)
-class Tile:
-    basis: tuple
-    shift: tuple   # sum of externally semi-active columns
-    ext: int       # their number, which is the level of shift
+class Tile(namedtuple("Tile", "basis shift ext")):
+    """A basis, the sum of its externally semi-active columns (shift) and
+    their number (ext), which is the level of shift."""
+
+    __slots__ = ()
 
 
 def tiling(ctx: ZonotopeContext):
@@ -68,10 +68,11 @@ def tiling(ctx: ZonotopeContext):
     return tuple(tiles)
 
 
-@dataclass(frozen=True)
-class LatticePointSet:
-    points: tuple          # sorted integer tuples
-    levels: tuple          # level per point, parallel to points
+class LatticePointSet(namedtuple("LatticePointSet", "points levels")):
+    """Sorted integer tuples (points) and the level of each point (levels,
+    parallel to points)."""
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.points)
@@ -137,10 +138,11 @@ def basis_expansions(ctx: ZonotopeContext, l):
     return out
 
 
-@dataclass(frozen=True)
-class AdmissibleVector:
-    l: tuple
-    m: int
+class AdmissibleVector(namedtuple("AdmissibleVector", "l m")):
+    """A direction l whose expansion in every basis has m positive
+    coefficients."""
+
+    __slots__ = ()
 
 
 def _last_part2_vertex(n_vertices, part1):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -110,6 +114,17 @@ def test_verify_rejects_digraph_for_other_suites(tmp_path, capsys):
             assert_input_error(capsys, ["verify", suite, "--digraph",
                                         digraph], "--digraph")
     code, rep = run(capsys, ["verify", "thm5_3", "--digraph", path])
+    assert code == 0 and len(rep["checks"]) == 1
+
+
+def test_verify_thm5_3_rejects_trials_with_digraph(tmp_path, capsys):
+    # A digraph file is one check; a trial count would be silently ignored.
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": 2, "edges": [[0, 1], [1, 0]]})
+    assert_input_error(capsys, ["verify", "thm5_3", "--digraph", path,
+                                "--trials", "3"], "--trials")
+    code, rep = run(capsys, ["verify", "thm5_3", "--digraph", path,
+                             "--trials", "0"])
     assert code == 0 and len(rep["checks"]) == 1
 
 
@@ -272,6 +287,24 @@ def test_boxcert(tmp_path, capsys):
                                      "coeffs": [1, 0, 1]})
     code, rep = run(capsys, ["boxcert", "--poly", bad, "--d", "2"])
     assert code == 1 and not rep["box_positive"]
+
+
+def test_boxcert_d_above_degree(tmp_path, capsys):
+    # A degree-7 polynomial has no product of more than 7 nontrivial
+    # q-numbers, so d = 50 is decided as fast as d = 7, and the witness
+    # compositions have 50 parts.
+    coeffs = [338, 794, 1198, 1430, 1430, 1198, 794, 338]
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "q",
+                                      "coeffs": coeffs})
+    t0 = time.perf_counter()
+    code, rep = run(capsys, ["boxcert", "--poly", path, "--d", "50"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and rep["box_positive"]
+    terms = [(tuple(comp), Fraction(coef)) for comp, coef in
+             rep["certificate"]]
+    assert all(len(comp) == 50 and sum(comp) == 57 and
+               list(comp) == sorted(comp) for comp, _ in terms)
+    assert polyshape.BoxCertificate(50, tuple(terms)).expand() == coeffs
 
 
 def internal_failure(capsys, argv):
@@ -582,3 +615,41 @@ def test_mutated_json_never_escapes(tmp_path_factory, case, data):
         code = main(argv + [str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# import footprint: every call is a fresh interpreter, so a command loads
+# only the modules it runs.
+
+UNUSED_BY_FA = {"flatpoly.corpus", "flatpoly.zonolattice", "flatpoly.totpos",
+                "flatpoly.planardual", "flatpoly.lpexact"}
+
+
+def _modules_added(code):
+    """Modules that code, run in a fresh interpreter after its start-up,
+    adds to sys.modules."""
+    src = os.path.dirname(os.path.dirname(polyshape.__file__))
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              f"sys.path.insert(0, {src!r})\n"
+              f"{code}\n"
+              "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_cli_import_loads_no_command_module():
+    added = _modules_added("import flatpoly.cli")
+    assert "flatpoly.cli" in added
+    assert not added & (UNUSED_BY_FA | {"dataclasses", "inspect"})
+
+
+def test_fa_matrix_loads_only_its_modules(tmp_path):
+    path = matrix_file(tmp_path)
+    added = _modules_added(
+        "import flatpoly.cli\n"
+        f"assert flatpoly.cli.main(['fa', '--matrix', {path!r}]) == 0")
+    assert "flatpoly.ormatroid" in added
+    assert not added & UNUSED_BY_FA
