@@ -243,6 +243,7 @@ def suite_thm8_8(args, checks, rng):
 def suite_lemma8_1(args, checks, rng):
     """Closed-form semi-activity equals the matrix computation."""
     from . import ormatroid, totpos
+    from .exactnum import _columns
 
     for i in range(args.trials or 5):
         d = rng.randint(1, 3)
@@ -252,7 +253,8 @@ def suite_lemma8_1(args, checks, rng):
         ok = True
         for basis in ormatroid.enumerate_bases(ctx):
             _, ext = ormatroid.ext_semiactivity(ctx, basis, ormatroid.LEX_ORDER)
-            if ext != totpos.ext_closed_form([b + 1 for b in basis], N):
+            if ext != totpos.ext_closed_form(
+                    [b + 1 for b in _columns(basis)], N):
                 ok = False
                 break
         _check(checks, f"ext-closed-form[{i}]", ok)

@@ -8,16 +8,19 @@ exact-division update: Gauss-Jordan here and the simplex tableau in
 lpexact. One Gauss-Jordan elimination yields the first basis B0 and the
 Cramer coefficients chi(B0, b_i -> j) of every column, from which rank,
 flatness, linear expansions and the Gale dual are read; Cramer expansion
-fills every other minor with one exact division. Every result is exact.
+fills every other minor with one exact division. The table chi is keyed
+by the int mask sum of 2^c over a subset's columns, and its keys run in
+the order of combinations(range(N), d). The minor with column b replaced
+by column j in place is the entry at mask ^ (1 << b) | (1 << j), negated
+when an odd number of the subset's columns lie strictly between b and j.
+Every result is exact.
 Matrices are immutable after construction and safe to share between
 workers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 
@@ -212,18 +215,41 @@ def _gauss_jordan(rows):
     return tuple(basis), a
 
 
+def _columns(mask):
+    """The columns of a chirotope key, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _lex_masks(n, d):
+    """The keys of the d-subsets of range(n), in the lexicographic order of
+    combinations(range(n), d): the subsets of range(s, n) holding s come
+    first, then those without it."""
+    tails = [[0]] * (n + 1)  # tails[s]: the keys of 0-subsets of range(s, n)
+    for size in range(1, d + 1):
+        heads = [[] for _ in range(n + 1)]
+        for s in range(n - size, -1, -1):
+            heads[s] = [1 << s | m for m in tails[s + 1]] + heads[s + 1]
+        tails = heads
+    return tails[0]
+
+
 def maximal_minors(A: Matrix):
     """Integer maximal minors of A's denominator-cleared rows.
 
-    Returns (chi, scale): chi maps every sorted A.rows-subset of columns to
-    an integer, and the true minor at those columns is chi / scale. The
-    scale is positive, so chi carries the signs of the true minors. A
-    rank-deficient matrix has the all-zero table.
+    Returns (chi, scale): chi maps the key of every A.rows-subset of
+    columns to an integer, and the true minor at those columns is
+    chi / scale. The scale is positive, so chi carries the signs of the
+    true minors. A rank-deficient matrix has the all-zero table.
     """
     rows, scale = _integer_rows(A.entries)
     reduced = _gauss_jordan(rows)
     if reduced is None:
-        return dict.fromkeys(combinations(range(A.cols), A.rows), 0), scale
+        return dict.fromkeys(_lex_masks(A.cols, A.rows), 0), scale
     return _minor_table(*reduced), scale
 
 
@@ -236,45 +262,50 @@ def _minor_table(b0, m):
     column of S outside B0, expanding c in B0 gives chi(S) * chi(B0) = sum
     over b_i in B0 - S of chi(B0, b_i -> c) * chi(S, c -> b_i), replacements
     in place. Each term has one column fewer outside B0, so entries are
-    filled in order of that count, each with one exact division.
+    filled in order of that count, each with one exact division. c is the
+    top column of S outside B0, and chi(S, c -> b) is the entry of
+    S - c + b, negated when an odd number of columns of S - c lie strictly
+    between b and c.
     """
     d, n = len(m), len(m[0])
-    chi = dict.fromkeys(combinations(range(n), d), 0)
-    cb = chi[b0] = m[0][b0[0]]
-    outside = [True] * n
-    for b in b0:
-        outside[b] = False
+    chi = dict.fromkeys(_lex_masks(n, d), 0)
+    inside = sum(1 << b for b in b0)
+    cb = chi[inside] = m[0][b0[0]]
+    outside = ((1 << n) - 1) ^ inside
     levels = [[] for _ in range(d + 1)]
     for key in chi:
-        levels[sum(map(outside.__getitem__, key))].append(key)
-    cols = list(zip(*m))
+        levels[(key & outside).bit_count()].append(key)
+    # Per column c: (bit of b, chi(B0, b -> c), columns between b and c).
+    terms = [[(1 << b, x, (1 << max(b, c)) - (2 << min(b, c)))
+              for b, x in zip(b0, col) if x]
+             for c, col in enumerate(zip(*m))]
     for level in levels[1:]:
         for key in level:
-            p = d - 1
-            while not outside[key[p]]:
-                p -= 1
-            # _swapped_minor(chi, key, p, b) per term, key minus c cut once.
-            rest = key[:p] + key[p + 1:]
+            c = (key & outside).bit_length() - 1
+            rest = key ^ (1 << c)
             total = 0
-            for b, x in zip(b0, cols[key[p]]):
-                if x and b not in rest:
-                    q = bisect_left(rest, b)
-                    y = chi[rest[:q] + (b,) + rest[q:]]
-                    total += -x * y if (q - p) % 2 else x * y
+            for bit, x, between in terms[c]:
+                if not rest & bit:
+                    y = chi[rest | bit]
+                    if (rest & between).bit_count() & 1:
+                        total -= x * y
+                    else:
+                        total += x * y
             chi[key] = total // cb
     return chi
 
 
-def _swapped_minor(chi, basis, i, j):
-    """chi of the basis with its i-th column replaced by column j, in place.
+def _swapped_minor(chi, mask, b, j):
+    """chi of the basis with key mask with its column b replaced by column
+    j, in place: the entry of mask - b + j, negated when an odd number of
+    basis columns lie strictly between b and j.
 
-    By Cramer's rule, this over chi(basis) is the coefficient of basis[i]
-    in the expansion of column j.
+    By Cramer's rule, this over chi(mask) is the coefficient of b in the
+    expansion of column j.
     """
-    rest = basis[:i] + basis[i + 1:]
-    p = bisect_left(rest, j)
-    c = chi[rest[:p] + (j,) + rest[p:]]
-    return -c if (p - i) % 2 else c
+    c = chi[mask ^ (1 << b) | (1 << j)]
+    lo, hi = (b, j) if b < j else (j, b)
+    return -c if (mask & ((1 << hi) - (2 << lo))).bit_count() & 1 else c
 
 
 def dual_matrix(A: Matrix) -> Matrix:

@@ -6,15 +6,19 @@ vector, count externally semi-active elements, and assemble the
 basis-volume generating polynomial. Everything is read from one table of
 integer maximal minors (the chirotope, up to a positive scale): bases are
 its nonzero entries, volumes its absolute values, and by Cramer's rule the
-fundamental circuits are ratios of its entries.
+fundamental circuits are ratios of its entries. A basis is named by its
+key in that table, the int mask sum of 2^c over its columns. The basis B
+with column b replaced by column j in place has its minor at the key
+B ^ (1 << b) | (1 << j), negated when an odd number of B's columns lie
+strictly between b and j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import (Matrix, _gauss_jordan, _integer_rows, _minor_table,
-                       _swapped_minor)
+from .exactnum import (Matrix, _columns, _gauss_jordan, _integer_rows,
+                       _minor_table)
 
 #: Symbolic generic vector: orient every circuit so its minimal support
 #: element lands in the positive part (the epsilon-power order).
@@ -51,7 +55,7 @@ class MatroidContext:
         if any(sum(col) != m[0][basis[0]] for col in zip(*m)):
             raise NotFlat("no linear form evaluates to 1 on every column")
         self.chi = _minor_table(basis, m)
-        self.first_basis = basis
+        self.first_basis = sum(1 << b for b in basis)
 
     @property
     def n_elements(self):
@@ -59,8 +63,9 @@ class MatroidContext:
 
 
 def enumerate_bases(ctx: MatroidContext):
-    """Yield every basis tuple in lexicographic order; the volume of basis
-    B is abs(ctx.chi[B]) / ctx.scale."""
+    """Yield the key of every basis, the mask sum of 2^c over its columns,
+    in the lexicographic order of the column tuples (exactnum._columns
+    lists them); the volume of basis B is abs(ctx.chi[B]) / ctx.scale."""
     for cand, c in ctx.chi.items():
         if c != 0:
             yield cand
@@ -68,39 +73,48 @@ def enumerate_bases(ctx: MatroidContext):
 
 def ext_semiactivity(ctx: MatroidContext, basis, rho):
     """(Ext set, count): non-basis elements j in the positive part of their
-    fundamental circuit, oriented by rho.
+    fundamental circuit, oriented by rho, for the basis with key basis.
 
-    That circuit is sum_i X_i * column(basis[i]) - column(j) with
-    X_i = _swapped_minor(i, j) / chi(basis). Under LEX_ORDER, j is active
-    iff the circuit's smallest element is j or has X_i < 0; for a vector
-    rho, iff rho sees the circuit negatively. rho orthogonal to a circuit
-    raises NotGeneric.
+    That circuit is sum_i X_i * column(b_i) - column(j) with
+    X_i = chi(basis, b_i -> j) / chi(basis), where chi(basis, b_i -> j) is
+    the entry at basis ^ (1 << b_i) | (1 << j), negated when an odd number
+    of basis columns lie strictly between b_i and j. With k basis columns
+    below j, that number is k - i - 1 for i < k and i - k otherwise.
+    Under LEX_ORDER, j is active iff the circuit's smallest element is j
+    or has X_i < 0, so the basis columns below j are read lowest first;
+    for a vector rho, iff rho sees the circuit negatively, read from every
+    basis column. rho orthogonal to a circuit raises NotGeneric.
     """
     chi = ctx.chi
-    basis = tuple(sorted(basis))
     cb = chi.get(basis, 0)
     if cb == 0:
         raise ValueError("selected columns are not a basis")
     lex = rho == LEX_ORDER
+    cols = None if lex else _columns(basis)
+    below = []  # 1 << b for the basis columns b below j, lowest first
     ext = []
     for j in range(ctx.n_elements):
-        if j in basis:
+        bit = 1 << j
+        if basis & bit:
+            below.append(bit)
             continue
+        key = basis | bit
+        k = len(below)
         if lex:
             active = True
-            for i, b in enumerate(basis):
-                if b > j:
-                    break
-                c = _swapped_minor(chi, basis, i, j)
+            for i, b in enumerate(below):
+                c = chi[key ^ b]
                 if c != 0:
-                    active = c * cb < 0
+                    active = (c * cb < 0) != (k - i - 1) % 2
                     break
         else:
-            val = sum(_swapped_minor(chi, basis, i, j) * rho[b]
-                      for i, b in enumerate(basis)) - rho[j] * cb
+            val = -rho[j] * cb
+            for i, b in enumerate(cols):
+                c = chi[key ^ (1 << b)] * rho[b]
+                val += -c if (k - i - (i < k)) % 2 else c
             if val == 0:
                 raise NotGeneric(f"rho is orthogonal to the fundamental "
-                                 f"circuit of {j} in {basis}")
+                                 f"circuit of {j} in {cols}")
             active = val * cb < 0
         if active:
             ext.append(j)

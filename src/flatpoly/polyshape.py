@@ -117,20 +117,26 @@ class BoxCertificate(namedtuple("BoxCertificate", "degree_d terms")):
     __slots__ = ()
 
     def expand(self):
-        """The combination's coefficients as Fractions. q-numbers commute,
-        so terms whose compositions permute each other merge first and one
-        product per partition is expanded: the sum of coef * L * q_product
-        runs in integers, with L the lcm of the coefficient denominators,
-        and is divided by L once at the end."""
+        """The combination's coefficients as Fractions: the sum of
+        coef * L * q_product runs in integers, with L the lcm of the
+        coefficient denominators, and is divided by L once at the end."""
         (scaled,), L = _integer_rows([[coef for _, coef in self.terms]])
-        merged = {}
-        for (comp, _), k in zip(self.terms, scaled):
-            part = tuple(sorted(comp))
-            merged[part] = merged.get(part, 0) + k
-        out = []
-        for part, k in merged.items():
-            out = poly_add(out, [k * a for a in q_product(part)])
-        return [Fraction(a, L) for a in out]
+        return [Fraction(a, L) for a in _q_combination(
+            (comp, k) for (comp, _), k in zip(self.terms, scaled))]
+
+
+def _q_combination(terms):
+    """sum of k * q_product(comp) over (comp, k) pairs with integer k.
+    q-numbers commute, so terms whose compositions permute each other
+    merge first and one product per partition is expanded."""
+    merged = {}
+    for comp, k in terms:
+        part = tuple(sorted(comp))
+        merged[part] = merged.get(part, 0) + k
+    out = []
+    for part, k in merged.items():
+        out = poly_add(out, [k * a for a in q_product(part)])
+    return out
 
 
 def _q_columns(total, parts):

@@ -9,8 +9,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .exactnum import Matrix, frac, maximal_minors
-from .polyshape import BoxCertificate
+from .exactnum import Matrix, _columns, frac, maximal_minors
+from .polyshape import BoxCertificate, _q_combination
 
 
 class NotMaxPositive(ValueError):
@@ -80,7 +80,7 @@ def random_network(d, N, rng) -> GridNetwork:
 class FlatMaxPositive(namedtuple("FlatMaxPositive", "A C chi scale")):
     """Suffix-sum matrix A with an all-ones last row, built from a matrix C
     whose maximal minors are all positive.  C's maximal minors are
-    chi / scale, as maximal_minors tabulates them."""
+    chi / scale, keyed by column mask as maximal_minors tabulates them."""
 
     __slots__ = ()
 
@@ -91,9 +91,10 @@ def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
     if d - 1 > N:
         raise NotMaxPositive("C must have at least as many columns as rows")
     chi, scale = maximal_minors(C)
-    for cols, c in chi.items():
+    for key, c in chi.items():
         if c <= 0:
-            raise NotMaxPositive(f"non-positive maximal minor at columns {cols}")
+            raise NotMaxPositive(f"non-positive maximal minor at columns "
+                                 f"{_columns(key)}")
     rows = []
     for i in range(d - 1):
         suffix = Fraction(0)
@@ -136,8 +137,9 @@ def minor_via_C(fmp: FlatMaxPositive, cols) -> Fraction:
         total = Fraction(1)  # empty product over C-minors
     else:
         total = Fraction(sum(
-            c for js, c in fmp.chi.items()
-            if all(cols[r] <= js[r] < cols[r + 1] for r in range(d - 1))),
+            c for key, c in fmp.chi.items()
+            if all(cols[r] <= j < cols[r + 1]
+                   for r, j in enumerate(_columns(key)))),
             fmp.scale)
     direct = fmp.A.minor(range(d), cols)
     if total != direct:
@@ -166,20 +168,26 @@ def ext_closed_form(basis, N) -> int:
 
 def f_tp_closed(fmp: FlatMaxPositive):
     """Explicit expansion of the basis polynomial as a positive combination
-    of q-number products, one term per (d-1)-subset of [N-1].
+    of q-number products, one term per (d-1)-subset js of [N-1], weighted
+    by the C-minor at columns js - 1.
+
+    The polynomial is summed from the integer minors and each coefficient
+    is divided by the table's scale once. The certificate carries every
+    term's coefficient as a Fraction, so its expand() is a second route
+    to the same polynomial.
 
     Returns (coefficients as Fractions, BoxCertificate).
     """
     d = fmp.A.rows
     N = fmp.A.cols
-    terms = []
     if d == 1:
-        terms.append(((N,), Fraction(1)))
+        terms = [((N,), 1)]
     else:
+        terms = []
         for js in combinations(range(1, N), d - 1):
-            coef = Fraction(fmp.chi[tuple(j - 1 for j in js)], fmp.scale)
             comp = (js[0],) + tuple(js[r + 1] - js[r] for r in range(d - 2)) \
                 + (N - js[-1],)
-            terms.append((comp, coef))
-    cert = BoxCertificate(d, tuple(terms))
-    return cert.expand(), cert
+            terms.append((comp, fmp.chi[sum(1 << (j - 1) for j in js)]))
+    cert = BoxCertificate(d, tuple((comp, Fraction(x, fmp.scale))
+                                   for comp, x in terms))
+    return [Fraction(a, fmp.scale) for a in _q_combination(terms)], cert

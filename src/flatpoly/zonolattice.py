@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import graphkit, ormatroid
-from .exactnum import Matrix, _gauss_jordan, _integer_rows, _swapped_minor
+from .exactnum import (Matrix, _columns, _gauss_jordan, _integer_rows,
+                       _swapped_minor)
 from .polyshape import normalize
 
 
@@ -47,8 +48,9 @@ class ZonotopeContext:
 
 
 class Tile(namedtuple("Tile", "basis shift ext")):
-    """A basis, the sum of its externally semi-active columns (shift) and
-    their number (ext), which is the level of shift."""
+    """A basis key (as ormatroid.enumerate_bases yields it), the sum of its
+    externally semi-active columns (shift) and their number (ext), which is
+    the level of shift."""
 
     __slots__ = ()
 
@@ -64,7 +66,7 @@ def tiling(ctx: ZonotopeContext):
         for j in ext:
             for i, c in enumerate(ctx.column(j)):
                 shift[i] += c
-        tiles.append(Tile(tuple(basis), tuple(shift), n_ext))
+        tiles.append(Tile(basis, tuple(shift), n_ext))
     return tuple(tiles)
 
 
@@ -83,8 +85,8 @@ def lattice_point_count(ctx: ZonotopeContext) -> int:
 
     There is one per independent set of columns (Stanley 1991), and by
     Crapo's activity expansion that is T(2, 1) = sum over bases B of
-    2^int(B). basis[i] is internally active iff no smaller column j
-    outside B can replace it, that is chi(B, basis[i] -> j) = 0.
+    2^int(B). A basis column b is internally active iff no smaller column
+    j outside B can replace it, that is chi(B, b -> j) = 0.
     """
     if not ctx.unimodular:
         raise NotUnimodular("lattice point count needs a unimodular matrix")
@@ -92,17 +94,18 @@ def lattice_point_count(ctx: ZonotopeContext) -> int:
     total = 0
     for basis in ormatroid.enumerate_bases(ctx.mctx):
         internal = sum(
-            not any(j not in basis and _swapped_minor(chi, basis, i, j)
+            not any(not basis >> j & 1 and _swapped_minor(chi, basis, b, j)
                     for j in range(b))
-            for i, b in enumerate(basis))
+            for b in _columns(basis))
         total += 2 ** internal
     return total
 
 
 def basis_expansions(ctx: ZonotopeContext, l):
     """The coefficients of l, of ints or Fractions, in every basis, keyed
-    by basis tuple as (numerators, denominator): integers, the denominator
-    positive and shared by the basis's coefficients.
+    by basis key as (numerators, denominator): integers in the order of the
+    basis columns, the denominator positive and shared by the basis's
+    coefficients.
 
     l is expanded once in the first basis B0 by Cramer's rule, as
     l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0): one
@@ -115,10 +118,11 @@ def basis_expansions(ctx: ZonotopeContext, l):
         raise ValueError("direction length must equal row count")
     (l_int,), scale = _integer_rows([l])
     chi, b0 = ctx.mctx.chi, ctx.mctx.first_basis
-    _, m = _gauss_jordan([[ctx._columns[b][i] for b in b0] + [x]
+    b0_cols = _columns(b0)
+    _, m = _gauss_jordan([[ctx._columns[b][i] for b in b0_cols] + [x]
                           for i, x in enumerate(l_int)])
     # Pairs (a_k * chi(B0) * scale, B0[k]) with a_k != 0.
-    a = [(row[-1], c) for row, c in zip(m, b0) if row[-1]]
+    a = [(row[-1], c) for row, c in zip(m, b0_cols) if row[-1]]
     den0 = chi[b0] * scale
     out = {}
     for basis in ormatroid.enumerate_bases(ctx.mctx):
@@ -126,13 +130,13 @@ def basis_expansions(ctx: ZonotopeContext, l):
         den = den0 * cb
         sign = 1 if den > 0 else -1
         nums = []
-        for i, b in enumerate(basis):
+        for b in _columns(basis):
             num = 0
             for n, c in a:
                 if c == b:
                     num += n * cb
-                elif c not in basis:
-                    num += n * _swapped_minor(chi, basis, i, c)
+                elif not basis >> c & 1:
+                    num += n * _swapped_minor(chi, basis, b, c)
             nums.append(sign * num)
         out[basis] = (nums, sign * den)
     return out
@@ -197,7 +201,8 @@ def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
         # numerator's.
         s = signs[basis] = [(n > 0) - (n < 0) for n in nums]
         if s.count(1) != adm.m or s.count(-1) != ctx.d - adm.m:
-            raise NotAdmissible(f"direction fails at basis {basis}")
+            raise NotAdmissible(f"direction fails at basis "
+                                f"{_columns(basis)}")
     if not ctx.unimodular:
         raise NotUnimodular("trimming by tile vertices needs a unimodular "
                             "matrix")
@@ -230,7 +235,7 @@ def trimming_vertex(ctx: ZonotopeContext, tile: Tile, signs):
     carrying negative coefficients in the expansion of l in the tile's
     basis. signs holds those coefficients or just their signs."""
     p = list(tile.shift)
-    for s, b in zip(signs, tile.basis):
+    for s, b in zip(signs, _columns(tile.basis)):
         if s < 0:
             for i, c in enumerate(ctx.column(b)):
                 p[i] += c

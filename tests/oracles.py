@@ -32,8 +32,13 @@ per-edge grading by one component walk per tree edge. tree_count is the
 Kirchhoff determinant over Fractions.
 
 The library builds the table of maximal minors from one fraction-free
-Gauss-Jordan elimination and Cramer expansion. maximal_minors_bareiss runs
-one Bareiss determinant per column subset instead.
+Gauss-Jordan elimination and Cramer expansion, keyed by column mask, and
+reads a swapped minor's sign from a popcount. maximal_minors_bareiss runs
+one Bareiss determinant per column subset instead, keyed by column tuple.
+minor_table_tuples fills the same Grassmann-Pluecker table with column
+tuples as keys, placing each replaced column by bisection, and
+swapped_minor_tuples reads a swapped minor by tuple slicing; mask and
+mask_table turn tuple keys into the library's.
 
 The library interpolates det(A + tB) from Bareiss determinants at
 t = 0..n. pencil_det_cofactor expands it along the first row over Z[t]
@@ -50,13 +55,15 @@ common denominator. FractionSimplex is the same two-phase Bland simplex
 over Fractions, which must reach the same outcome by the same pivots.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from flatpoly import lpexact
-from flatpoly.exactnum import Matrix, _integer_rows, bareiss_det, frac
+from flatpoly.exactnum import (Matrix, _columns, _integer_rows, bareiss_det,
+                               frac)
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
                                incidence_matrix, spanning_trees,
                                standard_orientation)
@@ -199,6 +206,56 @@ def maximal_minors_bareiss(A: Matrix):
     chi = {key: bareiss_det([cols[c] for c in key])
            for key in combinations(range(A.cols), A.rows)}
     return chi, scale
+
+
+def mask(cols):
+    """The library's chirotope key of a column set: sum of 2^c."""
+    return sum(1 << c for c in cols)
+
+
+def mask_table(chi):
+    """A tuple-keyed table with its keys turned into masks, in order."""
+    return {mask(key): c for key, c in chi.items()}
+
+
+def minor_table_tuples(b0, m):
+    """The Grassmann-Pluecker table of exactnum._minor_table, keyed by
+    sorted column tuples: the replaced column is the last one of S outside
+    B0, and each term's key and sign come from bisecting S - c."""
+    d, n = len(m), len(m[0])
+    chi = dict.fromkeys(combinations(range(n), d), 0)
+    cb = chi[b0] = m[0][b0[0]]
+    outside = [True] * n
+    for b in b0:
+        outside[b] = False
+    levels = [[] for _ in range(d + 1)]
+    for key in chi:
+        levels[sum(map(outside.__getitem__, key))].append(key)
+    cols = list(zip(*m))
+    for level in levels[1:]:
+        for key in level:
+            p = d - 1
+            while not outside[key[p]]:
+                p -= 1
+            rest = key[:p] + key[p + 1:]
+            total = 0
+            for b, x in zip(b0, cols[key[p]]):
+                if x and b not in rest:
+                    q = bisect_left(rest, b)
+                    y = chi[rest[:q] + (b,) + rest[q:]]
+                    total += -x * y if (q - p) % 2 else x * y
+            chi[key] = total // cb
+    return chi
+
+
+def swapped_minor_tuples(chi, basis, i, j):
+    """chi of the basis tuple with its i-th column replaced by column j in
+    place, from a tuple-keyed table: the sorted key's sign is the parity of
+    the positions j moved across."""
+    rest = basis[:i] + basis[i + 1:]
+    p = bisect_left(rest, j)
+    c = chi[rest[:p] + (j,) + rest[p:]]
+    return -c if (p - i) % 2 else c
 
 
 def pencil_det_cofactor(A, B):
@@ -421,12 +478,26 @@ def orient_circuit(c: SignedCircuit, rho) -> SignedCircuit:
     return c if val > 0 else c.negate()
 
 
+def ext_sets(ctx: MatroidContext, basis, rhos):
+    """Per vector in rhos, the non-basis elements in the positive part of
+    their fundamental circuit oriented by it; the circuits are built
+    once."""
+    X = _basis_expansions(ctx, basis)
+    out = [[] for _ in rhos]
+    for j in range(ctx.n_elements):
+        if j in basis:
+            continue
+        c = _circuit(ctx, X, basis, j)
+        for ext, rho in zip(out, rhos):
+            if j in orient_circuit(c, rho).positive_part:
+                ext.append(j)
+    return out
+
+
 def ext_set(ctx: MatroidContext, basis, rho):
     """Non-basis elements in the positive part of their oriented
     fundamental circuit."""
-    X = _basis_expansions(ctx, basis)
-    return [j for j in range(ctx.n_elements) if j not in basis and
-            j in orient_circuit(_circuit(ctx, X, basis, j), rho).positive_part]
+    return ext_sets(ctx, basis, [rho])[0]
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +533,7 @@ def is_generic(ctx: MatroidContext, rho) -> bool:
 def tile_vertices(ctx, tile):
     """All 2^d vertices of a tile's shifted parallelepiped."""
     pts = [tile.shift]
-    for b in tile.basis:
+    for b in _columns(tile.basis):
         col = ctx.column(b)
         pts += [tuple(x + c for x, c in zip(p, col)) for p in pts]
     return pts
@@ -482,9 +553,10 @@ def lattice_points(ctx):
 def check_admissible(ctx, l, m):
     """(True, None) if every basis expansion of l, solved by row
     reduction, has m positive and d - m negative coefficients, else
-    (False, the first basis that does not)."""
+    (False, the first basis key that does not)."""
     for basis in enumerate_bases(ctx.mctx):
-        alphas = solve(ctx.matrix.submatrix(range(ctx.d), basis), l)[0]
+        alphas = solve(ctx.matrix.submatrix(range(ctx.d), _columns(basis)),
+                       l)[0]
         if sum(a > 0 for a in alphas) != m or \
                 sum(a < 0 for a in alphas) != ctx.d - m:
             return False, basis

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from flatpoly import corpus, graphkit, ormatroid, planardual, totpos
+from flatpoly.exactnum import _columns
 from flatpoly.graphkit import (cographic_matrix, graphic_matrix, p_poly,
                                standard_orientation)
 from flatpoly.polyshape import box_certificate, poly_shift, shape_report
@@ -164,7 +165,7 @@ def test_criterion_10_small_oracles(tp_corpus):
                 _, ext = ormatroid.ext_semiactivity(ctx, basis,
                                                     ormatroid.LEX_ORDER)
                 assert ext == totpos.ext_closed_form(
-                    [b + 1 for b in basis], N)
+                    [b + 1 for b in _columns(basis)], N)
             for cols in combinations(range(N), fmp.A.rows):
                 # minor_via_C asserts agreement with the determinant.
                 assert totpos.minor_via_C(fmp, cols) > 0

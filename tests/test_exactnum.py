@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpoly import corpus, exactnum, totpos
-from flatpoly.exactnum import (Matrix, bareiss_det, frac,
-                               maximal_minors, pencil_det)
+from flatpoly.exactnum import (Matrix, _gauss_jordan, _integer_rows,
+                               _minor_table, _swapped_minor, bareiss_det,
+                               frac, maximal_minors, pencil_det)
 from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
                                standard_orientation)
 
-from oracles import (apply, flat_witness, identity, independent_rows,
-                     maximal_minors_bareiss, pencil_det_cofactor, rank,
-                     rref, solve)
+from oracles import (apply, flat_witness, identity, independent_rows, mask,
+                     mask_table, maximal_minors_bareiss, minor_table_tuples,
+                     pencil_det_cofactor, rank, rref, solve,
+                     swapped_minor_tuples)
 
 
 def test_frac_coercions():
@@ -168,15 +170,64 @@ def assert_same_table(m):
     chi, scale = maximal_minors(m)
     want, want_scale = maximal_minors_bareiss(m)
     assert scale == want_scale > 0
-    assert chi == want
-    assert list(chi) == list(want) == list(combinations(range(m.cols),
-                                                        m.rows))
+    assert list(want) == list(combinations(range(m.cols), m.rows))
+    assert list(chi.items()) == list(mask_table(want).items())
 
 
 @settings(deadline=None)
 @given(minor_matrices())
 def test_maximal_minors_match_minor(rows):
     assert_same_table(Matrix(rows))
+
+
+def assert_same_swapped_reads(chi, want, m):
+    """Every swapped-minor read of the mask table against the tuple
+    oracle's, for every basis, column b in it and column j outside it;
+    returns the reads per (b < j, odd number of columns between)."""
+    seen = dict.fromkeys([(lt, odd) for lt in (0, 1) for odd in (0, 1)], 0)
+    for key, c in want.items():
+        if c == 0:
+            continue
+        basis = mask(key)
+        for i, b in enumerate(key):
+            for j in range(m.cols):
+                if j in key:
+                    continue
+                got = _swapped_minor(chi, basis, b, j)
+                assert got == swapped_minor_tuples(want, key, i, j), \
+                    (key, b, j)
+                lo, hi = min(b, j), max(b, j)
+                seen[b < j, sum(lo < x < hi for x in key) % 2] += got != 0
+    return seen
+
+
+@settings(deadline=None)
+@given(minor_matrices())
+def test_mask_table_matches_tuple_oracle(rows):
+    # The same elimination fills the mask-keyed table and the tuple-keyed
+    # oracle table: equal entry by entry and in the same order, and equal
+    # under every swapped-minor read.
+    m = Matrix(rows)
+    chi, _ = maximal_minors(m)
+    reduced = _gauss_jordan(_integer_rows(m.entries)[0])
+    if reduced is None:
+        want = dict.fromkeys(combinations(range(m.cols), m.rows), 0)
+    else:
+        want = minor_table_tuples(*reduced)
+        assert _minor_table(*reduced) == chi
+    assert list(chi.items()) == list(mask_table(want).items())
+    assert_same_swapped_reads(chi, want, m)
+
+
+def test_swapped_reads_cover_both_sides_and_signs():
+    # On a random 3 x 8 matrix, nonzero reads occur for b < j and b > j,
+    # each with an even and an odd number of basis columns in between.
+    rng = random.Random(8)
+    m = Matrix([[rng.randint(-4, 4) for _ in range(8)] for _ in range(3)])
+    chi, _ = maximal_minors(m)
+    want = minor_table_tuples(*_gauss_jordan(_integer_rows(m.entries)[0]))
+    seen = assert_same_swapped_reads(chi, want, m)
+    assert all(seen.values()), seen
 
 
 def test_maximal_minors_match_bareiss_on_corpus():
@@ -197,6 +248,19 @@ def test_maximal_minors_match_bareiss_on_corpus():
         assert_same_table(m)
 
 
+def test_table_keys_run_in_combinations_order(flat_corpus):
+    # Every reader iterates the table in key order: zonotope points,
+    # tilings and reports stay in the order of combinations(range(N), d).
+    from flatpoly.ormatroid import MatroidContext
+
+    deficient = Matrix([[1, 2, 3, 4], [2, 4, 6, 8]])
+    for m in [m for _, m in flat_corpus] + [deficient]:
+        want = [mask(s) for s in combinations(range(m.cols), m.rows)]
+        assert list(maximal_minors(m)[0]) == want
+        if m is not deficient:
+            assert list(MatroidContext(m).chi) == want
+
+
 def test_maximal_minors_runs_no_determinant(monkeypatch):
     # One elimination for the whole table: no Bareiss determinant per
     # column subset, on a 5 x 12 matrix and on a rank-deficient one.
@@ -211,7 +275,7 @@ def test_maximal_minors_runs_no_determinant(monkeypatch):
 
     monkeypatch.setattr(exactnum, "bareiss_det", no_det)
     got = [maximal_minors(Matrix(r)) for r in (rows, deficient)]
-    assert got == want
+    assert got == [(mask_table(chi), scale) for chi, scale in want]
     assert any(want[0][0].values())
     assert not any(want[1][0].values())
 

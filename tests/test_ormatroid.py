@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import ormatroid
-from flatpoly.exactnum import Matrix
+from flatpoly import corpus, ormatroid
+from flatpoly.exactnum import Matrix, _columns
+from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
+                               standard_orientation)
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases, ext_semiactivity, f_poly,
                                 f_poly_frac, sample_generic_rho)
@@ -46,7 +48,7 @@ def test_context_rejects_non_flat():
 
 
 def bases_with_volumes(ctx):
-    return [(B, Fraction(abs(ctx.chi[B]), ctx.scale))
+    return [(_columns(B), Fraction(abs(ctx.chi[B]), ctx.scale))
             for B in enumerate_bases(ctx)]
 
 
@@ -62,7 +64,7 @@ def test_enumerate_bases_321():
 
 def test_enumerate_bases_duplicate_column():
     ctx = MatroidContext(Matrix([[1, 0, 1], [0, 1, 0]]))
-    assert list(enumerate_bases(ctx)) == [(0, 1), (1, 2)]
+    assert list(enumerate_bases(ctx)) == [0b011, 0b110]
 
 
 def test_fundamental_circuit_ones():
@@ -108,14 +110,14 @@ def test_orient_circuit_explicit_rho():
 def test_ext_semiactivity_ones_row():
     ctx = ctx_ones(4)
     for i in range(4):
-        ext, count = ext_semiactivity(ctx, (i,), LEX_ORDER)
+        ext, count = ext_semiactivity(ctx, 1 << i, LEX_ORDER)
         assert ext == list(range(i)) and count == i
 
 
 def test_ext_semiactivity_321():
-    assert ext_semiactivity(ctx_321(), (0, 2), LEX_ORDER)[1] == 0
-    assert ext_semiactivity(ctx_321(), (1, 2), LEX_ORDER)[1] == 1
-    assert ext_semiactivity(ctx_321(), (0, 1), LEX_ORDER)[1] == 1
+    assert ext_semiactivity(ctx_321(), 0b101, LEX_ORDER)[1] == 0
+    assert ext_semiactivity(ctx_321(), 0b110, LEX_ORDER)[1] == 1
+    assert ext_semiactivity(ctx_321(), 0b011, LEX_ORDER)[1] == 1
 
 
 def test_f_poly_ones_row():
@@ -184,7 +186,8 @@ def test_ext_and_genericity_match_circuit_oracles(flat_corpus):
         for basis in enumerate_bases(ctx):
             for rho in rhos:
                 ext, count = ext_semiactivity(ctx, basis, rho)
-                assert ext == oracles.ext_set(ctx, basis, rho), (name, basis)
+                assert ext == oracles.ext_set(ctx, _columns(basis), rho), \
+                    (name, basis)
                 assert count == len(ext)
         # Moved onto one circuit's hyperplane, a sampled vector must read
         # as non-generic to both routes.
@@ -201,6 +204,38 @@ def test_ext_and_genericity_match_circuit_oracles(flat_corpus):
     for rho in ([1, 1, 2], [1, 2, 3], [2, 1, 1], [3, 3, 3]):
         is_generic(ones, rho)
     assert not is_generic(ones, [1, 1, 2])
+
+
+def test_ext_matches_circuit_oracle_on_wide_corpus():
+    # 85 contexts: random flat matrices, the corpus graphic matrices and
+    # cographic matrices of random Eulerian digraphs with up to 12 edges.
+    # Per context, up to 32 bases are checked under LEX_ORDER and under a
+    # sampled generic vector; the Fraction oracle reduces [A_B | A] once
+    # per basis.
+    rng = random.Random(17)
+    ctxs = [corpus.random_flat_matrix(rng) for _ in range(40)]
+    for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
+        D = standard_orientation(n, edges, part1)
+        ctxs.append(MatroidContext(graphic_matrix(D)))
+    ctxs += [MatroidContext(cographic_matrix(corpus.random_eulerian(rng, 12)))
+             for _ in range(30)]
+    assert len(ctxs) == 85
+    checked = 0
+    for ctx in ctxs:
+        rho, _ = sample_generic_rho(ctx, rng)
+        bases = list(enumerate_bases(ctx))
+        for basis in rng.sample(bases, min(32, len(bases))):
+            rhos = (LEX_ORDER, rho)
+            got = [ext_semiactivity(ctx, basis, r)[0] for r in rhos]
+            assert got == oracles.ext_sets(ctx, _columns(basis), rhos), \
+                (ctx.matrix, basis)
+            checked += 1
+    assert checked > 1000
+
+
+def test_not_generic_names_basis_columns():
+    with pytest.raises(NotGeneric, match=r"circuit of 1 in \(0,\)$"):
+        ext_semiactivity(ctx_ones(3), 0b001, [1, 1, 2])
 
 
 def test_palindromicity_and_negation():

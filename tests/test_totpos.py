@@ -6,8 +6,8 @@ from unittest import mock
 import pytest
 
 from flatpoly import ormatroid, totpos
-from flatpoly.exactnum import Matrix, maximal_minors
-from flatpoly.polyshape import q_product, shape_report
+from flatpoly.exactnum import Matrix, _columns, maximal_minors
+from flatpoly.polyshape import BoxCertificate, q_product, shape_report
 from flatpoly.totpos import (FlatMaxPositive, GridNetwork, NotMaxPositive,
                              ext_closed_form, f_tp_closed,
                              flat_maxpos_from_C, minor_via_C, random_network,
@@ -137,7 +137,7 @@ def test_ext_closed_form_matches_matrix():
         for basis in ormatroid.enumerate_bases(ctx):
             _, ext = ormatroid.ext_semiactivity(ctx, basis,
                                                 ormatroid.LEX_ORDER)
-            assert ext == ext_closed_form([b + 1 for b in basis], N)
+            assert ext == ext_closed_form([b + 1 for b in _columns(basis)], N)
 
 
 def test_f_tp_closed_unit_example():
@@ -179,6 +179,25 @@ def test_f_tp_closed_matches_bruteforce_random():
         assert cert.expand() == poly
         s = shape_report(poly)
         assert s.palindromic and s.trapezoidal
+
+
+def test_f_tp_closed_reads_minors_not_certificate(monkeypatch):
+    # verify thm8_8 checks cert.expand() against the closed form, so the
+    # closed form is summed from the minor table without expanding the
+    # certificate; the two routes agree, as Fractions and in length.
+    rng = random.Random(4)
+    fmps = [totpos.flat_maxpos_from_network(random_network(d, N, rng))
+            for d, N in ((1, 3), (2, 5), (3, 6), (4, 7))]
+    expanded = [f_tp_closed(fmp)[1].expand() for fmp in fmps]
+
+    def no_expand(self):
+        raise AssertionError("certificate expanded")
+
+    monkeypatch.setattr(BoxCertificate, "expand", no_expand)
+    for fmp, want in zip(fmps, expanded):
+        poly, _ = f_tp_closed(fmp)
+        assert poly == want == \
+            ormatroid.f_poly_frac(ormatroid.MatroidContext(fmp.A))
 
 
 def test_d2_strict_concavity():
