@@ -194,39 +194,6 @@ def random_plane_bipartite(rng):
     return P, part1
 
 
-def eulerian_small(max_edges=6):
-    """All connected Eulerian multi-digraphs with at most max_edges edges,
-    on labeled vertex sets of size 2..5, plus the directed 6-cycle.
-
-    Enumerated as nondecreasing sequences of arc indices.
-    """
-    from itertools import combinations_with_replacement
-
-    from .graphkit import is_connected
-
-    out = []
-    for n in range(2, 6):
-        arcs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        min_e = n  # every vertex needs in = out >= 1
-        for e in range(min_e, max_edges + 1):
-            for combo in combinations_with_replacement(range(len(arcs)), e):
-                deg = [0] * n
-                used = [False] * n
-                ok = True
-                for idx in combo:
-                    a, b = arcs[idx]
-                    deg[a] += 1
-                    deg[b] -= 1
-                    used[a] = used[b] = True
-                if any(deg) or not all(used):
-                    continue
-                D = Digraph(n, [arcs[i] for i in combo])
-                if is_connected(D):
-                    out.append(D)
-    out.append(Digraph(6, [(i, (i + 1) % 6) for i in range(6)]))
-    return out
-
-
 def random_eulerian(rng, max_edges=10):
     """Random connected Eulerian multi-digraph built from directed cycles
     through a shared vertex."""
@@ -259,9 +226,9 @@ def random_flat_matrix(rng):
     d = rng.randint(2, 4)
     N = rng.randint(d + 1, d + 4)
     while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(N)]
+        rows = [[rng.randint(-3, 3) for _ in range(N)]
                 for _ in range(d - 1)]
-        rows.append([Fraction(1)] * N)
+        rows.append([1] * N)
         try:
             return MatroidContext(Matrix(rows))
         except ValueError:

@@ -1,19 +1,21 @@
 """Exact rational matrices: determinants, pencil determinants, the
 fraction-free pivot, and the table of maximal minors.
 
-Everything runs on denominator-cleared integer rows. Bareiss elimination
-gives determinants, and the determinant of a pencil A + tB is
-interpolated from its values. One pivot kernel, _pivot, does every other
-exact-division update: Gauss-Jordan here and the simplex tableau in
-lpexact. One Gauss-Jordan elimination yields the first basis B0 and the
-Cramer coefficients chi(B0, b_i -> j) of every column, from which rank,
-flatness, linear expansions and the Gale dual are read; Cramer expansion
-fills every other minor with one exact division. The table chi is keyed
-by the int mask sum of 2^c over a subset's columns, and its keys run in
-the order of combinations(range(N), d). The minor with column b replaced
-by column j in place is the entry at mask ^ (1 << b) | (1 << j), negated
-when an odd number of the subset's columns lie strictly between b and j.
-Every result is exact.
+A Matrix stores integer rows: each row's entries times one positive
+multiplier, the lcm of that row's denominators. Fractions appear only at
+its interface, as the entries it is built from and reads back. Bareiss
+elimination gives determinants, and the determinant of a pencil A + tB
+is interpolated from its values. One pivot kernel, _pivot, does every
+other exact-division update: Gauss-Jordan here and the simplex tableau
+in lpexact. One Gauss-Jordan elimination yields the first basis B0 and
+the Cramer coefficients chi(B0, b_i -> j) of every column, from which
+rank, flatness, linear expansions and the Gale dual are read; Cramer
+expansion fills every other minor with one exact division. The table chi
+is keyed by the int mask sum of 2^c over a subset's columns, and its keys
+run in the order of combinations(range(N), d). The minor with column b
+replaced by column j in place is the entry at mask ^ (1 << b) | (1 << j),
+negated when an odd number of the subset's columns lie strictly between
+b and j. Every result is exact.
 Matrices are immutable after construction and safe to share between
 workers.
 """
@@ -21,34 +23,34 @@ workers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like "p/q", and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (str, int)):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact rational from {x!r}")
+from math import gcd, lcm, prod
 
 
 class Matrix:
     """Dense matrix over the rationals with optional column labels.
 
-    Entries are stored row-major as Fractions. Column labels, when present,
-    must be distinct and one per column (they name ground-set elements such
-    as graph edges).
+    Built from rows of ints and Fractions. Row i is stored as the integer
+    row num[i] over the positive multiplier den[i], the lcm of its
+    denominators, so the entry (i, j) is num[i][j] / den[i]; this form is
+    canonical. Column labels, when present, must be distinct and one per
+    column (they name ground-set elements such as graph edges).
     """
 
-    __slots__ = ("rows", "cols", "entries", "labels")
+    __slots__ = ("rows", "cols", "num", "den", "labels")
 
     def __init__(self, entries, labels=None):
-        entries = [[frac(x) for x in row] for row in entries]
-        if not entries:
+        num, den = [], []
+        for row in entries:
+            ints, m = _cleared(row)
+            num.append(ints)
+            den.append(m)
+        self._store(num, den, labels)
+
+    def _store(self, num, den, labels):
+        if not num:
             raise ValueError("matrix must have at least one row")
-        ncols = len(entries[0])
-        if any(len(row) != ncols for row in entries):
+        ncols = len(num[0])
+        if any(len(row) != ncols for row in num):
             raise ValueError("ragged rows")
         if labels is not None:
             labels = list(labels)
@@ -56,52 +58,60 @@ class Matrix:
                 raise ValueError("labels must match column count")
             if len(set(labels)) != ncols:
                 raise ValueError("labels must be distinct")
-        self.rows = len(entries)
+        self.rows = len(num)
         self.cols = ncols
-        self.entries = entries
+        self.num = num
+        self.den = den
         self.labels = labels
 
+    @property
+    def scale(self):
+        """The product of the row multipliers: a maximal minor of num is
+        scale times the true minor."""
+        return prod(self.den)
+
+    @property
+    def entries(self):
+        """The rows as Fractions, rebuilt on every read."""
+        return [[Fraction(x, m) for x in row]
+                for row, m in zip(self.num, self.den)]
+
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return isinstance(other, Matrix) and self.num == other.num and \
+            self.den == other.den
 
     def __repr__(self):
         return f"Matrix({self.entries!r})"
 
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        for i in row_idx:
-            if not 0 <= i < self.rows:
-                raise IndexError(f"row index {i} out of range")
-        for j in col_idx:
-            if not 0 <= j < self.cols:
-                raise IndexError(f"column index {j} out of range")
-        return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def det(self) -> Fraction:
-        """Determinant: Bareiss elimination on the denominator-cleared rows,
-        divided by the row scale."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        rows, scale = _integer_rows(self.entries)
-        return Fraction(bareiss_det(rows), scale)
-
-    def minor(self, row_idx, col_idx) -> Fraction:
-        """Determinant of the submatrix selected by the given index sets."""
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        if len(row_idx) != len(col_idx):
-            raise ValueError("minor needs equally many rows and columns")
-        return self.submatrix(row_idx, col_idx).det()
+def _integer_matrix(num, den):
+    """The Matrix of integer rows num over canonical row multipliers den."""
+    m = Matrix.__new__(Matrix)
+    m._store(num, den, None)
+    return m
 
 
-def _integer_rows(entries):
-    """Rows scaled by their denominators' lcm; returns (int rows, scale),
-    where scale is the product of the row multipliers."""
+def _cleared(row):
+    """(ints, m): a row of ints and Fractions times m, the lcm of its
+    denominators. Any other entry raises TypeError."""
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row, 1
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot build an exact rational from {x!r}")
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row], m
+
+
+def _integer_rows(vectors):
+    """Vectors of ints and Fractions, each scaled by its denominators' lcm;
+    returns (int rows, scale), where scale is the product of the row
+    multipliers."""
     rows, scale = [], 1
-    for row in entries:
-        m = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (m // x.denominator) for x in row])
+    for v in vectors:
+        ints, m = _cleared(v)
+        rows.append(ints)
         scale *= m
     return rows, scale
 
@@ -239,18 +249,17 @@ def _lex_masks(n, d):
 
 
 def maximal_minors(A: Matrix):
-    """Integer maximal minors of A's denominator-cleared rows.
+    """Integer maximal minors of A's integer rows.
 
     Returns (chi, scale): chi maps the key of every A.rows-subset of
     columns to an integer, and the true minor at those columns is
     chi / scale. The scale is positive, so chi carries the signs of the
     true minors. A rank-deficient matrix has the all-zero table.
     """
-    rows, scale = _integer_rows(A.entries)
-    reduced = _gauss_jordan(rows)
+    reduced = _gauss_jordan(A.num)
     if reduced is None:
-        return dict.fromkeys(_lex_masks(A.cols, A.rows), 0), scale
-    return _minor_table(*reduced), scale
+        return dict.fromkeys(_lex_masks(A.cols, A.rows), 0), A.scale
+    return _minor_table(*reduced), A.scale
 
 
 def _minor_table(b0, m):
@@ -314,20 +323,26 @@ def dual_matrix(A: Matrix) -> Matrix:
     With B the first basis, row k (one per column k not in B) holds
     -chi(B, b_i -> k) / chi(B) at column b_i and 1 at column k: the
     dependence that expresses column k in B. The rows span the orthogonal
-    complement of A's row space.
+    complement of A's row space. Row k is stored over the multiplier
+    |chi(B)| / g, g the gcd of chi(B) and the row's chi(B, b_i -> k), the
+    lcm of its denominators.
     """
-    reduced = _gauss_jordan(_integer_rows(A.entries)[0])
+    reduced = _gauss_jordan(A.num)
     if reduced is None:
         raise ValueError("matrix must have full row rank")
     basis, m = reduced
     cb = m[0][basis[0]]
-    rows = []
+    num, den = [], []
     for k in range(A.cols):
         if k in basis:
             continue
-        row = [Fraction(0)] * A.cols
-        row[k] = Fraction(1)
+        g = gcd(cb, *(mk[k] for mk in m))
+        if cb < 0:
+            g = -g
+        row = [0] * A.cols
+        row[k] = cb // g
         for b, mk in zip(basis, m):
-            row[b] = Fraction(-mk[k], cb)
-        rows.append(row)
-    return Matrix(rows)
+            row[b] = -mk[k] // g
+        num.append(row)
+        den.append(cb // g)
+    return _integer_matrix(num, den)

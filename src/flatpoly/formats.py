@@ -81,11 +81,12 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _rational(x):
-    """A JSON integer or a "p" or "p/q" string with a nonzero denominator."""
+    """A JSON integer or a "p" or "p/q" string with a nonzero denominator:
+    an int, or a Fraction for "p/q"."""
     if type(x) is int:
-        return Fraction(x)
+        return x
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        return Fraction(x)
+        return Fraction(x) if "/" in x else int(x)
     raise FormatError(f"entry must be an integer or a \"p/q\" string, "
                       f"got {x!r}")
 

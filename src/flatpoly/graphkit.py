@@ -8,7 +8,6 @@ elements; self-loops are rejected at construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .exactnum import Matrix, dual_matrix
@@ -106,14 +105,11 @@ def spanning_trees(D: Digraph):
 
 def incidence_matrix(D: Digraph) -> Matrix:
     """|V| x |E| signed incidence matrix: column e_tail - e_head per edge."""
-    cols = []
-    for t, h in D.edges:
-        col = [Fraction(0)] * D.n
-        col[t] = Fraction(1)
-        col[h] = Fraction(-1)
-        cols.append(col)
-    return Matrix([[cols[j][i] for j in range(len(D.edges))]
-                   for i in range(D.n)])
+    rows = [[0] * len(D.edges) for _ in range(D.n)]
+    for j, (t, h) in enumerate(D.edges):
+        rows[t][j] = 1
+        rows[h][j] = -1
+    return Matrix(rows)
 
 
 def graphic_matrix(D: Digraph) -> Matrix:
@@ -126,8 +122,7 @@ def graphic_matrix(D: Digraph) -> Matrix:
     """
     if not is_connected(D):
         raise Disconnected("graph is not connected")
-    inc = incidence_matrix(D)
-    return inc.submatrix(range(inc.rows - 1), range(inc.cols))
+    return Matrix(incidence_matrix(D).num[:-1])
 
 
 def cographic_matrix(D: Digraph) -> Matrix:

@@ -47,8 +47,8 @@ class MatroidContext:
     def __init__(self, matrix: Matrix):
         self.matrix = matrix
         self.rank_d = matrix.rows
-        rows, self.scale = _integer_rows(matrix.entries)
-        reduced = _gauss_jordan(rows)
+        self.scale = matrix.scale
+        reduced = _gauss_jordan(matrix.num)
         if reduced is None:
             raise ValueError("matrix must have full row rank")
         basis, m = reduced

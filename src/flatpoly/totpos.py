@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .exactnum import Matrix, _columns, frac, maximal_minors
+from .exactnum import (Matrix, _columns, _integer_matrix, bareiss_det,
+                       maximal_minors)
 from .polyshape import BoxCertificate, _q_combination
 
 
@@ -47,12 +48,12 @@ class GridNetwork(namedtuple("GridNetwork", "d N horizontal_weights")):
 
 def tp_from_network(net: GridNetwork) -> Matrix:
     """d x N matrix of weighted path sums, totally positive by construction."""
-    w = [[frac(x) for x in row] for row in net.horizontal_weights]
+    w = net.horizontal_weights
     rows = []
     for i in range(net.d):
         # value[r][c]: weighted paths from source i to grid node (r, c).
-        value = [[Fraction(0)] * net.N for _ in range(net.d)]
-        value[i][net.N - 1] = Fraction(1)
+        value = [[0] * net.N for _ in range(net.d)]
+        value[i][net.N - 1] = 1
         for r in range(i, net.d):
             for c in range(net.N - 2, -1, -1):
                 value[r][c] += value[r][c + 1] * w[r][c]
@@ -66,12 +67,11 @@ def tp_from_network(net: GridNetwork) -> Matrix:
 def random_network(d, N, rng) -> GridNetwork:
     """Weights drawn by rng, a random.Random, from a small-denominator pool,
     seeded for reproducibility; the last row has unit weights."""
-    pool = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1),
-            Fraction(2), Fraction(3), Fraction(4)]
+    pool = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 4]
     weights = []
     for i in range(d):
         if i == d - 1:
-            weights.append(tuple([Fraction(1)] * (N - 1)))
+            weights.append((1,) * (N - 1))
         else:
             weights.append(tuple(rng.choice(pool) for _ in range(N - 1)))
     return GridNetwork(d, N, tuple(weights))
@@ -95,16 +95,11 @@ def flat_maxpos_from_C(C: Matrix) -> FlatMaxPositive:
         if c <= 0:
             raise NotMaxPositive(f"non-positive maximal minor at columns "
                                  f"{_columns(key)}")
-    rows = []
-    for i in range(d - 1):
-        suffix = Fraction(0)
-        row = [Fraction(0)] * N
-        for j in range(N - 1, -1, -1):
-            suffix += C.entries[i][j]
-            row[j] = suffix
-        rows.append(row)
-    rows.append([Fraction(1)] * N)
-    return FlatMaxPositive(Matrix(rows), C, chi, scale)
+    # Suffix sums are a unimodular map of each row, so row i keeps its
+    # multiplier C.den[i].
+    rows = [list(accumulate(row[::-1]))[::-1] for row in C.num]
+    rows.append([1] * N)
+    return FlatMaxPositive(_integer_matrix(rows, C.den + [1]), C, chi, scale)
 
 
 def flat_maxpos_from_network(net: GridNetwork) -> FlatMaxPositive:
@@ -115,11 +110,13 @@ def flat_maxpos_from_network(net: GridNetwork) -> FlatMaxPositive:
     if not net.last_row_unit:
         raise ValueError("the network's last row needs unit weights")
     A = tp_from_network(net)
-    rows = [[A.entries[i][j] - (A.entries[i][j + 1] if j + 1 < net.N else 0)
-             for j in range(net.N)] for i in range(net.d - 1)]
+    # First differences are a unimodular map of each row, so row i keeps
+    # its multiplier A.den[i].
+    rows = [[a - b for a, b in zip(row, row[1:] + [0])]
+            for row in A.num[:-1]]
     if not rows:
         return FlatMaxPositive(A, Matrix([[0] * net.N]), {}, 1)
-    return flat_maxpos_from_C(Matrix(rows))
+    return flat_maxpos_from_C(_integer_matrix(rows, A.den[:-1]))
 
 
 def minor_via_C(fmp: FlatMaxPositive, cols) -> Fraction:
@@ -127,7 +124,8 @@ def minor_via_C(fmp: FlatMaxPositive, cols) -> Fraction:
 
     The sum runs over j-tuples with i_1 <= j_1 < i_2 <= j_2 < ... < i_d;
     the C-minors are read from fmp's minor table, and the result is
-    asserted equal to the direct determinant.
+    asserted equal to the direct determinant, the Bareiss determinant of
+    the selected columns of A's integer rows over A's scale.
     """
     cols = list(cols)
     d = fmp.A.rows
@@ -141,7 +139,8 @@ def minor_via_C(fmp: FlatMaxPositive, cols) -> Fraction:
             if all(cols[r] <= j < cols[r + 1]
                    for r, j in enumerate(_columns(key)))),
             fmp.scale)
-    direct = fmp.A.minor(range(d), cols)
+    direct = Fraction(bareiss_det([[row[c] for c in cols]
+                                   for row in fmp.A.num]), fmp.A.scale)
     if total != direct:
         raise AssertionError("interleaving formula disagrees with determinant")
     return total

@@ -32,14 +32,13 @@ class ZonotopeContext:
     """A flat integer matrix of full row rank with its minor table."""
 
     def __init__(self, matrix: Matrix):
-        # Clearing denominators scales nothing iff every entry is an integer.
-        rows, scale = _integer_rows(matrix.entries)
-        if scale != 1:
+        # Every row multiplier is 1 iff every entry is an integer.
+        if matrix.scale != 1:
             raise ValueError("zonotope matrices must be integral")
         self.matrix = matrix
         self.mctx = ormatroid.MatroidContext(matrix)
         self.d = self.mctx.rank_d
-        self._columns = list(zip(*rows))
+        self._columns = list(zip(*matrix.num))
         # The matrix is integral, so the table's scale is 1.
         self.unimodular = all(abs(c) <= 1 for c in self.mctx.chi.values())
 

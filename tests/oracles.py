@@ -29,7 +29,11 @@ minor table, and grades spanning trees by one rooted walk per tree. The
 tree-based constructions below rebuild them from a chosen spanning tree
 instead: fundamental cycles by tree paths, fundamental cuts and the
 per-edge grading by one component walk per tree edge. tree_count is the
-Kirchhoff determinant over Fractions.
+Kirchhoff determinant over Fractions. eulerian_small enumerates every
+small connected Eulerian multi-digraph.
+
+The library takes determinants by Bareiss elimination on integer rows.
+det eliminates over Fractions instead, dividing by each pivot.
 
 The library builds the table of maximal minors from one fraction-free
 Gauss-Jordan elimination and Cramer expansion, keyed by column mask, and
@@ -59,14 +63,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from flatpoly import lpexact
-from flatpoly.exactnum import (Matrix, _columns, _integer_rows, bareiss_det,
-                               frac)
+from flatpoly.exactnum import Matrix, _columns, bareiss_det
 from flatpoly.graphkit import (Digraph, _acyclic, _component,
-                               incidence_matrix, spanning_trees,
-                               standard_orientation)
+                               incidence_matrix, is_connected,
+                               spanning_trees, standard_orientation)
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases)
@@ -77,19 +81,25 @@ from flatpoly.zonolattice import (LatticePointSet, NotUnimodular,
 
 def rref(A: Matrix):
     """Reduced row echelon form; returns (matrix rows, pivot columns)."""
-    a = [row[:] for row in A.entries]
+    return _rref(A.entries)
+
+
+def _rref(rows):
+    """rref of a list of rows of ints and Fractions."""
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0])
     pivots = []
     r = 0
-    for c in range(A.cols):
-        if r == A.rows:
+    for c in range(n):
+        if r == m:
             break
-        piv = next((i for i in range(r, A.rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
+        inv = 1 / Fraction(a[r][c])
         a[r] = [x * inv for x in a[r]]
-        for i in range(A.rows):
+        for i in range(m):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
@@ -104,13 +114,18 @@ def rank(A: Matrix) -> int:
 
 def kernel_basis(A: Matrix):
     """Basis of the right kernel, one vector per free column."""
-    a, pivots = rref(A)
+    return _kernel(A.entries)
+
+
+def _kernel(rows):
+    a, pivots = _rref(rows)
+    n = len(a[0])
     pivot_set = set(pivots)
     basis = []
-    for free in range(A.cols):
+    for free in range(n):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * A.cols
+        v = [Fraction(0)] * n
         v[free] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -a[r][free]
@@ -124,16 +139,20 @@ def solve(A: Matrix, b):
     Returns (particular solution, kernel basis) or None when the system
     is inconsistent.
     """
-    b = [frac(x) for x in b]
     if len(b) != A.rows:
         raise ValueError("right-hand side length must equal row count")
-    a, pivots = rref(Matrix([row + [bv] for row, bv in zip(A.entries, b)]))
-    if A.cols in pivots:
+    return _solve(A.entries, b)
+
+
+def _solve(rows, b):
+    n = len(rows[0])
+    a, pivots = _rref([row + [bv] for row, bv in zip(rows, b)])
+    if n in pivots:
         return None
-    x = [Fraction(0)] * A.cols
+    x = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        x[c] = a[r][A.cols]
-    return x, kernel_basis(A)
+        x[c] = a[r][n]
+    return x, _kernel(rows)
 
 
 def apply(A: Matrix, x):
@@ -163,6 +182,28 @@ def independent_rows(A: Matrix):
     """Indices of the lexicographically first maximal set of linearly
     independent rows (the pivot columns of the transpose)."""
     return rref(transpose(A))[1]
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix of ints and Fractions by Gaussian
+    elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    out = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        p = a[k][k]
+        out *= p
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return out
 
 
 def poly_mul(p, q):
@@ -200,8 +241,13 @@ def poly_eval(p, x):
 
 def maximal_minors_bareiss(A: Matrix):
     """(chi, scale) as exactnum.maximal_minors returns it, with one Bareiss
-    determinant per column subset."""
-    rows, scale = _integer_rows(A.entries)
+    determinant per column subset of the rows cleared here from A's
+    entries."""
+    rows, scale = [], 1
+    for row in A.entries:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([int(x * m) for x in row])
+        scale *= m
     cols = list(zip(*rows))
     chi = {key: bareiss_det([cols[c] for c in key])
            for key in combinations(range(A.cols), A.rows)}
@@ -298,10 +344,37 @@ def tree_count(D: Digraph) -> int:
         lap[h][h] += 1
         lap[t][h] -= 1
         lap[h][t] -= 1
-    reduced = Matrix([row[:-1] for row in lap[:-1]])
-    val = reduced.det()
+    val = det([row[:-1] for row in lap[:-1]])
     assert val.denominator == 1
     return int(val)
+
+
+def eulerian_small(max_edges=6):
+    """All connected Eulerian multi-digraphs with at most max_edges edges,
+    on labeled vertex sets of size 2..5, plus the directed 6-cycle.
+
+    Enumerated as nondecreasing sequences of arc indices.
+    """
+    out = []
+    for n in range(2, 6):
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        min_e = n  # every vertex needs in = out >= 1
+        for e in range(min_e, max_edges + 1):
+            for combo in combinations_with_replacement(range(len(arcs)), e):
+                deg = [0] * n
+                used = [False] * n
+                for idx in combo:
+                    a, b = arcs[idx]
+                    deg[a] += 1
+                    deg[b] -= 1
+                    used[a] = used[b] = True
+                if any(deg) or not all(used):
+                    continue
+                D = Digraph(n, [arcs[i] for i in combo])
+                if is_connected(D):
+                    out.append(D)
+    out.append(Digraph(6, [(i, (i + 1) % 6) for i in range(6)]))
+    return out
 
 
 def _check_tree(D: Digraph, tree):
@@ -436,17 +509,22 @@ class SignedCircuit:
         return SignedCircuit(self.support, tuple(-x for x in self.lam))
 
 
+@lru_cache(maxsize=None)
+def entries_of(ctx: MatroidContext):
+    """ctx.matrix.entries, read once per context; callers do not modify
+    it."""
+    return ctx.matrix.entries
+
+
 def _basis_expansions(ctx: MatroidContext, basis):
     """Coefficients expressing every column in the given basis.
 
     Returns a d x N grid X with column_j = sum_i X[i][j] * column_{basis[i]},
     computed by one Gauss-Jordan pass on [A_B | A].
     """
-    A = ctx.matrix
     d = ctx.rank_d
-    aug = Matrix([[A.entries[i][b] for b in basis] + A.entries[i][:]
-                  for i in range(d)])
-    red, pivots = rref(aug)
+    red, pivots = _rref([[row[b] for b in basis] + row
+                         for row in entries_of(ctx)])
     if pivots != list(range(d)):
         raise ValueError("selected columns are not a basis")
     return [row[d:] for row in red]
@@ -506,13 +584,13 @@ def circuits(ctx: MatroidContext):
 
     Cached per context; the circuit list is orientation-free data.
     """
-    A = ctx.matrix
+    entries = entries_of(ctx)
     seen = []
     for size in range(1, ctx.rank_d + 2):
-        for cand in combinations(range(A.cols), size):
+        for cand in combinations(range(ctx.n_elements), size):
             if any(set(c.support) <= set(cand) for c in seen):
                 continue
-            ker = kernel_basis(A.submatrix(range(A.rows), cand))
+            ker = _kernel([[row[j] for j in cand] for row in entries])
             if not ker:
                 continue
             lam = [Fraction(0)] * ctx.n_elements
@@ -554,9 +632,10 @@ def check_admissible(ctx, l, m):
     """(True, None) if every basis expansion of l, solved by row
     reduction, has m positive and d - m negative coefficients, else
     (False, the first basis key that does not)."""
+    entries = ctx.matrix.entries
     for basis in enumerate_bases(ctx.mctx):
-        alphas = solve(ctx.matrix.submatrix(range(ctx.d), _columns(basis)),
-                       l)[0]
+        cols = _columns(basis)
+        alphas = _solve([[row[b] for b in cols] for row in entries], l)[0]
         if sum(a > 0 for a in alphas) != m or \
                 sum(a < 0 for a in alphas) != ctx.d - m:
             return False, basis
@@ -575,13 +654,9 @@ def max_epsilon(ctx, point, l):
     """Largest eps with point + eps*l still in the zonotope, by exact LP."""
     N = ctx.matrix.cols
     # Variables: t_1..t_N in [0,1], then eps >= 0, then the slacks of t.
-    rows = []
-    rhs = []
-    for i in range(ctx.d):
-        row = [ctx.matrix.entries[i][j] for j in range(N)]
-        row.append(-frac(l[i]))
-        rows.append(row + [0] * N)
-        rhs.append(frac(point[i]))
+    # The matrix is integral, so its integer rows are its entries.
+    rows = [row + [-x] + [0] * N for row, x in zip(ctx.matrix.num, l)]
+    rhs = list(point)
     prog = lpexact.LinearProgram.build(
         objective=[0] * N + [1] + [0] * N,
         eq_lhs=rows + upper_bound_rows(N, 1),
@@ -611,7 +686,7 @@ def zonotope_membership(A: Matrix, point) -> bool:
     prog = lpexact.LinearProgram.build(
         objective=[0] * 2 * N,
         eq_lhs=[row + [0] * N for row in A.entries] + upper_bound_rows(N, 0),
-        eq_rhs=[frac(x) for x in point] + [1] * N,
+        eq_rhs=list(point) + [1] * N,
     )
     return lpexact.lp_solve(prog).status == lpexact.OPTIMAL
 

@@ -19,7 +19,7 @@ from flatpoly.zonolattice import (bipartite_admissible_l,
                                   bipartite_graph_context, level_poly,
                                   trimmed_points)
 
-from oracles import tree_count
+from oracles import eulerian_small, tree_count
 
 
 @contextmanager
@@ -35,7 +35,7 @@ def criterion(num, name):
 @pytest.fixture(scope="session")
 def eulerian_corpus():
     rng = random.Random(55)
-    ds = corpus.eulerian_small(max_edges=6)
+    ds = eulerian_small(max_edges=6)
     ds += [corpus.random_eulerian(rng, max_edges=10) for _ in range(20)]
     return ds
 

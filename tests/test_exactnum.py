@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -5,12 +6,14 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import corpus, exactnum, totpos
-from flatpoly.exactnum import (Matrix, _gauss_jordan, _integer_rows,
-                               _minor_table, _swapped_minor, bareiss_det,
-                               frac, maximal_minors, pencil_det)
+from flatpoly import corpus, exactnum, formats, totpos
+from flatpoly.exactnum import (Matrix, _gauss_jordan, _minor_table,
+                               _swapped_minor, bareiss_det, maximal_minors,
+                               pencil_det)
 from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
                                standard_orientation)
+from flatpoly.ormatroid import MatroidContext
+from flatpoly.zonolattice import ZonotopeContext
 
 from oracles import (apply, flat_witness, identity, independent_rows, mask,
                      mask_table, maximal_minors_bareiss, minor_table_tuples,
@@ -18,30 +21,66 @@ from oracles import (apply, flat_witness, identity, independent_rows, mask,
                      swapped_minor_tuples)
 
 
-def test_frac_coercions():
-    assert frac("3/4") == Fraction(3, 4)
-    assert frac("5") == 5
-    assert frac(7) == Fraction(7)
-    assert frac(Fraction(1, 2)) == Fraction(1, 2)
-    with pytest.raises(TypeError):
-        frac(1.5)
+def test_matrix_entry_types():
+    # Ints, bools and Fractions are stored as integer rows over the lcm of
+    # each row's denominators, and read back as Fractions. Strings, floats
+    # and None are not exact rationals.
+    m = Matrix([[Fraction(1, 2), Fraction(-1, 3), 1], [2, Fraction(4, 2), 0],
+                [True, 0, 0]])
+    assert m.num == [[3, -2, 6], [2, 2, 0], [1, 0, 0]]
+    assert m.den == [6, 1, 1] and m.scale == 6
+    assert all(type(x) is int for row in m.num for x in row)
+    assert m.entries == [[Fraction(1, 2), Fraction(-1, 3), 1], [2, 2, 0],
+                         [1, 0, 0]]
+    assert m == Matrix(m.entries) != Matrix([[1, 2, 3]])
+    for bad in ("3/4", "5", 1.5, None):
+        with pytest.raises(TypeError):
+            Matrix([[1, bad]])
+
+
+def test_integer_inputs_build_no_fraction(tmp_path, monkeypatch):
+    # An integer matrix-v1 file with "p" strings, and a graphic matrix, are
+    # read, stored and tabulated without constructing a Fraction.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "format": "matrix-v1", "rows": 3, "cols": 5,
+        "entries": [["2", "-1", "0", "3", "1"], ["1", "1", "-2", "0", "4"],
+                    [1, 1, 1, 1, 1]]}))
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["K23"]
+    D = standard_orientation(n, edges, part1)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    m = formats.load_matrix(str(path))
+    MatroidContext(m)
+    maximal_minors(m)
+    ZonotopeContext(graphic_matrix(D))
+    maximal_minors(cographic_matrix(D))
+    assert made == []
+    assert Fraction(1, 2) and made == [(1, 2)]
 
 
 def test_minor_identity():
-    assert identity(2).minor([0, 1], [0, 1]) == 1
+    assert maximal_minors(identity(2)) == ({0b11: 1}, 1)
 
 
 def test_minor_by_hand():
-    assert Matrix([[3, 1], [1, 1]]).minor([0, 1], [0, 1]) == 2
-    assert Matrix([[3, 2, 1], [1, 1, 1]]).minor([0, 1], [0, 2]) == 2
+    assert maximal_minors(Matrix([[3, 1], [1, 1]]))[0] == {0b11: 2}
+    assert maximal_minors(Matrix([[3, 2, 1], [1, 1, 1]]))[0][0b101] == 2
 
 
-def test_minor_shape_errors():
-    m = Matrix([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        m.minor([0], [0, 1])
-    with pytest.raises(IndexError):
-        m.minor([0, 2], [0, 1])
+def test_matrix_shape_errors():
+    with pytest.raises(ValueError, match="at least one row"):
+        Matrix([])
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="column count"):
+        Matrix([[1, 2]], labels=["a"])
 
 
 def test_solve_identity():
@@ -93,10 +132,9 @@ small = st.integers(min_value=-5, max_value=5)
 @given(st.lists(st.lists(small, min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_minor_alternating(rows):
-    m = Matrix(rows)
-    a = m.minor([0, 1, 2], [0, 1, 2])
-    b = m.minor([0, 1, 2], [1, 0, 2])
-    assert a == -b
+    swapped = [[b, a, c] for a, b, c in rows]
+    assert maximal_minors(Matrix(rows))[0][0b111] == \
+        -maximal_minors(Matrix(swapped))[0][0b111]
 
 
 @given(st.lists(st.lists(small, min_size=3, max_size=3),
@@ -107,7 +145,7 @@ def test_solve_round_trip(rows, b):
     sol = solve(m, b)
     if sol is not None:
         x, ker = sol
-        assert apply(m, x) == [frac(v) for v in b]
+        assert apply(m, x) == b
         for k in ker:
             assert apply(m, k) == [0, 0]
 
@@ -129,11 +167,21 @@ def leibniz_det(rows):
     return total
 
 
+def library_dets(rows):
+    """A square matrix's determinant by both library routes: its one
+    maximal minor, and Bareiss elimination of its integer rows, each over
+    the matrix's scale."""
+    m = Matrix(rows)
+    chi, scale = maximal_minors(m)
+    return [Fraction(chi[(1 << m.cols) - 1], scale),
+            Fraction(bareiss_det(m.num), m.scale)]
+
+
 @given(st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(st.lists(rational | small, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_det_matches_leibniz(rows):
-    assert Matrix(rows).det() == leibniz_det(rows)
+    assert library_dets(rows) == [leibniz_det(rows)] * 2
 
 
 @st.composite
@@ -209,7 +257,7 @@ def test_mask_table_matches_tuple_oracle(rows):
     # under every swapped-minor read.
     m = Matrix(rows)
     chi, _ = maximal_minors(m)
-    reduced = _gauss_jordan(_integer_rows(m.entries)[0])
+    reduced = _gauss_jordan(m.num)
     if reduced is None:
         want = dict.fromkeys(combinations(range(m.cols), m.rows), 0)
     else:
@@ -225,7 +273,7 @@ def test_swapped_reads_cover_both_sides_and_signs():
     rng = random.Random(8)
     m = Matrix([[rng.randint(-4, 4) for _ in range(8)] for _ in range(3)])
     chi, _ = maximal_minors(m)
-    want = minor_table_tuples(*_gauss_jordan(_integer_rows(m.entries)[0]))
+    want = minor_table_tuples(*_gauss_jordan(m.num))
     seen = assert_same_swapped_reads(chi, want, m)
     assert all(seen.values()), seen
 
@@ -369,8 +417,8 @@ def test_independent_rows_greedy():
 
 
 def test_det_rational():
-    m = Matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
-    assert m.det() == Fraction(1, 6) - 1
+    rows = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
+    assert library_dets(rows) == [Fraction(1, 6) - 1] * 2
 
 
 def test_labels():

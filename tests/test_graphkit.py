@@ -9,9 +9,9 @@ from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
                                incidence_matrix, is_semibalanced, p_poly,
                                spanning_trees, standard_orientation)
 
-from oracles import (NotSpanningTree, apply, flat_witness, kernel_basis,
-                     p_poly_cuts, tree_cographic_matrix, tree_count,
-                     tree_graphic_matrix)
+from oracles import (NotSpanningTree, apply, det, eulerian_small,
+                     flat_witness, kernel_basis, p_poly_cuts,
+                     tree_cographic_matrix, tree_count, tree_graphic_matrix)
 
 # The worked five-vertex digraph used in the matrix-presentation figures:
 # e1: 1->2, e2: 1->3, e3: 3->4, e4: 1->5, e5: 2->3, e6: 4->1, e7: 4->5
@@ -107,8 +107,8 @@ def test_graphic_cographic_duality():
     # B = [K | I] with K = -M^T where A = [I | M].
     A = tree_graphic_matrix(FIG_D, FIG_T)
     B = tree_cographic_matrix(FIG_D, FIG_T)
-    M = [[A.entries[i][j] for j in range(4, 7)] for i in range(4)]
-    K = [[B.entries[i][j] for j in range(4)] for i in range(3)]
+    M = [row[4:7] for row in A.entries]
+    K = [row[:4] for row in B.entries]
     minus_mt = [[-M[i][r] for i in range(4)] for r in range(3)]
     assert K == minus_mt
     # The presentations are orthogonal: every cycle row of the
@@ -183,7 +183,7 @@ def test_flatness_characterizations_on_corpus():
         D = standard_orientation(n, edges, part1)
         assert flat(graphic_matrix(D))
         assert not flat(cographic_matrix(D))
-    for D in corpus.eulerian_small(max_edges=5):
+    for D in eulerian_small(max_edges=5):
         assert flat(graphic_matrix(D)) == is_semibalanced(D)
         assert flat(cographic_matrix(D))
         (t, h), *rest = D.edges
@@ -256,10 +256,12 @@ def test_total_unimodularity_spot_check():
     from itertools import combinations
     for B in (tree_cographic_matrix(FIG_D, FIG_T), cographic_matrix(FIG_D),
               graphic_matrix(FIG_D)):
+        entries = B.entries
         for size in range(1, B.rows + 1):
             for rows in combinations(range(B.rows), size):
                 for cols in combinations(range(B.cols), size):
-                    assert B.minor(rows, cols) in (-1, 0, 1)
+                    assert det([[entries[i][j] for j in cols]
+                                for i in rows]) in (-1, 0, 1)
 
 
 def test_remark_tree_choice_invariance():
@@ -282,7 +284,7 @@ def presentation_corpus():
         out.append((standard_orientation(n, edges, part1), False))
         P, _ = corpus.plane_bipartite(name)
         out.append((planardual.dual_with_orientation(P, part1).dual, True))
-    out += [(D, True) for D in corpus.eulerian_small()]
+    out += [(D, True) for D in eulerian_small()]
     rng = random.Random(2024)
     out += [(corpus.random_eulerian(rng), True) for _ in range(40)]
     return out

@@ -152,10 +152,9 @@ def test_circuits_minimality():
 
 def test_circuit_relation_exact():
     ctx = ctx_321()
+    entries = ctx.matrix.entries
     for c in circuits(ctx):
-        combo = [sum(c.lam[j] * ctx.matrix.entries[i][j]
-                     for j in range(ctx.n_elements))
-                 for i in range(ctx.rank_d)]
+        combo = [sum(a * x for a, x in zip(c.lam, row)) for row in entries]
         assert combo == [0, 0]
 
 

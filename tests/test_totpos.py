@@ -13,6 +13,14 @@ from flatpoly.totpos import (FlatMaxPositive, GridNetwork, NotMaxPositive,
                              flat_maxpos_from_C, minor_via_C, random_network,
                              tp_from_network)
 
+from oracles import det
+
+
+def first_differences(rows):
+    """Each row's consecutive differences, its last entry kept: the C whose
+    suffix sums are the rows."""
+    return [[a - b for a, b in zip(row, row[1:] + [0])] for row in rows]
+
 
 def test_network_validation():
     with pytest.raises(ValueError):
@@ -65,11 +73,12 @@ def test_tp_from_network_all_minors_positive():
     rng = random.Random(2)
     for _ in range(5):
         net = random_network(3, 5, rng)
-        A = tp_from_network(net)
+        entries = tp_from_network(net).entries
         for size in (1, 2, 3):
             for rows in combinations(range(3), size):
                 for cols in combinations(range(5), size):
-                    assert A.minor(rows, cols) > 0
+                    assert det([[entries[i][j] for j in cols]
+                                for i in rows]) > 0
 
 
 def test_flat_maxpos_from_C():
@@ -96,9 +105,7 @@ def test_minor_via_C_examples():
 def test_minor_via_C_all_minors():
     rng = random.Random(7)
     net = random_network(3, 6, rng)
-    A = tp_from_network(net)
-    C = Matrix([[A.entries[i][j] - (A.entries[i][j + 1] if j + 1 < 6 else 0)
-                 for j in range(6)] for i in range(2)])
+    C = Matrix(first_differences(tp_from_network(net).entries[:2]))
     fmp = flat_maxpos_from_C(C)
     for cols in combinations(range(6), 3):
         minor_via_C(fmp, cols)  # raises AssertionError on mismatch
@@ -170,9 +177,7 @@ def test_f_tp_closed_matches_bruteforce_random():
         N = rng.randint(d + 1, d + 3)
         net = random_network(d, N, rng)
         A = tp_from_network(net)
-        C = Matrix([[A.entries[i][j] -
-                     (A.entries[i][j + 1] if j + 1 < N else 0)
-                     for j in range(N)] for i in range(d - 1)])
+        C = Matrix(first_differences(A.entries[:-1]))
         fmp = flat_maxpos_from_C(C)
         poly, cert = f_tp_closed(fmp)
         assert poly == ormatroid.f_poly_frac(ormatroid.MatroidContext(A))

@@ -228,9 +228,11 @@ def test_basis_expansions_match_solve():
         ctx = bipartite_graph_context(n, edges, part1)
         adm = bipartite_admissible_l(n, part1)
         rational = [Fraction(x, 2 + i % 3) for i, x in enumerate(adm.l)]
+        entries = ctx.matrix.entries
         for l in (adm.l, rational):
             for basis, (nums, den) in basis_expansions(ctx, l).items():
-                sub = ctx.matrix.submatrix(range(ctx.d), _columns(basis))
+                sub = Matrix([[row[b] for b in _columns(basis)]
+                              for row in entries])
                 assert den > 0 and all(type(n) is int for n in nums)
                 alphas = [Fraction(n, den) for n in nums]
                 assert alphas == solve(sub, l)[0], (name, basis)
@@ -334,13 +336,14 @@ def test_context_checks_match_elimination_oracles(flat_corpus):
     seen = set()
     for name, m in flat_corpus:
         d, N = m.rows, m.cols
-        integral = all(x.denominator == 1 for row in m.entries for x in row)
-        bumped = [row[:] for row in m.entries]
+        entries = m.entries
+        integral = all(x.denominator == 1 for row in entries for x in row)
+        bumped = [row[:] for row in entries]
         bumped[rng.randrange(d)][rng.randrange(N)] += 1
         cases = [m, Matrix(bumped),                       # non-flat
                  stacked(m, [0] * N),                     # rank-deficient
-                 stacked(m, [a + b for a, b in zip(m.entries[0],
-                                                   m.entries[-1])])]
+                 stacked(m, [a + b for a, b in zip(entries[0],
+                                                   entries[-1])])]
         for case in cases:
             got = outcome(lambda: ormatroid.MatroidContext(case))
             assert got == oracle_outcome(case), name
@@ -385,7 +388,7 @@ def test_graphic_coordinates_on_random_graphs():
         A = graphkit.incidence_matrix(
             graphkit.standard_orientation(n, edges, part1))
         assert [incidence_point(ctx.column(j)) for j in range(A.cols)] == \
-            [tuple(A.column(j)) for j in range(A.cols)], i
+            list(zip(*A.entries)), i
         adm = bipartite_admissible_l(n, part1)
         tr = trimmed_points(ctx, adm)
         h = flat_witness(ctx.matrix)
