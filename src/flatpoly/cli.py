@@ -156,7 +156,9 @@ def suite_thm3_5(args, checks, rng):
 
 
 def suite_thm5_3(args, checks, rng):
-    """Tree-reversal polynomial equals the cographic basis polynomial."""
+    """Tree-reversal polynomial equals the cographic basis polynomial, and
+    its determinant route (Tutte's matrix-tree theorem) equals its tree
+    scan."""
     from . import graphkit, ormatroid
 
     if args.digraph:
@@ -171,6 +173,8 @@ def suite_thm5_3(args, checks, rng):
         B = graphkit.cographic_matrix(D)
         f = ormatroid.f_poly(ormatroid.MatroidContext(B))
         _check(checks, f"pd-equals-cographic[{i}]", p == f, f"{p} vs {f}")
+        q = graphkit.p_poly_det(D, 0)
+        _check(checks, f"pd-det-equals-scan[{i}]", q == p, f"{q} vs {p}")
 
 
 def suite_cor5_4(args, checks, rng):

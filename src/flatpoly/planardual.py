@@ -199,7 +199,10 @@ def alexander_poly(P: PlaneGraph, part1):
     Computed from the Seifert matrix. Its degree must be |E| - |V| + 1
     (Murasugi and Crowell: the Seifert surface of a reduced alternating
     diagram has minimal genus), and it must equal the tree-reversal
-    polynomial of the oriented dual, an independent route.
+    polynomial of the oriented dual, an independent route: the dual's
+    reduced Laplacian and Tutte's matrix-tree theorem, which share only
+    the pencil evaluator with the Seifert route. Both are polynomial time,
+    so no spanning tree is enumerated.
     """
     res = dual_with_orientation(P, part1)
     dual_pg = dual_plane_graph(res)
@@ -211,7 +214,7 @@ def alexander_poly(P: PlaneGraph, part1):
         raise AssertionError(
             f"Seifert determinant has degree {len(via_seifert) - 1}, "
             f"not |E| - |V| + 1 = {degree}")
-    via_dual = normalized(graphkit.p_poly(res.dual, 0))
+    via_dual = normalized(graphkit.p_poly_det(res.dual, 0))
     if via_seifert != via_dual:
         raise AssertionError("Seifert and dual tree routes disagree")
     return via_seifert

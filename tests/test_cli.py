@@ -114,18 +114,19 @@ def test_verify_rejects_digraph_for_other_suites(tmp_path, capsys):
             assert_input_error(capsys, ["verify", suite, "--digraph",
                                         digraph], "--digraph")
     code, rep = run(capsys, ["verify", "thm5_3", "--digraph", path])
-    assert code == 0 and len(rep["checks"]) == 1
+    assert code == 0 and [c["check"] for c in rep["checks"]] == [
+        "pd-equals-cographic[0]", "pd-det-equals-scan[0]"]
 
 
 def test_verify_thm5_3_rejects_trials_with_digraph(tmp_path, capsys):
-    # A digraph file is one check; a trial count would be silently ignored.
+    # A digraph file is one digraph; a trial count would be silently ignored.
     path = write(tmp_path, "d.json", {
         "format": "digraph-v1", "vertices": 2, "edges": [[0, 1], [1, 0]]})
     assert_input_error(capsys, ["verify", "thm5_3", "--digraph", path,
                                 "--trials", "3"], "--trials")
     code, rep = run(capsys, ["verify", "thm5_3", "--digraph", path,
                              "--trials", "0"])
-    assert code == 0 and len(rep["checks"]) == 1
+    assert code == 0 and len(rep["checks"]) == 2
 
 
 def test_verify_suites_pass(capsys):
@@ -138,10 +139,10 @@ def test_verify_suites_pass(capsys):
 
 
 def test_verify_trials_sets_graph_counts(capsys):
-    # thm5_3 checks --trials digraphs; thm6_7 checks its five corpus graphs
-    # and --trials random ones.
+    # thm5_3 checks --trials digraphs, two routes each; thm6_7 checks its
+    # five corpus graphs and --trials random ones.
     code, rep = run(capsys, ["verify", "thm5_3", "--trials", "3"])
-    assert code == 0 and len(rep["checks"]) == 3
+    assert code == 0 and len(rep["checks"]) == 6
     code, rep = run(capsys, ["verify", "thm6_7", "--trials", "3"])
     assert code == 0 and len(rep["checks"]) == 8
     assert [c["check"] for c in rep["checks"][5:]] == [
@@ -330,8 +331,19 @@ def test_alexander_builds_no_minor_table(tmp_path, capsys, monkeypatch):
     assert rep["result_poly"]["coeffs"] == [3, 15, 33, 45, 45, 33, 15, 3]
 
 
+def test_alexander_scans_no_trees(tmp_path, capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("spanning trees scanned")
+
+    monkeypatch.setattr(graphkit, "spanning_trees", no_scan)
+    path = write(tmp_path, "pg.json", planegraph_doc("C6-doubled"))
+    code, rep = run(capsys, ["alexander", "--planegraph", path])
+    assert code == 0
+    assert rep["result_poly"]["coeffs"] == [3, 15, 33, 45, 45, 33, 15, 3]
+
+
 def test_alexander_dual_disagreement_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(graphkit, "p_poly", lambda D, r=0: [1, 1])
+    monkeypatch.setattr(graphkit, "p_poly_det", lambda D, r=0: [1, 1])
     path = write(tmp_path, "pg.json", planegraph_doc("grid2x3"))
     internal_failure(capsys, ["alexander", "--planegraph", path])
 

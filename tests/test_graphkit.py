@@ -7,7 +7,8 @@ from flatpoly.exactnum import maximal_minors
 from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
                                NotEulerian, cographic_matrix, graphic_matrix,
                                incidence_matrix, is_semibalanced, p_poly,
-                               spanning_trees, standard_orientation)
+                               p_poly_det, spanning_trees,
+                               standard_orientation)
 
 from oracles import (NotSpanningTree, apply, det, eulerian_small,
                      flat_witness, kernel_basis, p_poly_cuts,
@@ -192,10 +193,13 @@ def test_flatness_characterizations_on_corpus():
 
 def test_p_poly_rejects_disconnected_or_bad_root():
     two_cycles = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    with pytest.raises(NotEulerian, match="not connected"):
-        p_poly(two_cycles, 0)
-    with pytest.raises(ValueError, match="root 2 is not a vertex"):
-        p_poly(Digraph(2, [(0, 1), (1, 0)]), 2)
+    for route in (p_poly, p_poly_det):
+        with pytest.raises(NotEulerian, match="^graph is not connected$"):
+            route(two_cycles, 0)
+        for r in (2, -1):
+            with pytest.raises(ValueError,
+                               match=rf"^root {r} is not a vertex \(0..1\)$"):
+                route(Digraph(2, [(0, 1), (1, 0)]), r)
 
 
 def test_p_poly_two_cycle():
@@ -213,7 +217,8 @@ def test_p_poly_doubled_two_cycle():
 
 def test_p_poly_root_independence():
     D = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 0)])
-    polys = {tuple(p_poly(D, r)) for r in range(4)}
+    polys = {tuple(route(D, r)) for r in range(4)
+             for route in (p_poly, p_poly_det)}
     assert len(polys) == 1
 
 
@@ -221,11 +226,30 @@ def test_p_poly_tree_count():
     D = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     p = p_poly(D, 0)
     assert sum(p) == tree_count(D) == len(list(spanning_trees(D)))
+    assert p_poly_det(D, 0) == p
 
 
 def test_p_poly_rejects_non_eulerian():
-    with pytest.raises(NotEulerian):
-        p_poly(Digraph(3, [(0, 1), (1, 2)]), 0)
+    for route in (p_poly, p_poly_det):
+        with pytest.raises(NotEulerian,
+                           match="^in-degree != out-degree at some vertex$"):
+            route(Digraph(3, [(0, 1), (1, 2)]), 0)
+
+
+def test_p_poly_det_one_vertex():
+    # The reduced Laplacian is 0 x 0, whose determinant is 1: one tree.
+    assert p_poly_det(Digraph(1, []), 0) == p_poly(Digraph(1, []), 0) == [1]
+
+
+def test_p_poly_det_matches_scan_on_larger_digraphs():
+    # Tutte's determinant against the tree scan at every root of 60 random
+    # Eulerian digraphs with up to 12 edges, larger than the presentation
+    # corpus's, where test_p_poly_matches_cut_oracle compares the two.
+    rng = random.Random(0)
+    for _ in range(60):
+        D = corpus.random_eulerian(rng, 12)
+        for r in range(D.n):
+            assert p_poly_det(D, r) == p_poly(D, r), (D, r)
 
 
 def test_p_poly_equals_cographic_f():
@@ -341,7 +365,12 @@ def test_f_poly_matches_tree_references(presentation_corpus):
 
 
 def test_p_poly_matches_cut_oracle(presentation_corpus):
+    # The scan, Tutte's determinant and the cut oracle agree at every root,
+    # and P(1) is the Kirchhoff count of undirected spanning trees.
     for D, eulerian in presentation_corpus:
         if eulerian:
+            trees = tree_count(D)
             for r in range(D.n):
-                assert p_poly(D, r) == p_poly_cuts(D, r), (D, r)
+                p = p_poly_det(D, r)
+                assert p == p_poly(D, r) == p_poly_cuts(D, r), (D, r)
+                assert sum(p) == trees, (D, r)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from flatpoly import corpus, graphkit, ormatroid, planardual
+from flatpoly import corpus, graphkit, ormatroid, planardual, polyshape
 from flatpoly.graphkit import Digraph
 from flatpoly.planardual import (DegenerateDual, MalformedRotation,
                                  PlaneGraph, alexander_poly,
@@ -212,6 +212,18 @@ def test_seifert_matches_primal_and_dual_on_random_graphs():
             normalized(graphkit.p_poly(res.dual, 0)), i
         assert len(seifert) - 1 == murasugi_crowell_degree(P), i
         assert alexander_poly(P, part1) == seifert, i
+
+
+def test_alexander_on_6x6_grid():
+    # 60 edges: a tree scan would test C(60, 25) edge subsets. Both routes
+    # are determinants, so this runs in well under a second.
+    n, edges, part1, coords, _b = corpus._grid(6, 6)
+    P = planardual.plane_from_coords(n, edges, coords, part1)
+    a = alexander_poly(P, part1)
+    assert len(a) - 1 == murasugi_crowell_degree(P) == 25
+    assert sum(a) == tree_count(P.digraph)
+    shape = polyshape.shape_report(a)
+    assert shape.trapezoidal and shape.log_concave
 
 
 def test_random_plane_bipartite_is_seeded():
