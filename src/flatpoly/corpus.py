@@ -56,29 +56,20 @@ def _theta(lengths):
     n = 2
     edges = []
     coords = [(-2, 0), (2, 0)]
+    # The paths are even, so the vertices at even distance from u, the
+    # hubs and every second subdivision vertex, form one colour class.
+    part1 = [u, v]
     for pi, length in enumerate(lengths):
         y = len(lengths) - 1 - 2 * pi
         prev = u
         for s in range(length - 1):
             coords.append((Fraction(4 * (s + 1), length) - 2, y))
             edges.append((prev, n))
+            if s % 2:
+                part1.append(n)
             prev = n
             n += 1
         edges.append((prev, v))
-    # 2-color by BFS parity (paths are even, so this is consistent).
-    adj = {w: set() for w in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        w = stack.pop()
-        for x in adj[w]:
-            if x not in color:
-                color[x] = 1 - color[w]
-                stack.append(x)
-    part1 = [w for w in range(n) if color[w] == 0]
     return n, edges, part1, coords, None
 
 

@@ -106,11 +106,6 @@ def _graph(obj):
     return n, _edges(obj, n), part1
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
-
-
 def load_matrix(src) -> Matrix:
     """{"format":"matrix-v1","rows":d,"cols":N,"entries":[["p/q",...],...]}"""
     obj = _load(src)
@@ -130,7 +125,7 @@ def load_matrix(src) -> Matrix:
 
 def dump_matrix(m: Matrix) -> dict:
     return {"format": "matrix-v1", "rows": m.rows, "cols": m.cols,
-            "entries": [[_rat_str(x) for x in row] for row in m.entries],
+            "entries": [[str(x) for x in row] for row in m.entries],
             **({"labels": m.labels} if m.labels else {})}
 
 
@@ -144,7 +139,7 @@ def load_poly(src):
 
 def _number(x):
     """An integer as a JSON int, another rational as a "p/q" string."""
-    return x.numerator if x.denominator == 1 else _rat_str(x)
+    return x.numerator if x.denominator == 1 else str(x)
 
 
 def dump_poly(coeffs, variable="t") -> dict:

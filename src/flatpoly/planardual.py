@@ -169,8 +169,9 @@ def normalized(coeffs):
 
 
 def seifert_poly(face_walks):
-    """det(V - tV^T) at -t, normalized, for the Seifert matrix V of the
-    special alternating link of a plane bipartite graph (Seifert 1934).
+    """det(V - tV^T) at -t, that is det(V + tV^T), normalized, for the
+    Seifert matrix V of the special alternating link of a plane bipartite
+    graph (Seifert 1934).
 
     The graph is the link's Seifert graph: vertices are Seifert circles and
     edges are crossings. All faces but face_walks[0] give a basis of the
@@ -187,9 +188,7 @@ def seifert_poly(face_walks):
     for (e, fwd), a in face_of.items():
         if fwd and (e, False) in face_of:
             V[a][face_of[(e, False)]] += 1
-    minus_vt = [[-x for x in col] for col in zip(*V)]
-    coeffs = pencil_det(V, minus_vt)
-    return normalized([-c if k % 2 else c for k, c in enumerate(coeffs)])
+    return normalized(pencil_det(V, list(zip(*V))))
 
 
 def alexander_poly(P: PlaneGraph, part1):

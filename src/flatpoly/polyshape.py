@@ -92,14 +92,15 @@ def shape_report(p) -> ShapeReport:
     polynomials may fail.
     """
     a = normalize(p)
+    if not a:
+        # Vacuously log-concave, nonnegative and free of internal zeros,
+        # but no trapezoid: the invariant speaks of nonempty sequences.
+        return tuple.__new__(ShapeReport, (True, True, True, True, False))
     palindromic = a == a[::-1]
     nonnegative = all(x >= 0 for x in a)
-    support = [i for i, x in enumerate(a) if x != 0]
-    if support:
-        no_internal_zeros = all(a[i] != 0
-                                for i in range(support[0], support[-1] + 1))
-    else:
-        no_internal_zeros = True
+    # a ends in a nonzero, so its support runs from its first nonzero on.
+    first = next(i for i, x in enumerate(a) if x != 0)
+    no_internal_zeros = all(x != 0 for x in a[first:])
     log_concave = all(a[i] * a[i] >= a[i - 1] * a[i + 1]
                       for i in range(1, len(a) - 1))
     return ShapeReport(palindromic, nonnegative, no_internal_zeros,

@@ -1,13 +1,12 @@
-"""Zonotopes of integer matrices: semi-activity tiling, lattice point
-count, admissible directions, trimming, and level polynomials.
+"""Zonotopes of integer matrices: lattice points, trimming and levels.
 
 The matrix is flat and of full row rank, and everything is read from its
-table of maximal minors: tiles from external semi-activity, the lattice
-point count from internal activity, and a direction's expansion in every
-basis from its expansion in the first. Every column lies on level 1, so a
-sum of k columns lies on level k. A bipartite graph enters through its
-graphic matrix, the incidence matrix without its last row, and
-incidence_point lifts a point back to vertex coordinates.
+table of maximal minors: each basis's tile, shifted by its externally
+semi-active columns, the lattice point count from internal activity, and
+a direction's expansion in every basis from its expansion in the first.
+Every column lies on level 1, so a sum of k columns lies on level k. A
+bipartite graph enters through its graphic matrix, the incidence matrix
+without its last row; incidence_point lifts points to vertex coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ class NotAdmissible(ValueError):
 
 
 class ZonotopeContext:
-    """A flat integer matrix of full row rank with its minor table."""
+    """A flat integer matrix of full row rank, its minor table and its
+    columns as integer tuples (vectors)."""
 
     def __init__(self, matrix: Matrix):
         # Every row multiplier is 1 iff every entry is an integer.
@@ -38,35 +38,9 @@ class ZonotopeContext:
         self.matrix = matrix
         self.mctx = ormatroid.MatroidContext(matrix)
         self.d = self.mctx.rank_d
-        self._columns = list(zip(*matrix.num))
+        self.vectors = list(zip(*matrix.num))
         # The matrix is integral, so the table's scale is 1.
         self.unimodular = all(abs(c) <= 1 for c in self.mctx.chi.values())
-
-    def column(self, j):
-        return list(self._columns[j])
-
-
-class Tile(namedtuple("Tile", "basis shift ext")):
-    """A basis key (as ormatroid.enumerate_bases yields it), the sum of its
-    externally semi-active columns (shift) and their number (ext), which is
-    the level of shift."""
-
-    __slots__ = ()
-
-
-def tiling(ctx: ZonotopeContext):
-    """One shifted parallelepiped per basis, shifted by its externally
-    semi-active columns under LEX_ORDER; together they tile the zonotope."""
-    tiles = []
-    for basis in ormatroid.enumerate_bases(ctx.mctx):
-        ext, n_ext = ormatroid.ext_semiactivity(ctx.mctx, basis,
-                                                ormatroid.LEX_ORDER)
-        shift = [0] * ctx.d
-        for j in ext:
-            for i, c in enumerate(ctx.column(j)):
-                shift[i] += c
-        tiles.append(Tile(basis, tuple(shift), n_ext))
-    return tuple(tiles)
 
 
 class LatticePointSet(namedtuple("LatticePointSet", "points levels")):
@@ -118,7 +92,7 @@ def basis_expansions(ctx: ZonotopeContext, l):
     (l_int,), scale = _integer_rows([l])
     chi, b0 = ctx.mctx.chi, ctx.mctx.first_basis
     b0_cols = _columns(b0)
-    _, m = _gauss_jordan([[ctx._columns[b][i] for b in b0_cols] + [x]
+    _, m = _gauss_jordan([[ctx.vectors[b][i] for b in b0_cols] + [x]
                           for i, x in enumerate(l_int)])
     # Pairs (a_k * chi(B0) * scale, B0[k]) with a_k != 0.
     a = [(row[-1], c) for row, c in zip(m, b0_cols) if row[-1]]
@@ -186,29 +160,31 @@ def incidence_point(p):
 
 def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     """Integer points that can move a positive distance along l and stay
-    inside: the trimming vertex of each tile, one point per tile.
+    inside, one per basis B, with their levels.
 
     l is m-admissible when every basis expansion of it has m positive and
-    d - m negative coefficients. Each expansion's signs are read once, for
-    that check and the vertices. A vertex sums the tile's Ext(B) columns
-    and its basis columns with negative coefficients, so its level is
-    their number.
+    d - m negative coefficients. One walk over the expansions checks that
+    and sums each point: Ext(B) under LEX_ORDER, which shifts B's tile,
+    and the basis columns with negative coefficients, which pick the
+    tile's trimming vertex. Its level is the number of columns summed.
+    NotUnimodular is raised after the walk, so NotAdmissible comes first.
     """
-    signs = {}
+    vectors, origin = ctx.vectors, (0,) * ctx.d
+    levels = {}
     for basis, (nums, _den) in basis_expansions(ctx, adm.l).items():
-        # The denominator is positive: a coefficient's sign is its
-        # numerator's.
-        s = signs[basis] = [(n > 0) - (n < 0) for n in nums]
-        if s.count(1) != adm.m or s.count(-1) != ctx.d - adm.m:
-            raise NotAdmissible(f"direction fails at basis "
-                                f"{_columns(basis)}")
+        cols = _columns(basis)
+        # The denominator is positive, so the signs are the numerators'.
+        negative = [b for n, b in zip(nums, cols) if n < 0]
+        if 0 in nums or len(negative) != ctx.d - adm.m:
+            raise NotAdmissible(f"direction fails at basis {cols}")
+        ext, _ = ormatroid.ext_semiactivity(ctx.mctx, basis,
+                                            ormatroid.LEX_ORDER)
+        summed = ext + negative
+        point = tuple(map(sum, zip(origin, *(vectors[j] for j in summed))))
+        levels[point] = len(summed)
     if not ctx.unimodular:
         raise NotUnimodular("trimming by tile vertices needs a unimodular "
                             "matrix")
-    levels = {}
-    for tile in tiling(ctx):
-        s = signs[tile.basis]
-        levels[trimming_vertex(ctx, tile, s)] = tile.ext + s.count(-1)
     pts = sorted(levels)
     return LatticePointSet(tuple(pts), tuple(levels[p] for p in pts))
 
@@ -227,17 +203,3 @@ def level_poly(points: LatticePointSet):
     for z in points.levels:
         out[z + shift] += 1
     return normalize(out), shift
-
-
-def trimming_vertex(ctx: ZonotopeContext, tile: Tile, signs):
-    """The unique trimmed point of a tile: its shift plus the basis columns
-    carrying negative coefficients in the expansion of l in the tile's
-    basis. signs holds those coefficients or just their signs."""
-    p = list(tile.shift)
-    for s, b in zip(signs, _columns(tile.basis)):
-        if s < 0:
-            for i, c in enumerate(ctx.column(b)):
-                p[i] += c
-        elif s == 0:
-            raise NotAdmissible("zero coefficient in basis expansion")
-    return tuple(p)

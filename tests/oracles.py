@@ -11,10 +11,13 @@ These oracles rebuild them from scratch: one Gauss-Jordan pass per basis
 for fundamental circuits, and a kernel scan over small column sets for
 the full circuit list.
 
-The library trims a zonotope by reading one vertex off each tile. These
-oracles decide trimming by exact LPs instead: one LP per lattice point for
-the largest step along l, or, for bipartite graphs, one membership LP per
-vertex and candidate point.
+The library trims a zonotope in one walk over the bases, summing each
+basis's trimmed point as it reads the basis's Ext set and signs. tiling
+builds a record per basis first and trimming_vertex reads each tile's
+point in a second walk, which trimmed_points_by_tiles combines. The LP
+oracles decide trimming instead: one LP per lattice point for the largest
+step along l, or, for bipartite graphs, one membership LP per vertex and
+candidate point.
 
 The library counts a unimodular zonotope's lattice points by internal
 activity, expands a direction in every basis from its expansion in the
@@ -73,10 +76,10 @@ from flatpoly.graphkit import (Digraph, _acyclic, _component,
                                spanning_trees, standard_orientation)
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
-                                enumerate_bases)
-from flatpoly.zonolattice import (LatticePointSet, NotUnimodular,
-                                  bipartite_graph_context, incidence_point,
-                                  tiling)
+                                enumerate_bases, ext_semiactivity)
+from flatpoly.zonolattice import (LatticePointSet, NotAdmissible,
+                                  NotUnimodular, basis_expansions,
+                                  bipartite_graph_context, incidence_point)
 
 
 def rref(A: Matrix):
@@ -608,13 +611,64 @@ def is_generic(ctx: MatroidContext, rho) -> bool:
                for c in circuits(ctx))
 
 
+@dataclass(frozen=True)
+class Tile:
+    """A basis key (as enumerate_bases yields it), the sum of its
+    externally semi-active columns (shift) and their number (ext), which
+    is the level of shift."""
+    basis: int
+    shift: tuple
+    ext: int
+
+
+def tiling(ctx):
+    """One shifted parallelepiped per basis, shifted by its externally
+    semi-active columns under LEX_ORDER; together they tile the zonotope."""
+    tiles = []
+    for basis in enumerate_bases(ctx.mctx):
+        ext, n_ext = ext_semiactivity(ctx.mctx, basis, LEX_ORDER)
+        shift = [0] * ctx.d
+        for j in ext:
+            for i, c in enumerate(ctx.vectors[j]):
+                shift[i] += c
+        tiles.append(Tile(basis, tuple(shift), n_ext))
+    return tuple(tiles)
+
+
 def tile_vertices(ctx, tile):
     """All 2^d vertices of a tile's shifted parallelepiped."""
     pts = [tile.shift]
     for b in _columns(tile.basis):
-        col = ctx.column(b)
+        col = ctx.vectors[b]
         pts += [tuple(x + c for x, c in zip(p, col)) for p in pts]
     return pts
+
+
+def trimming_vertex(ctx, tile, signs):
+    """The unique trimmed point of a tile: its shift plus the basis columns
+    carrying negative coefficients in the expansion of l in the tile's
+    basis. signs holds those coefficients or just their signs."""
+    p = list(tile.shift)
+    for s, b in zip(signs, _columns(tile.basis)):
+        if s < 0:
+            for i, c in enumerate(ctx.vectors[b]):
+                p[i] += c
+        elif s == 0:
+            raise NotAdmissible("zero coefficient in basis expansion")
+    return tuple(p)
+
+
+def trimmed_points_by_tiles(ctx, adm):
+    """trimmed_points by a second walk: the trimming vertex of every tile,
+    with level the tile's ext plus its negative coefficients."""
+    expansions = basis_expansions(ctx, adm.l)
+    levels = {}
+    for tile in tiling(ctx):
+        nums = expansions[tile.basis][0]
+        levels[trimming_vertex(ctx, tile, nums)] = \
+            tile.ext + sum(n < 0 for n in nums)
+    pts = sorted(levels)
+    return LatticePointSet(tuple(pts), tuple(levels[p] for p in pts))
 
 
 def lattice_points(ctx):

@@ -103,6 +103,21 @@ def test_verify_rejects_non_eulerian(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_thm5_3_one_vertex_digraph(tmp_path, capsys):
+    # The edgeless graph's cographic matroid is empty: one basis, of
+    # volume 1, so f = [1] = P_D, as pd reports.
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": 1, "edges": []})
+    code, rep = run(capsys, ["pd", "--digraph", path])
+    assert code == 0 and rep["result_poly"]["coeffs"] == [1]
+    code, rep = run(capsys, ["verify", "thm5_3", "--digraph", path])
+    assert code == 0 and rep["checks"] == [
+        {"check": "pd-equals-cographic[0]", "pass": True,
+         "detail": "[1] vs [1]"},
+        {"check": "pd-det-equals-scan[0]", "pass": True,
+         "detail": "[1] vs [1]"}]
+
+
 def test_verify_rejects_digraph_for_other_suites(tmp_path, capsys):
     # Only thm5_3 reads --digraph; every other suite rejects it rather than
     # ignore the file, whether or not the file exists.

@@ -200,6 +200,16 @@ def test_box_positive_implies_trapezoidal_palindromic():
             assert s.palindromic and s.trapezoidal
 
 
+def test_shape_report_of_zero_polynomial():
+    # [] and [0] both normalize to the empty sequence: vacuously
+    # log-concave, nonnegative and free of internal zeros, not trapezoidal.
+    for p in ([], [0]):
+        s = shape_report(p)
+        assert s._asdict() == {"palindromic": True, "nonnegative": True,
+                               "no_internal_zeros": True,
+                               "log_concave": True, "trapezoidal": False}, p
+
+
 def test_shape_consistency_assertion():
     with pytest.raises(AssertionError):
         polyshape.ShapeReport(palindromic=True, nonnegative=True,

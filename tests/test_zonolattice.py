@@ -10,13 +10,14 @@ from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
                                   basis_expansions, bipartite_admissible_l,
                                   bipartite_graph_context, incidence_point,
-                                  lattice_point_count, level_poly, tiling,
-                                  trimmed_points, trimming_vertex)
+                                  lattice_point_count, level_poly,
+                                  trimmed_points)
 
 from oracles import (check_admissible, flat_witness, identity,
                      lattice_points, max_epsilon, rank, solve, tile_vertices,
-                     translated, tree_count, trimmed_points_lp,
-                     trimmed_zonotope_points, zonotope_membership)
+                     tiling, translated, tree_count, trimmed_points_by_tiles,
+                     trimmed_points_lp, trimmed_zonotope_points,
+                     trimming_vertex, zonotope_membership)
 
 
 def seg_ctx():
@@ -204,20 +205,47 @@ def test_per_tile_unique_trimmed_point():
 
 
 def test_trimming_expands_l_once(monkeypatch):
-    # The admissibility check and the tile vertices read one expansion.
-    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["K23"]
-    ctx = bipartite_graph_context(n, edges, part1)
-    adm = bipartite_admissible_l(n, part1)
-    calls = []
+    # One expansion of l per call and one Ext read per basis: the
+    # admissibility check, the Ext sum and the trimming vertex share a walk.
+    expansions, ext_reads = [], []
     expand = zonolattice.basis_expansions
+    ext_semiactivity = ormatroid.ext_semiactivity
 
-    def counting(ctx, l):
-        calls.append(l)
+    def counting_expand(ctx, l):
+        expansions.append(l)
         return expand(ctx, l)
 
-    monkeypatch.setattr(zonolattice, "basis_expansions", counting)
-    assert len(trimmed_points(ctx, adm)) == len(tiling(ctx))
-    assert calls == [adm.l]
+    def counting_ext(mctx, basis, rho):
+        ext_reads.append(basis)
+        return ext_semiactivity(mctx, basis, rho)
+
+    monkeypatch.setattr(zonolattice, "basis_expansions", counting_expand)
+    monkeypatch.setattr(ormatroid, "ext_semiactivity", counting_ext)
+    for name in ("C4", "K23", "theta222", "C4-doubled"):
+        n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+        ctx = bipartite_graph_context(n, edges, part1)
+        adm = bipartite_admissible_l(n, part1)
+        assert len(trimmed_points(ctx, adm)) == len(tiling(ctx)), name
+        assert expansions == [adm.l], name
+        assert ext_reads == list(ormatroid.enumerate_bases(ctx.mctx)), name
+        expansions.clear()
+        ext_reads.clear()
+
+
+def test_trimmed_points_match_tile_oracle():
+    # The one-walk trimming against a tiling and a second walk of
+    # trimming vertices, on the corpus and on random plane bipartite graphs.
+    graphs = [(name, (n, edges, part1)) for name, (n, edges, part1, _c, _b)
+              in corpus.PLANE_BIPARTITE.items()]
+    rng = random.Random(11)
+    for i in range(40):
+        P, part1 = corpus.random_plane_bipartite(rng)
+        graphs.append((i, (P.digraph.n, P.digraph.edges, part1)))
+    for name, (n, edges, part1) in graphs:
+        ctx = bipartite_graph_context(n, edges, part1)
+        adm = bipartite_admissible_l(n, part1)
+        assert trimmed_points(ctx, adm) == \
+            trimmed_points_by_tiles(ctx, adm), name
 
 
 def test_basis_expansions_match_solve():
@@ -256,7 +284,7 @@ def test_lattice_point_count_matches_point_set():
 def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
     # Besides the elimination behind the matroid context, zonolattice
     # eliminates only to expand l in the first basis: one Gauss-Jordan of
-    # [B0 | l] per expansion, none for the tiling, the count or the levels.
+    # [B0 | l] per expansion, none for the count or the trimmed points.
     calls = []
     gauss_jordan = zonolattice._gauss_jordan
 
@@ -267,7 +295,6 @@ def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
     monkeypatch.setattr(zonolattice, "_gauss_jordan", counting)
     for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
         ctx = bipartite_graph_context(n, edges, part1)
-        tiling(ctx)
         lattice_point_count(ctx)
         assert calls == [], name
         adm = bipartite_admissible_l(n, part1)
@@ -387,7 +414,7 @@ def test_graphic_coordinates_on_random_graphs():
         ctx = bipartite_graph_context(n, edges, part1)
         A = graphkit.incidence_matrix(
             graphkit.standard_orientation(n, edges, part1))
-        assert [incidence_point(ctx.column(j)) for j in range(A.cols)] == \
+        assert [incidence_point(ctx.vectors[j]) for j in range(A.cols)] == \
             list(zip(*A.entries)), i
         adm = bipartite_admissible_l(n, part1)
         tr = trimmed_points(ctx, adm)
