@@ -154,8 +154,9 @@ def suite_thm3_5(args, checks, rng):
 
 def suite_thm5_3(args, checks, rng):
     """Tree-reversal polynomial equals the cographic basis polynomial, and
-    its determinant route (Tutte's matrix-tree theorem) equals its tree
-    scan."""
+    its determinant route (Tutte's matrix-tree theorem) equals the search
+    that grows each spanning tree from the root. The check names keep
+    "scan" for that search, so reports stay as they were."""
     from . import graphkit, ormatroid
 
     if args.digraph:

@@ -1,6 +1,6 @@
-"""Digraphs, spanning trees, matrix presentations, and the k-spanning-tree
-polynomial P_D of an Eulerian digraph, by two routes: p_poly scans the
-spanning trees, p_poly_det takes a determinant (Tutte's matrix-tree
+"""Digraphs, matrix presentations, and the k-spanning-tree polynomial P_D
+of an Eulerian digraph, by two routes: p_poly grows each spanning tree
+once from the root, p_poly_det takes a determinant (Tutte's matrix-tree
 theorem).
 
 Edges are an ordered list of (tail, head) pairs; the input order is the
@@ -9,8 +9,6 @@ elements; self-loops are rejected at construction.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .exactnum import Matrix, dual_matrix, pencil_det
 from .polyshape import normalize
@@ -63,47 +61,9 @@ def _component(n, edge_pairs, start=0):
 
 
 def is_connected(D: Digraph) -> bool:
-    if D.n == 1:
-        return True
-    return len(_component(D.n, D.edges)) == D.n
-
-
-def _acyclic(D: Digraph, edge_idx) -> bool:
-    """True iff the selected edges contain no cycle: union-find with path
-    halving, the find loops written inline since the spanning-tree scan
-    runs this once per candidate subset."""
-    parent = list(range(D.n))
-    edges = D.edges
-    for i in edge_idx:
-        t, h = edges[i]
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        while parent[h] != h:
-            parent[h] = parent[parent[h]]
-            h = parent[h]
-        if t == h:
-            return False
-        parent[t] = h
-    return True
-
-
-def spanning_trees(D: Digraph):
-    """Yield each spanning tree as a sorted tuple of edge indices.
-
-    Lexicographic scan of (n-1)-subsets with a union-find acyclicity test:
-    deterministic, and exponential in the edge count. Its one library
-    caller is p_poly's scan; `alexander` reaches none of it.
-    """
-    if not is_connected(D):
-        raise Disconnected("graph is not connected")
-    k = D.n - 1
-    if k == 0:
-        yield ()
-        return
-    for cand in combinations(range(len(D.edges)), k):
-        if _acyclic(D, cand):
-            yield cand
+    # Fewer than n - 1 edges cannot connect n vertices. Answering that
+    # first keeps a huge vertex count from allocating per vertex.
+    return len(D.edges) >= D.n - 1 and len(_component(D.n, D.edges)) == D.n
 
 
 def incidence_matrix(D: Digraph) -> Matrix:
@@ -164,40 +124,90 @@ def p_poly(D: Digraph, r=0):
     Coefficient k counts the trees in which exactly k tree edges must be
     reversed to obtain an oriented spanning tree rooted at r.
 
-    This is the scan over every (n-1)-subset of edges, exponential in the
-    edge count; p_poly_det computes the same polynomial in polynomial time.
-    `pd` and `verify thm5_3` still call the scan: switching `pd` multiplies
-    the tree-scan workload's throughput, and the bench harness, which keeps
-    every latency sample, bills those samples as peak memory. Once the
-    harness no longer does, both callers switch to p_poly_det, and this
-    scan and spanning_trees move to the test oracles.
+    Each tree is grown once from r (Gabow and Myers 1978, after Read and
+    Tarjan 1975). The frontier holds the live edges with one end in the
+    tree. A search node takes one frontier edge and branches two ways:
+    include it, so its far end joins the tree, or exclude it, which kills
+    it and is taken only while the far end still reaches the tree through
+    live edges. Every leaf is one spanning tree, so the work follows the
+    tree count, not the C(m, n-1) edge subsets. An edge points away from r
+    iff its tail is its tree end when it joins, so k is known at insertion
+    and no tree is walked. The search keeps an explicit stack, one frame
+    per tree vertex, and does not recurse.
+
+    p_poly_det computes the same polynomial by a determinant in
+    polynomial time; `pd` and `verify thm5_3` still call this search.
     """
     _check_eulerian(D, r)
-    edges = D.edges
-    counts = {}
-    for tree in spanning_trees(D):
-        # Walk the tree once from r: an edge points away from r iff its
-        # tail is reached first, i.e. its tail is the parent of its head.
-        adj = [[] for _ in range(D.n)]
-        for i in tree:
-            t, h = edges[i]
-            adj[t].append((h, 1))
-            adj[h].append((t, 0))
-        seen = [False] * D.n
-        seen[r] = True
-        stack = [r]
-        k = 0
-        while stack:
-            for w, away in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    k += away
-                    stack.append(w)
-        counts[k] = counts.get(k, 0) + 1
-    out = [0] * (max(counts) + 1)
-    for k, v in counts.items():
-        out[k] = v
-    return normalize(out)
+    n = D.n
+    if n == 1:
+        return [1]
+    counts = [0] * n
+    # adj[v]: (edge, other end, 1 if v is the edge's tail else 0).
+    adj = [[] for _ in range(n)]
+    for i, (t, h) in enumerate(D.edges):
+        adj[t].append((i, h, 1))
+        adj[h].append((i, t, 0))
+    in_tree = bytearray(n)
+    in_tree[r] = 1
+    dead = bytearray(len(D.edges))
+    # Vertices join in depth-first preorder of the tree they end in. pos[v]
+    # is v's place in that order, up[p] the place of the parent of the
+    # vertex in place p, and stop[p] the place just past its subtree.
+    # After a backtrack they still describe the last tree found.
+    pos = [0] * n
+    up = [0] * n
+    stop = [n] * n
+    # A frame is [frontier, k, tree size, edges it killed, edge it
+    # included]. Frontier entries are (far end, points away, edge, place of
+    # the tree end), pushed in the order their tree ends joined.
+    stack = [[[(w, a, i, 0) for i, w, a in adj[r]], 0, 1, [], None]]
+    while stack:
+        frame = stack[-1]
+        frontier, k, size, killed, last = frame
+        if size == n - 1:
+            # One vertex is left, and every frontier edge ends at it: each
+            # completes one tree. The search takes them from the top, so
+            # the last tree takes the bottom one.
+            for _y, away, _e, _u in frontier:
+                counts[k + away] += 1
+            y, _away, _e, u = frontier[0]
+            pos[y] = size
+            up[size] = u
+            stack.pop()
+            continue
+        if last is not None:
+            # The include branch of `last` is done, and its last tree L
+            # holds `last`. L hangs each vertex as near r as the live edges
+            # let, so the subtree of the far end y holds the vertices that
+            # reach the tree only through y (Gabow and Myers). The exclude
+            # branch has a tree iff a live edge leaves y for a vertex
+            # outside that subtree: the places from `size` to the end of
+            # the run, found by jumping over the subtrees of y's children.
+            y, _away, e, _u = last
+            in_tree[y] = 0
+            dead[e] = 1
+            killed.append(e)
+            end = size + 1
+            while end < n and up[end] >= size:
+                end = stop[end]
+            stop[size] = end
+            for i, x, _ in adj[y]:
+                if not dead[i] and not size <= pos[x] < end:
+                    break
+            else:
+                for i in killed:
+                    dead[i] = 0
+                stack.pop()
+                continue
+        y, away, _e, u = frame[4] = frontier.pop()
+        in_tree[y] = 1
+        pos[y] = size
+        up[size] = u
+        grown = [f for f in frontier if f[0] != y]
+        grown += [(w, a, i, size) for i, w, a in adj[y] if not in_tree[w]]
+        stack.append([grown, k + away, size + 1, [], None])
+    return normalize(counts)
 
 
 def p_poly_det(D: Digraph, r=0):
@@ -208,7 +218,7 @@ def p_poly_det(D: Digraph, r=0):
     weighted count of spanning arborescences directed toward r; an
     arborescence uses an edge as its weight-t arc exactly when the edge
     points away from r. So det(L0 + t L1) = p_poly(D, r), computed in
-    O(n^4) integer operations instead of a scan over edge subsets.
+    O(n^4) integer operations instead of one search leaf per tree.
     """
     _check_eulerian(D, r)
     L0 = [[0] * D.n for _ in range(D.n)]

@@ -123,11 +123,14 @@ class AdmissibleVector(namedtuple("AdmissibleVector", "l m")):
 
 
 def _last_part2_vertex(n_vertices, part1):
+    # Walk down past part 1 rather than list part 2, which could be huge.
     part1 = set(part1)
-    part2 = [v for v in range(n_vertices) if v not in part1]
-    if not part2:
+    v = n_vertices - 1
+    while v in part1:
+        v -= 1
+    if v < 0:
         raise ValueError("part 2 is empty")
-    return part2[-1]
+    return v
 
 
 def bipartite_graph_context(n_vertices, edges, part1):

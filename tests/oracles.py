@@ -28,9 +28,10 @@ basis expansion by row reduction.
 
 The library presents a digraph's graphic matroid by its reduced incidence
 matrix and the cographic one by the Gale dual read from that matrix's
-minor table, and grades spanning trees by one rooted walk per tree. The
-tree-based constructions below rebuild them from a chosen spanning tree
-instead: fundamental cycles by tree paths, fundamental cuts and the
+minor table, and grades spanning trees as it grows them from the root.
+spanning_trees scans every (n-1)-edge subset for a cycle instead. The
+tree-based constructions below rebuild the presentations from a chosen
+spanning tree: fundamental cycles by tree paths, fundamental cuts and the
 per-edge grading by one component walk per tree edge. tree_count is the
 Kirchhoff determinant over Fractions. eulerian_small enumerates every
 small connected Eulerian multi-digraph.
@@ -71,9 +72,9 @@ from math import lcm
 
 from flatpoly import lpexact
 from flatpoly.exactnum import Matrix, _columns, bareiss_det
-from flatpoly.graphkit import (Digraph, _acyclic, _component,
+from flatpoly.graphkit import (Digraph, Disconnected, _component,
                                incidence_matrix, is_connected,
-                               spanning_trees, standard_orientation)
+                               standard_orientation)
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases, ext_semiactivity)
@@ -378,6 +379,42 @@ def eulerian_small(max_edges=6):
                     out.append(D)
     out.append(Digraph(6, [(i, (i + 1) % 6) for i in range(6)]))
     return out
+
+
+def _acyclic(D: Digraph, edge_idx) -> bool:
+    """True iff the selected edges contain no cycle: union-find with path
+    halving."""
+    parent = list(range(D.n))
+    edges = D.edges
+    for i in edge_idx:
+        t, h = edges[i]
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        while parent[h] != h:
+            parent[h] = parent[parent[h]]
+            h = parent[h]
+        if t == h:
+            return False
+        parent[t] = h
+    return True
+
+
+def spanning_trees(D: Digraph):
+    """Yield each spanning tree as a sorted tuple of edge indices.
+
+    Lexicographic scan of (n-1)-subsets with a union-find acyclicity test:
+    deterministic, and exponential in the edge count.
+    """
+    if not is_connected(D):
+        raise Disconnected("graph is not connected")
+    k = D.n - 1
+    if k == 0:
+        yield ()
+        return
+    for cand in combinations(range(len(D.edges)), k):
+        if _acyclic(D, cand):
+            yield cand
 
 
 def _check_tree(D: Digraph, tree):

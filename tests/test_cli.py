@@ -96,6 +96,17 @@ def test_pd(tmp_path, capsys):
     assert code == 0 and rep["result_poly"]["coeffs"] == [1, 1]
 
 
+def test_pd_long_cycle(tmp_path, capsys):
+    # The tree search keeps an explicit stack, one frame per tree vertex,
+    # so a tree as deep as this one overflows no recursion limit.
+    n = 1200
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": n,
+        "edges": [[i, (i + 1) % n] for i in range(n)]})
+    code, rep = run(capsys, ["pd", "--digraph", path])
+    assert code == 0 and rep["result_poly"]["coeffs"] == [1] * n
+
+
 def test_verify_rejects_non_eulerian(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {
         "format": "digraph-v1", "vertices": 3, "edges": [[0, 1], [1, 2]]})
@@ -348,9 +359,9 @@ def test_alexander_builds_no_minor_table(tmp_path, capsys, monkeypatch):
 
 def test_alexander_scans_no_trees(tmp_path, capsys, monkeypatch):
     def no_scan(*args):
-        raise AssertionError("spanning trees scanned")
+        raise AssertionError("spanning trees enumerated")
 
-    monkeypatch.setattr(graphkit, "spanning_trees", no_scan)
+    monkeypatch.setattr(graphkit, "p_poly", no_scan)
     path = write(tmp_path, "pg.json", planegraph_doc("C6-doubled"))
     code, rep = run(capsys, ["alexander", "--planegraph", path])
     assert code == 0
@@ -550,6 +561,11 @@ def test_zonotope_rejects_empty_part2(tmp_path, capsys):
                                       "part1": [0], "edges": []})
     assert_input_error(capsys, ["zonotope", "--bigraph", path],
                        "part 2 is empty")
+    # An empty part 2 is reported before a disconnected graph.
+    path = write(tmp_path, "g.json", {"format": "bigraph-v1", "vertices": 3,
+                                      "part1": [0, 1, 2], "edges": []})
+    assert_input_error(capsys, ["zonotope", "--bigraph", path],
+                       "part 2 is empty")
 
 
 def test_fa_rejects_disconnected_bigraph(tmp_path, capsys):
@@ -558,6 +574,32 @@ def test_fa_rejects_disconnected_bigraph(tmp_path, capsys):
                                       "edges": [[0, 1], [2, 3]]})
     assert_input_error(capsys, ["fa", "--bigraph", path], "not connected")
     assert_input_error(capsys, ["zonotope", "--bigraph", path],
+                       "not connected")
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["pd", "--digraph"], {"format": "digraph-v1", "vertices": 10**6,
+                           "edges": [[0, 1], [1, 0]]}),
+    (["fa", "--bigraph"], {"format": "bigraph-v1", "vertices": 10**6,
+                           "part1": [0], "edges": [[0, 1]]}),
+    (["zonotope", "--bigraph"], {"format": "bigraph-v1", "vertices": 10**6,
+                                 "part1": [0], "edges": [[0, 1]]}),
+    (["zonotope", "--bigraph"], {"format": "bigraph-v1", "vertices": 10**6,
+                                 "part1": [10**6 - 1, 10**6 - 2],
+                                 "edges": [[0, 10**6 - 1]]}),
+])
+def test_huge_vertex_count_is_input_error(tmp_path, capsys, monkeypatch,
+                                          argv, obj):
+    # With 10^8 vertices a per-vertex list ended in MemoryError. A graph
+    # with fewer than n - 1 edges is rejected before any such list is built:
+    # here the component walk and zonolattice's range over the vertices
+    # raise instead, so a list built per vertex fails the test.
+    def per_vertex(*args):
+        raise AssertionError("allocated per vertex")
+
+    monkeypatch.setattr(graphkit, "_component", per_vertex)
+    monkeypatch.setattr(zonolattice, "range", per_vertex, raising=False)
+    assert_input_error(capsys, argv + [write(tmp_path, "g.json", obj)],
                        "not connected")
 
 

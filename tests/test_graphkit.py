@@ -1,17 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpoly import corpus, exactnum, ormatroid, planardual
 from flatpoly.exactnum import maximal_minors
 from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
                                NotEulerian, cographic_matrix, graphic_matrix,
                                incidence_matrix, is_semibalanced, p_poly,
-                               p_poly_det, spanning_trees,
-                               standard_orientation)
+                               p_poly_det, standard_orientation)
 
 from oracles import (NotSpanningTree, apply, det, eulerian_small,
-                     flat_witness, kernel_basis, p_poly_cuts,
+                     flat_witness, kernel_basis, p_poly_cuts, spanning_trees,
                      tree_cographic_matrix, tree_count, tree_graphic_matrix)
 
 # The worked five-vertex digraph used in the matrix-presentation figures:
@@ -242,14 +242,53 @@ def test_p_poly_det_one_vertex():
 
 
 def test_p_poly_det_matches_scan_on_larger_digraphs():
-    # Tutte's determinant against the tree scan at every root of 60 random
-    # Eulerian digraphs with up to 12 edges, larger than the presentation
-    # corpus's, where test_p_poly_matches_cut_oracle compares the two.
+    # The tree search, Tutte's determinant and the cut oracle's subset scan
+    # at every root of 60 random Eulerian digraphs with up to 14 edges,
+    # larger than the presentation corpus's.
     rng = random.Random(0)
     for _ in range(60):
-        D = corpus.random_eulerian(rng, 12)
+        D = corpus.random_eulerian(rng, 14)
         for r in range(D.n):
-            assert p_poly_det(D, r) == p_poly(D, r), (D, r)
+            assert p_poly(D, r) == p_poly_det(D, r) == p_poly_cuts(D, r), \
+                (D, r)
+
+
+@st.composite
+def cycle_unions(draw):
+    """Eulerian multi-digraphs on 2-10 vertices: a directed cycle through
+    every vertex and up to three more cycles, which repeat its edges or, as
+    2-cycles, reverse them. At most 14 edges keep the oracle's scan short."""
+    n = draw(st.integers(2, 10))
+    cycles = [draw(st.permutations(range(n)))]
+    budget = 14 - n
+    for _ in range(draw(st.integers(0, 3))):
+        if budget < 2:
+            break
+        length = draw(st.integers(2, min(n, budget)))
+        cycles.append(draw(st.lists(st.integers(0, n - 1), min_size=length,
+                                    max_size=length, unique=True)))
+        budget -= length
+    edges = [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    return Digraph(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycle_unions())
+def test_p_poly_matches_routes_on_cycle_unions(D):
+    for r in range(D.n):
+        assert p_poly(D, r) == p_poly_det(D, r) == p_poly_cuts(D, r), (D, r)
+
+
+def test_p_poly_work_follows_the_tree_count():
+    # A 40-cycle with 20 more copies of (0, 1) and 20 of (1, 0) has 1,600
+    # spanning trees among C(80, 39) ~ 1.05e23 edge subsets, so no subset
+    # scan finishes within the per-test time limit; the tree search takes
+    # a fraction of a second.
+    D = Digraph(40, [(i, (i + 1) % 40) for i in range(40)]
+                + [(0, 1)] * 20 + [(1, 0)] * 20)
+    p = p_poly(D, 0)
+    assert sum(p) == 1600
+    assert p == p_poly_det(D, 0)
 
 
 def test_p_poly_equals_cographic_f():
@@ -365,8 +404,9 @@ def test_f_poly_matches_tree_references(presentation_corpus):
 
 
 def test_p_poly_matches_cut_oracle(presentation_corpus):
-    # The scan, Tutte's determinant and the cut oracle agree at every root,
-    # and P(1) is the Kirchhoff count of undirected spanning trees.
+    # The tree search, Tutte's determinant and the cut oracle agree at
+    # every root, and P(1) is the Kirchhoff count of undirected spanning
+    # trees.
     for D, eulerian in presentation_corpus:
         if eulerian:
             trees = tree_count(D)
