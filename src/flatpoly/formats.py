@@ -1,4 +1,5 @@
-"""JSON file formats shared by the CLI and external callers."""
+"""JSON file formats shared by the CLI and external callers, and the JSON
+report every CLI command prints."""
 
 from __future__ import annotations
 
@@ -12,6 +13,15 @@ from .graphkit import Digraph
 
 class FormatError(ValueError):
     pass
+
+
+class UsageError(ValueError):
+    pass
+
+
+def _report(args, command, **fields):
+    rep = {"command": command, **fields}
+    print(json.dumps(rep, indent=2 if args.pretty else None, default=str))
 
 
 def _load(path_or_obj):

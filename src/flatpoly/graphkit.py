@@ -1,7 +1,8 @@
 """Digraphs, matrix presentations, and the k-spanning-tree polynomial P_D
-of an Eulerian digraph, by two routes: p_poly grows each spanning tree
-once from the root, p_poly_det takes a determinant (Tutte's matrix-tree
-theorem).
+of an Eulerian digraph, by two routes: p_poly grows each spanning tree of
+the simple graph underneath once from the root, with the parallel edges
+between two vertices merged into one weighted bundle, and p_poly_det takes
+a determinant (Tutte's matrix-tree theorem).
 
 Edges are an ordered list of (tail, head) pairs; the input order is the
 ground-set order everywhere. Parallel edges are distinct ground-set
@@ -9,6 +10,9 @@ elements; self-loops are rejected at construction.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from math import comb, prod
 
 from .exactnum import Matrix, dual_matrix, pencil_det
 from .polyshape import normalize
@@ -124,16 +128,35 @@ def p_poly(D: Digraph, r=0):
     Coefficient k counts the trees in which exactly k tree edges must be
     reversed to obtain an oriented spanning tree rooted at r.
 
-    Each tree is grown once from r (Gabow and Myers 1978, after Read and
-    Tarjan 1975). The frontier holds the live edges with one end in the
-    tree. A search node takes one frontier edge and branches two ways:
-    include it, so its far end joins the tree, or exclude it, which kills
-    it and is taken only while the far end still reaches the tree through
-    live edges. Every leaf is one spanning tree, so the work follows the
-    tree count, not the C(m, n-1) edge subsets. An edge points away from r
-    iff its tail is its tree end when it joins, so k is known at insertion
-    and no tree is walked. The search keeps an explicit stack, one frame
-    per tree vertex, and does not recurse.
+    The parallel edges between two vertices, in either direction, form one
+    bundle, an edge of the simple graph underneath. A tree of D is a tree
+    of that simple graph with one edge chosen from each of its bundles. A
+    bundle that attaches y to the tree vertex x has weight c0 + c1 t, where
+    c1 counts its edges x->y (their tail is the tree end, so they point
+    away from r) and c0 its edges y->x; P_D is the sum over the simple
+    graph's trees of the product of their bundle weights.
+
+    Each simple tree is grown once from r (Gabow and Myers 1978, after Read
+    and Tarjan 1975). The frontier holds the live bundles with one end in
+    the tree. A search node takes one frontier bundle and branches two
+    ways: include it, so its far end joins the tree, or exclude it, which
+    kills it and is taken only while the far end still reaches the tree
+    through live bundles. Every leaf is one tree of the simple graph, so
+    the work follows that tree count, not D's. The search keeps an
+    explicit stack, one frame per tree vertex, and does not recurse.
+
+    A frame carries the product of its bundle weights as t^k x, where the
+    int x is a polynomial evaluated at t = 2^B (Kronecker substitution):
+    an away-only bundle is t * c1, a toward-only one c0, and a mixed one
+    c0 + c1 2^B. The leaves add up to P_D(2^B) in one int, which is split
+    into base-2^B digits at the end. Each coefficient of P_D counts
+    distinct trees of D, and so does not exceed the tree count, which is
+    at most the product of the degrees of the vertices other than r (a
+    tree is fixed by the edge to each such vertex's parent) and at most
+    C(m, n - 1) (a tree is an (n - 1)-edge subset). B is the bit length of
+    the smaller bound, so every coefficient is below 2^B, no digit
+    carries, and the split is exact. Splitting off t^k keeps x short where
+    bundles point one way, as on a long directed cycle.
 
     p_poly_det computes the same polynomial by a determinant in
     polynomial time; `pd` and `verify thm5_3` still call this search.
@@ -142,15 +165,32 @@ def p_poly(D: Digraph, r=0):
     n = D.n
     if n == 1:
         return [1]
-    counts = [0] * n
-    # adj[v]: (edge, other end, 1 if v is the edge's tail else 0).
+    mult = Counter(D.edges)
+    degree = [0] * n
+    for t, h in D.edges:
+        degree[t] += 1
+        degree[h] += 1
+    B = min(prod(d for v, d in enumerate(degree) if v != r),
+            comb(len(D.edges), n - 1)).bit_length()
+
+    def weight(away, toward):
+        if not toward:
+            return 1, away
+        if not away:
+            return 0, toward
+        return 0, toward + (away << B)
+
+    # adj[v]: (other end w, k, x, bundle, v) with the bundle's weight t^k x
+    # when v is its tree end; these are the frontier entries v adds.
     adj = [[] for _ in range(n)]
-    for i, (t, h) in enumerate(D.edges):
-        adj[t].append((i, h, 1))
-        adj[h].append((i, t, 0))
+    bundles = dict.fromkeys((min(e), max(e)) for e in D.edges)
+    for b, (u, v) in enumerate(bundles):
+        uv, vu = mult[u, v], mult[v, u]
+        adj[u].append((v, *weight(uv, vu), b, u))
+        adj[v].append((u, *weight(vu, uv), b, v))
     in_tree = bytearray(n)
     in_tree[r] = 1
-    dead = bytearray(len(D.edges))
+    dead = bytearray(len(bundles))
     # Vertices join in depth-first preorder of the tree they end in. pos[v]
     # is v's place in that order, up[p] the place of the parent of the
     # vertex in place p, and stop[p] the place just past its subtree.
@@ -158,56 +198,59 @@ def p_poly(D: Digraph, r=0):
     pos = [0] * n
     up = [0] * n
     stop = [n] * n
-    # A frame is [frontier, k, tree size, edges it killed, edge it
-    # included]. Frontier entries are (far end, points away, edge, place of
-    # the tree end), pushed in the order their tree ends joined.
-    stack = [[[(w, a, i, 0) for i, w, a in adj[r]], 0, 1, [], None]]
+    total = 0
+    # A frame is [frontier, k, x, tree size, bundles it killed, bundle it
+    # included]. Frontier entries are adj entries of tree vertices, pushed
+    # in the order their tree ends joined.
+    stack = [[adj[r][:], 0, 1, 1, [], None]]
     while stack:
         frame = stack[-1]
-        frontier, k, size, killed, last = frame
+        frontier, k, x, size, killed, last = frame
         if size == n - 1:
-            # One vertex is left, and every frontier edge ends at it: each
-            # completes one tree. The search takes them from the top, so
-            # the last tree takes the bottom one.
-            for _y, away, _e, _u in frontier:
-                counts[k + away] += 1
-            y, _away, _e, u = frontier[0]
+            # One vertex is left, and every frontier bundle ends at it:
+            # each completes one simple tree. The search takes them from
+            # the top, so the last tree takes the bottom one.
+            s = sum(wx << (wk * B) for _y, wk, wx, _b, _u in frontier)
+            total += (x * s) << (k * B)
+            y, _wk, _wx, _b, u = frontier[0]
             pos[y] = size
-            up[size] = u
+            up[size] = pos[u]
             stack.pop()
             continue
         if last is not None:
             # The include branch of `last` is done, and its last tree L
-            # holds `last`. L hangs each vertex as near r as the live edges
-            # let, so the subtree of the far end y holds the vertices that
-            # reach the tree only through y (Gabow and Myers). The exclude
-            # branch has a tree iff a live edge leaves y for a vertex
-            # outside that subtree: the places from `size` to the end of
-            # the run, found by jumping over the subtrees of y's children.
-            y, _away, e, _u = last
+            # holds `last`. L hangs each vertex as near r as the live
+            # bundles let, so the subtree of the far end y holds the
+            # vertices that reach the tree only through y (Gabow and
+            # Myers). The exclude branch has a tree iff a live bundle
+            # leaves y for a vertex outside that subtree: the places from
+            # `size` to the end of the run, found by jumping over the
+            # subtrees of y's children.
+            y, _wk, _wx, b, _u = last
             in_tree[y] = 0
-            dead[e] = 1
-            killed.append(e)
+            dead[b] = 1
+            killed.append(b)
             end = size + 1
             while end < n and up[end] >= size:
                 end = stop[end]
             stop[size] = end
-            for i, x, _ in adj[y]:
-                if not dead[i] and not size <= pos[x] < end:
+            for w, _wk, _wx, b, _y in adj[y]:
+                if not dead[b] and not size <= pos[w] < end:
                     break
             else:
-                for i in killed:
-                    dead[i] = 0
+                for b in killed:
+                    dead[b] = 0
                 stack.pop()
                 continue
-        y, away, _e, u = frame[4] = frontier.pop()
+        y, wk, wx, _b, u = frame[5] = frontier.pop()
         in_tree[y] = 1
         pos[y] = size
-        up[size] = u
+        up[size] = pos[u]
         grown = [f for f in frontier if f[0] != y]
-        grown += [(w, a, i, size) for i, w, a in adj[y] if not in_tree[w]]
-        stack.append([grown, k + away, size + 1, [], None])
-    return normalize(counts)
+        grown += [f for f in adj[y] if not in_tree[f[0]]]
+        stack.append([grown, k + wk, x * wx, size + 1, [], None])
+    mask = (1 << B) - 1
+    return normalize([(total >> (i * B)) & mask for i in range(n)])
 
 
 def p_poly_det(D: Digraph, r=0):

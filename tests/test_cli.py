@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import (corpus, exactnum, formats, graphkit, lpexact, ormatroid,
-                      polyshape, zonolattice)
+from flatpoly import (cli, corpus, exactnum, formats, graphkit, lpexact,
+                      ormatroid, polyshape, suites, zonolattice)
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
@@ -196,10 +196,15 @@ def test_verify_rejects_negative_trials(capsys):
 
 
 def test_verify_fails_when_no_check_ran(capsys, monkeypatch):
-    from flatpoly import cli
-    monkeypatch.setitem(cli.SUITES, "thm8_8", lambda args, checks, rng: None)
+    monkeypatch.setitem(suites.SUITES, "thm8_8",
+                        lambda args, checks, rng: None)
     code, rep = run(capsys, ["verify", "thm8_8"])
     assert code == 1 and rep["checks"] == []
+
+
+def test_parser_names_every_suite():
+    # The parser's choices come from cli, which does not load suites.
+    assert cli.SUITE_NAMES == tuple(suites.SUITES)
 
 
 def assert_input_error(capsys, argv, message):
@@ -713,6 +718,15 @@ def test_cli_import_loads_no_command_module():
     added = _modules_added("import flatpoly.cli")
     assert "flatpoly.cli" in added
     assert not added & (UNUSED_BY_FA | {"dataclasses", "inspect"})
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    # Every process compiles what it loads when no bytecode cache is
+    # written, so the verify suites stay out of the start-up.
+    added = _modules_added("import flatpoly.cli")
+    assert {m for m in added if m.split(".")[0] == "flatpoly"} == {
+        "flatpoly", "flatpoly.cli", "flatpoly.formats", "flatpoly.exactnum",
+        "flatpoly.graphkit", "flatpoly.polyshape"}
 
 
 def test_fa_matrix_loads_only_its_modules(tmp_path):

@@ -279,6 +279,63 @@ def test_p_poly_matches_routes_on_cycle_unions(D):
         assert p_poly(D, r) == p_poly_det(D, r) == p_poly_cuts(D, r), (D, r)
 
 
+@st.composite
+def bundled_cycle_unions(draw):
+    """Eulerian multi-digraphs on 2-8 vertices with heavy bundles: a
+    directed cycle through every vertex and up to two more cycles, each
+    repeated 1-50 times. A repeated 2-cycle, or a cycle that reverses an
+    edge of another, makes an antiparallel bundle."""
+    n = draw(st.integers(2, 8))
+    cycles = [draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(0, 2))):
+        length = draw(st.integers(2, n))
+        cycles.append(draw(st.lists(st.integers(0, n - 1), min_size=length,
+                                    max_size=length, unique=True)))
+    edges = []
+    for c in cycles:
+        edges += [(c[i - 1], c[i]) for i in range(len(c))] \
+            * draw(st.integers(1, 50))
+    draw(st.randoms(use_true_random=False)).shuffle(edges)
+    return Digraph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundled_cycle_unions())
+def test_p_poly_matches_routes_on_heavy_bundles(D):
+    # The bundle weights c0 + c1 t and the packed digits against the
+    # determinant at every root, and against the per-tree cut oracle
+    # where its subset scan is short.
+    for r in range(D.n):
+        p = p_poly(D, r)
+        assert p == p_poly_det(D, r), (D, r)
+        if len(D.edges) <= 14:
+            assert p == p_poly_cuts(D, r), (D, r)
+
+
+def test_p_poly_work_follows_the_simple_graph():
+    # A 6-cycle with every edge copied 200 times has 6 * 200^5 = 1.92e12
+    # spanning trees, far past any search with one leaf per tree; the
+    # simple graph underneath has six.
+    D = Digraph(6, [(i, (i + 1) % 6) for i in range(6)] * 200)
+    p = p_poly(D, 0)
+    assert sum(p) == 6 * 200 ** 5 == 1_920_000_000_000
+    assert p == p_poly_det(D, 0) == [200 ** 5] * 6
+
+
+def test_p_poly_packing_width_on_long_cycles():
+    # A directed n-cycle has P_D = 1 + t + ... + t^(n-1). Every bundle
+    # points one way there, so the frame keeps its power of t apart and
+    # its packed int stays short. With every edge tripled each of the n
+    # trees of the simple graph carries 3^(n-1) trees of D, so the digits
+    # are hundreds of bits wide and must still split exactly.
+    def cycle(n):
+        return [(i, (i + 1) % n) for i in range(n)]
+
+    for n in (300, 600):
+        assert p_poly(Digraph(n, cycle(n)), 0) == [1] * n
+    assert p_poly(Digraph(300, cycle(300) * 3), 7) == [3 ** 299] * 300
+
+
 def test_p_poly_work_follows_the_tree_count():
     # A 40-cycle with 20 more copies of (0, 1) and 20 of (1, 0) has 1,600
     # spanning trees among C(80, 39) ~ 1.05e23 edge subsets, so no subset
@@ -414,3 +471,20 @@ def test_p_poly_matches_cut_oracle(presentation_corpus):
                 p = p_poly_det(D, r)
                 assert p == p_poly(D, r) == p_poly_cuts(D, r), (D, r)
                 assert sum(p) == trees, (D, r)
+
+
+def test_p_poly_is_palindromic(presentation_corpus):
+    # Reversing every edge swaps the tree edges that point away from r
+    # with those that point toward it, so t^(n-1) P_D(1/t) is P of the
+    # reversed digraph. Its cographic matrix is the negated one, with the
+    # same f, so by Theorem 5.3 it is P_D again. The constant term counts
+    # the arborescences into r, of which a connected Eulerian digraph has
+    # at least one, so the degree is n - 1.
+    rng = random.Random(11)
+    digraphs = [D for D, eulerian in presentation_corpus if eulerian]
+    digraphs += [corpus.random_eulerian(rng, 14) for _ in range(100)]
+    for D in digraphs:
+        for r in range(D.n):
+            for route in (p_poly, p_poly_det):
+                p = route(D, r)
+                assert len(p) == D.n and p == p[::-1], (D, r, route)
