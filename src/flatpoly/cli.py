@@ -73,11 +73,9 @@ def cmd_zonotope(args):
     trimmed = zonolattice.trimmed_points(ctx, adm)
     levels, shift = zonolattice.level_poly(trimmed)
     # Reports are in vertex coordinates.
-    lifted = zonolattice.LatticePointSet(
-        tuple(map(zonolattice.incidence_point, trimmed.points)),
-        trimmed.levels)
-    _report(args, "zonotope",
-            lattice_points=zonolattice.lattice_point_count(ctx),
+    lifted = trimmed._replace(
+        points=tuple(map(zonolattice.incidence_point, trimmed.points)))
+    _report(args, "zonotope", lattice_points=trimmed.lattice_points,
             trimmed=formats.dump_points(lifted),
             level_poly=formats.dump_poly(levels), level_shift=shift,
             admissible_direction=list(zonolattice.incidence_point(adm.l)),

@@ -238,11 +238,12 @@ def _columns(mask):
 def _lex_masks(n, d):
     """The keys of the d-subsets of range(n), in the lexicographic order of
     combinations(range(n), d): the subsets of range(s, n) holding s come
-    first, then those without it."""
+    first, then those without it. A d-subset's k-element tail starts at
+    d - k or later, so no other tail is built."""
     tails = [[0]] * (n + 1)  # tails[s]: the keys of 0-subsets of range(s, n)
     for size in range(1, d + 1):
         heads = [[] for _ in range(n + 1)]
-        for s in range(n - size, -1, -1):
+        for s in range(n - size, d - size - 1, -1):
             heads[s] = [1 << s | m for m in tails[s + 1]] + heads[s + 1]
         tails = heads
     return tails[0]

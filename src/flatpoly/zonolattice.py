@@ -1,9 +1,12 @@
-"""Zonotopes of integer matrices: lattice points, trimming and levels.
+"""Zonotopes of integer matrices: trimming, levels and lattice points.
 
 The matrix is flat and of full row rank, and everything is read from its
-table of maximal minors: each basis's tile, shifted by its externally
-semi-active columns, the lattice point count from internal activity, and
-a direction's expansion in every basis from its expansion in the first.
+table of maximal minors in one walk over the bases, trimmed_points. Each
+basis B gives one trimmed point, its tile shifted by its externally
+semi-active columns plus the basis columns where a direction l expands
+negatively, and adds 2^int(B) to the lattice point count; the walk also
+checks that every |chi(B)| is 1. l is expanded once in the first basis,
+and its expansion in every other basis follows from the table.
 Every column lies on level 1, so a sum of k columns lies on level k. A
 bipartite graph enters through its graphic matrix, the incidence matrix
 without its last row; incidence_point lifts points to vertex coordinates.
@@ -39,46 +42,31 @@ class ZonotopeContext:
         self.mctx = ormatroid.MatroidContext(matrix)
         self.d = self.mctx.rank_d
         self.vectors = list(zip(*matrix.num))
-        # The matrix is integral, so the table's scale is 1.
-        self.unimodular = all(abs(c) <= 1 for c in self.mctx.chi.values())
 
 
-class LatticePointSet(namedtuple("LatticePointSet", "points levels")):
-    """Sorted integer tuples (points) and the level of each point (levels,
-    parallel to points)."""
+class TrimmedPoints(namedtuple("TrimmedPoints",
+                               "points levels lattice_points")):
+    """Sorted integer tuples (points), the level of each point (levels,
+    parallel to points), and the number of integer points of the whole
+    zonotope (lattice_points). len() counts the points."""
 
     __slots__ = ()
 
     def __len__(self):
         return len(self.points)
 
-
-def lattice_point_count(ctx: ZonotopeContext) -> int:
-    """Number of integer points of the zonotope of a unimodular matrix.
-
-    There is one per independent set of columns (Stanley 1991), and by
-    Crapo's activity expansion that is T(2, 1) = sum over bases B of
-    2^int(B). A basis column b is internally active iff no smaller column
-    j outside B can replace it, that is chi(B, b -> j) = 0.
-    """
-    if not ctx.unimodular:
-        raise NotUnimodular("lattice point count needs a unimodular matrix")
-    chi = ctx.mctx.chi
-    total = 0
-    for basis in ormatroid.enumerate_bases(ctx.mctx):
-        internal = sum(
-            not any(not basis >> j & 1 and _swapped_minor(chi, basis, b, j)
-                    for j in range(b))
-            for b in _columns(basis))
-        total += 2 ** internal
-    return total
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, behind _replace, checks the field count
+        # with len().
+        return tuple.__new__(cls, iterable)
 
 
 def basis_expansions(ctx: ZonotopeContext, l):
-    """The coefficients of l, of ints or Fractions, in every basis, keyed
-    by basis key as (numerators, denominator): integers in the order of the
-    basis columns, the denominator positive and shared by the basis's
-    coefficients.
+    """The coefficients of l, of ints or Fractions, in every basis: yields
+    (basis key, numerators, denominator) in the order of enumerate_bases,
+    the numerators integers in the order of the basis columns and the
+    denominator positive and shared by them.
 
     l is expanded once in the first basis B0 by Cramer's rule, as
     l = sum_k a_k B0[k] with a_k = det(B0 with B0[k] -> l) / chi(B0): one
@@ -97,7 +85,6 @@ def basis_expansions(ctx: ZonotopeContext, l):
     # Pairs (a_k * chi(B0) * scale, B0[k]) with a_k != 0.
     a = [(row[-1], c) for row, c in zip(m, b0_cols) if row[-1]]
     den0 = chi[b0] * scale
-    out = {}
     for basis in ormatroid.enumerate_bases(ctx.mctx):
         cb = chi[basis]
         den = den0 * cb
@@ -111,8 +98,7 @@ def basis_expansions(ctx: ZonotopeContext, l):
                 elif not basis >> c & 1:
                     num += n * _swapped_minor(chi, basis, b, c)
             nums.append(sign * num)
-        out[basis] = (nums, sign * den)
-    return out
+        yield basis, nums, sign * den
 
 
 class AdmissibleVector(namedtuple("AdmissibleVector", "l m")):
@@ -163,18 +149,24 @@ def incidence_point(p):
 
 def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
     """Integer points that can move a positive distance along l and stay
-    inside, one per basis B, with their levels.
+    inside, one per basis B, with their levels and the zonotope's lattice
+    point count, from one walk over the basis expansions.
 
     l is m-admissible when every basis expansion of it has m positive and
-    d - m negative coefficients. One walk over the expansions checks that
-    and sums each point: Ext(B) under LEX_ORDER, which shifts B's tile,
-    and the basis columns with negative coefficients, which pick the
-    tile's trimming vertex. Its level is the number of columns summed.
-    NotUnimodular is raised after the walk, so NotAdmissible comes first.
+    d - m negative coefficients. The walk checks that and sums each point:
+    Ext(B) under LEX_ORDER, which shifts B's tile, and the basis columns
+    with negative coefficients, which pick the tile's trimming vertex. Its
+    level is the number of columns summed. A unimodular zonotope has one
+    lattice point per independent set of columns (Stanley 1991), and by
+    Crapo's activity expansion that is T(2, 1) = sum over bases B of
+    2^int(B). A basis column b is internally active iff no smaller column
+    j outside B can replace it, that is chi(B, b -> j) = 0. The matrix is
+    unimodular iff every |chi(B)| is 1; NotUnimodular is raised after the
+    walk, so NotAdmissible comes first.
     """
-    vectors, origin = ctx.vectors, (0,) * ctx.d
-    levels = {}
-    for basis, (nums, _den) in basis_expansions(ctx, adm.l).items():
+    chi, vectors, origin = ctx.mctx.chi, ctx.vectors, (0,) * ctx.d
+    levels, count, unimodular = {}, 0, True
+    for basis, nums, _den in basis_expansions(ctx, adm.l):
         cols = _columns(basis)
         # The denominator is positive, so the signs are the numerators'.
         negative = [b for n, b in zip(nums, cols) if n < 0]
@@ -185,14 +177,20 @@ def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
         summed = ext + negative
         point = tuple(map(sum, zip(origin, *(vectors[j] for j in summed))))
         levels[point] = len(summed)
-    if not ctx.unimodular:
+        internal = sum(
+            not any(chi[basis ^ (1 << b) | (1 << j)]
+                    for j in range(b) if not basis >> j & 1)
+            for b in cols)
+        count += 2 ** internal
+        unimodular = unimodular and chi[basis] in (1, -1)
+    if not unimodular:
         raise NotUnimodular("trimming by tile vertices needs a unimodular "
                             "matrix")
     pts = sorted(levels)
-    return LatticePointSet(tuple(pts), tuple(levels[p] for p in pts))
+    return TrimmedPoints(tuple(pts), tuple(levels[p] for p in pts), count)
 
 
-def level_poly(points: LatticePointSet):
+def level_poly(points: TrimmedPoints):
     """Coefficient of t^z = number of points on level z.
 
     Returns (coefficients, shift) where shift is the amount added to every

@@ -1,10 +1,15 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures and helpers shared by several test modules."""
 
+import os
 import random
+import resource
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import flatpoly
 from flatpoly import corpus, totpos
 from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
                                standard_orientation)
@@ -31,6 +36,28 @@ def _time_limit():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+#: Address-space limit of a child process, in bytes.
+CHILD_ADDRESS_SPACE = 1_500_000_000
+
+
+def run_python_limited(args):
+    """Run `python args` with flatpoly importable, in a child process whose
+    address space is capped at CHILD_ADDRESS_SPACE, so a run that would
+    exhaust the machine's memory ends in a MemoryError instead; returns
+    the subprocess.CompletedProcess with text output."""
+    src = os.path.dirname(os.path.dirname(flatpoly.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=env, preexec_fn=cap)
 
 
 @pytest.fixture(scope="session")

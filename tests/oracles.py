@@ -20,11 +20,14 @@ step along l, or, for bipartite graphs, one membership LP per vertex and
 candidate point.
 
 The library counts a unimodular zonotope's lattice points by internal
-activity, expands a direction in every basis from its expansion in the
-first, and takes a point's level as its number of summed columns.
-lattice_points lists the points instead, as the union of all 2^d vertices
-of every tile, with levels by flat_witness; check_admissible solves each
-basis expansion by row reduction.
+activity and checks unimodularity in the same walk, expands a direction in
+every basis from its expansion in the first, and takes a point's level as
+its number of summed columns. lattice_points lists the points instead, as
+the union of all 2^d vertices of every tile, with levels by flat_witness,
+after a scan of the whole minor table for unimodularity; check_admissible
+solves each basis expansion by row reduction. admissible_direction finds a
+direction for contexts that are not bipartite graphs by trying a small box
+of them.
 
 The library presents a digraph's graphic matroid by its reduced incidence
 matrix and the cographic one by the Gale dual read from that matrix's
@@ -64,10 +67,11 @@ over Fractions, which must reach the same outcome by the same pivots.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from flatpoly import lpexact
@@ -78,7 +82,7 @@ from flatpoly.graphkit import (Digraph, Disconnected, _component,
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases, ext_semiactivity)
-from flatpoly.zonolattice import (LatticePointSet, NotAdmissible,
+from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, basis_expansions,
                                   bipartite_graph_context, incidence_point)
 
@@ -695,13 +699,25 @@ def trimming_vertex(ctx, tile, signs):
     return tuple(p)
 
 
+class LatticePointSet(namedtuple("LatticePointSet", "points levels")):
+    """Sorted integer tuples (points) and the level of each point (levels,
+    parallel to points). len() counts the points."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return len(self.points)
+
+
 def trimmed_points_by_tiles(ctx, adm):
-    """trimmed_points by a second walk: the trimming vertex of every tile,
-    with level the tile's ext plus its negative coefficients."""
-    expansions = basis_expansions(ctx, adm.l)
+    """The points and levels of trimmed_points by a second walk: the
+    trimming vertex of every tile, with level the tile's ext plus its
+    negative coefficients."""
+    expansions = {basis: nums
+                  for basis, nums, _den in basis_expansions(ctx, adm.l)}
     levels = {}
     for tile in tiling(ctx):
-        nums = expansions[tile.basis][0]
+        nums = expansions[tile.basis]
         levels[trimming_vertex(ctx, tile, nums)] = \
             tile.ext + sum(n < 0 for n in nums)
     pts = sorted(levels)
@@ -711,7 +727,8 @@ def trimmed_points_by_tiles(ctx, adm):
 def lattice_points(ctx):
     """Integer points of a unimodular zonotope, as the union of tile vertex
     sets, with their levels by the row-reduced flat_witness."""
-    if not ctx.unimodular:
+    # The matrix is integral, so the table's scale is 1.
+    if any(abs(c) > 1 for c in ctx.mctx.chi.values()):
         raise NotUnimodular("lattice enumeration needs a unimodular matrix")
     h = flat_witness(ctx.matrix)
     pts = sorted({p for t in tiling(ctx) for p in tile_vertices(ctx, t)})
@@ -731,6 +748,23 @@ def check_admissible(ctx, l, m):
                 sum(a < 0 for a in alphas) != ctx.d - m:
             return False, basis
     return True, None
+
+
+def admissible_direction(ctx):
+    """The first direction l in product order with entries in [-3, 3]
+    whose expansion in every basis has no zero and the same number m of
+    positive coefficients, as an AdmissibleVector; None if there is none.
+    Candidates are screened by the library's basis expansions, so a caller
+    confirms the result with check_admissible."""
+    for l in product(range(-3, 4), repeat=ctx.d):
+        counts = set()
+        for _basis, nums, _den in basis_expansions(ctx, l):
+            counts.add(sum(n > 0 for n in nums))
+            if 0 in nums or len(counts) > 1:
+                break
+        else:
+            return AdmissibleVector(l, counts.pop())
+    return None
 
 
 def upper_bound_rows(n, extra):

@@ -16,6 +16,8 @@ from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
 
+from conftest import run_python_limited
+
 
 def write(tmp_path, name, obj):
     p = tmp_path / name
@@ -129,6 +131,23 @@ def test_verify_thm5_3_one_vertex_digraph(tmp_path, capsys):
          "detail": "[1] vs [1]"}]
 
 
+def test_verify_thm5_3_many_parallel_edges(tmp_path):
+    # A 6-cycle with every edge five times plus three (0, 1), (1, 0)
+    # pairs: 36 edges and a cographic table of C(36, 31) = 376,992 minors.
+    # Under the address-space cap a key list built past the table ends in
+    # a MemoryError instead of exhausting the machine.
+    edges = [[v, (v + 1) % 6] for v in range(6) for _ in range(5)]
+    edges += [[0, 1], [1, 0]] * 3
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": 6, "edges": edges})
+    proc = run_python_limited(["-m", "flatpoly.cli", "verify", "thm5_3",
+                               "--digraph", path])
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert len(rep["checks"]) == 2
+    assert all(c["pass"] for c in rep["checks"])
+
+
 def test_verify_rejects_digraph_for_other_suites(tmp_path, capsys):
     # Only thm5_3 reads --digraph; every other suite rejects it rather than
     # ignore the file, whether or not the file exists.
@@ -182,7 +201,7 @@ def test_thm6_7_reads_levels_from_points(capsys, monkeypatch):
 
     def permuted(ctx, adm):
         tr = trimmed(ctx, adm)
-        return zonolattice.LatticePointSet(tr.points, tr.levels[::-1])
+        return tr._replace(levels=tr.levels[::-1])
 
     monkeypatch.setattr(zonolattice, "trimmed_points", permuted)
     code, rep = run(capsys, ["verify", "thm6_7", "--trials", "1"])
@@ -273,6 +292,28 @@ def test_zonotope(tmp_path, capsys):
                                         [-1, 1, -1, 1], [-1, 1, 0, 0]]
     assert rep["trimmed"]["levels"] == [2, 1, 2, 1]
     assert rep["admissible_direction"] == [1, 1, -3, 1]
+
+
+def test_zonotope_walks_the_bases_once(tmp_path, capsys, monkeypatch):
+    # The trimmed points, their levels, the lattice point count and the
+    # unimodularity check come from one walk over the bases.
+    walks = []
+    enumerate_bases = ormatroid.enumerate_bases
+
+    def counting(ctx):
+        walks.append(ctx)
+        return enumerate_bases(ctx)
+
+    monkeypatch.setattr(ormatroid, "enumerate_bases", counting)
+    for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
+        path = write(tmp_path, f"{name}.json", {
+            "format": "bigraph-v1", "vertices": n, "part1": list(part1),
+            "edges": [list(e) for e in edges]})
+        code, rep = run(capsys, ["zonotope", "--bigraph", path])
+        assert code == 0 and rep["lattice_points"] >= len(
+            rep["trimmed"]["points"]), name
+        assert len(walks) == 1, name
+        walks.clear()
 
 
 def test_zonotope_solves_no_lp(tmp_path, capsys, monkeypatch):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpoly import corpus, exactnum, formats, totpos
-from flatpoly.exactnum import (Matrix, _gauss_jordan, _minor_table,
-                               _swapped_minor, bareiss_det, maximal_minors,
-                               pencil_det)
+from flatpoly.exactnum import (Matrix, _gauss_jordan, _lex_masks,
+                               _minor_table, _swapped_minor, bareiss_det,
+                               maximal_minors, pencil_det)
 from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
                                standard_orientation)
 from flatpoly.ormatroid import MatroidContext
 from flatpoly.zonolattice import ZonotopeContext
 
+from conftest import run_python_limited
 from oracles import (apply, flat_witness, identity, independent_rows, mask,
                      mask_table, maximal_minors_bareiss, minor_table_tuples,
                      pencil_det_cofactor, rank, rref, solve,
@@ -307,6 +308,26 @@ def test_table_keys_run_in_combinations_order(flat_corpus):
         assert list(maximal_minors(m)[0]) == want
         if m is not deficient:
             assert list(MatroidContext(m).chi) == want
+
+
+def test_lex_masks_run_in_combinations_order():
+    for n in range(15):
+        for d in range(n + 1):
+            assert _lex_masks(n, d) == \
+                [mask(s) for s in combinations(range(n), d)], (n, d)
+
+
+def test_lex_masks_build_only_the_table():
+    # A cographic table with d close to N: building every tail of every
+    # size would need about 1.4e11 keys for these 376,992, so the keys are
+    # built in a child process under an address-space cap.
+    proc = run_python_limited(["-c", (
+        "from flatpoly.exactnum import _lex_masks\n"
+        "keys = _lex_masks(36, 31)\n"
+        "print(len(keys), keys[0], keys[-1])")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "376992", str(mask(range(31))), str(mask(range(5, 36)))]
 
 
 def test_maximal_minors_runs_no_determinant(monkeypatch):

@@ -10,14 +10,14 @@ from flatpoly.zonolattice import (AdmissibleVector, NotAdmissible,
                                   NotUnimodular, ZonotopeContext,
                                   basis_expansions, bipartite_admissible_l,
                                   bipartite_graph_context, incidence_point,
-                                  lattice_point_count, level_poly,
-                                  trimmed_points)
+                                  level_poly, trimmed_points)
 
-from oracles import (check_admissible, flat_witness, identity,
-                     lattice_points, max_epsilon, rank, solve, tile_vertices,
-                     tiling, translated, tree_count, trimmed_points_by_tiles,
-                     trimmed_points_lp, trimmed_zonotope_points,
-                     trimming_vertex, zonotope_membership)
+from oracles import (LatticePointSet, admissible_direction, check_admissible,
+                     flat_witness, identity, lattice_points, max_epsilon,
+                     rank, solve, tile_vertices, tiling, translated,
+                     tree_count, trimmed_points_by_tiles, trimmed_points_lp,
+                     trimmed_zonotope_points, trimming_vertex,
+                     zonotope_membership)
 
 
 def seg_ctx():
@@ -62,12 +62,13 @@ def test_lattice_points_square():
 
 
 def test_lattice_points_require_unimodular():
+    # The lattice point count is a field of trimmed_points, and (1, -1) is
+    # 1-admissible here, so the walk reaches its unimodularity check.
     ctx = ZonotopeContext(Matrix([[2, 1], [0, 1]]))
-    assert not ctx.unimodular
     with pytest.raises(NotUnimodular):
         lattice_points(ctx)
     with pytest.raises(NotUnimodular):
-        lattice_point_count(ctx)
+        trimmed_points(ctx, AdmissibleVector((1, -1), 1))
 
 
 def test_lattice_points_match_membership_lp():
@@ -146,9 +147,13 @@ def test_trimming_rejects_zero_coefficients():
 
 def test_trimming_requires_unimodular():
     # (1, -1) is 1-admissible here, so the unimodularity check decides.
+    # It runs after the walk, so an inadmissible direction is reported
+    # first.
     ctx = ZonotopeContext(Matrix([[2, 1], [0, 1]]))
     with pytest.raises(NotUnimodular):
         trimmed_points(ctx, AdmissibleVector((1, -1), 1))
+    with pytest.raises(NotAdmissible):
+        trimmed_points(ctx, AdmissibleVector((1, -1), 0))
 
 
 def test_trimmed_points_match_lp_oracle():
@@ -173,9 +178,9 @@ def test_trimmed_points_match_membership_oracle():
 def test_level_poly():
     tr = trimmed_points(seg_ctx(), AdmissibleVector((1,), 1))
     assert level_poly(tr) == ([1, 1], 0)
-    empty = zonolattice.LatticePointSet((), ())
+    empty = LatticePointSet((), ())
     assert level_poly(empty) == ([], 0)
-    single = zonolattice.LatticePointSet(((3,),), (3,))
+    single = LatticePointSet(((3,),), (3,))
     assert level_poly(single) == ([0, 0, 0, 1], 0)
 
 
@@ -197,8 +202,9 @@ def test_per_tile_unique_trimmed_point():
     ctx = bipartite_graph_context(n, edges, part1)
     adm = bipartite_admissible_l(n, part1)
     tiles = tiling(ctx)
-    expansions = basis_expansions(ctx, adm.l)
-    verts = {trimming_vertex(ctx, tile, expansions[tile.basis][0])
+    expansions = {basis: nums
+                  for basis, nums, _den in basis_expansions(ctx, adm.l)}
+    verts = {trimming_vertex(ctx, tile, expansions[tile.basis])
              for tile in tiles}
     assert len(verts) == len(tiles)
     assert sorted(verts) == trimmed_points_lp(ctx, adm)
@@ -244,7 +250,8 @@ def test_trimmed_points_match_tile_oracle():
     for name, (n, edges, part1) in graphs:
         ctx = bipartite_graph_context(n, edges, part1)
         adm = bipartite_admissible_l(n, part1)
-        assert trimmed_points(ctx, adm) == \
+        tr = trimmed_points(ctx, adm)
+        assert (tr.points, tr.levels) == \
             trimmed_points_by_tiles(ctx, adm), name
 
 
@@ -258,7 +265,7 @@ def test_basis_expansions_match_solve():
         rational = [Fraction(x, 2 + i % 3) for i, x in enumerate(adm.l)]
         entries = ctx.matrix.entries
         for l in (adm.l, rational):
-            for basis, (nums, den) in basis_expansions(ctx, l).items():
+            for basis, nums, den in basis_expansions(ctx, l):
                 sub = Matrix([[row[b] for b in _columns(basis)]
                               for row in entries])
                 assert den > 0 and all(type(n) is int for n in nums)
@@ -267,8 +274,9 @@ def test_basis_expansions_match_solve():
 
 
 def test_lattice_point_count_matches_point_set():
-    # The internal-activity count against the union of all tile vertices,
-    # on the corpus and on random plane bipartite graphs.
+    # The internal-activity count of the trimming walk against the union
+    # of all tile vertices, on the corpus and on random plane bipartite
+    # graphs.
     graphs = [(name, (n, edges, part1)) for name, (n, edges, part1, _c, _b)
               in corpus.PLANE_BIPARTITE.items()]
     rng = random.Random(7)
@@ -277,14 +285,16 @@ def test_lattice_point_count_matches_point_set():
         graphs.append((i, (P.digraph.n, P.digraph.edges, part1)))
     for name, (n, edges, part1) in graphs:
         ctx = bipartite_graph_context(n, edges, part1)
+        tr = trimmed_points(ctx, bipartite_admissible_l(n, part1))
         vertices = {p for t in tiling(ctx) for p in tile_vertices(ctx, t)}
-        assert lattice_point_count(ctx) == len(vertices), name
+        assert tr.lattice_points == len(vertices), name
 
 
 def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
     # Besides the elimination behind the matroid context, zonolattice
     # eliminates only to expand l in the first basis: one Gauss-Jordan of
-    # [B0 | l] per expansion, none for the count or the trimmed points.
+    # [B0 | l] per expansion, none for the lattice point count or the
+    # trimmed points.
     calls = []
     gauss_jordan = zonolattice._gauss_jordan
 
@@ -295,10 +305,9 @@ def test_zonotope_reads_bareiss_only_to_expand_l(monkeypatch):
     monkeypatch.setattr(zonolattice, "_gauss_jordan", counting)
     for name, (n, edges, part1, _c, _b) in corpus.PLANE_BIPARTITE.items():
         ctx = bipartite_graph_context(n, edges, part1)
-        lattice_point_count(ctx)
         assert calls == [], name
         adm = bipartite_admissible_l(n, part1)
-        basis_expansions(ctx, adm.l)
+        list(basis_expansions(ctx, adm.l))
         assert calls == [ctx.d], name
         calls.clear()
         trimmed_points(ctx, adm)
@@ -356,11 +365,11 @@ def stacked(m, row):
 
 def test_context_checks_match_elimination_oracles(flat_corpus):
     # Full row rank and flatness (MatroidContext and ZonotopeContext), the
-    # tile levels and the lattice point count (ZonotopeContext), each read
-    # from the minor table, against Fraction row reduction and the tile
-    # vertex sets.
+    # tile levels and the lattice point count (ZonotopeContext and
+    # trimmed_points), each read from the minor table, against Fraction row
+    # reduction and the tile vertex sets.
     rng = random.Random(7)
-    seen = set()
+    seen, counted = set(), set()
     for name, m in flat_corpus:
         d, N = m.rows, m.cols
         entries = m.entries
@@ -385,10 +394,27 @@ def test_context_checks_match_elimination_oracles(flat_corpus):
         # A tile's shift sums its Ext columns, so its level is their count.
         for t in tiling(ctx):
             assert t.ext == sum(a * x for a, x in zip(h, t.shift)), name
-        if ctx.unimodular:
-            assert lattice_point_count(ctx) == len(lattice_points(ctx)), name
+        # The count is a field of trimmed_points, which needs an admissible
+        # direction: the bipartite one for graphs, else a searched one.
+        kind, _, graph = name.partition(":")
+        if kind == "graphic":
+            n, _edges, part1, _c, _b = corpus.PLANE_BIPARTITE[graph]
+            adm = bipartite_admissible_l(n, part1)
+        else:
+            adm = admissible_direction(ctx)
+            assert adm is not None, name
+        assert check_admissible(ctx, adm.l, adm.m)[0], name
+        try:
+            points = lattice_points(ctx)
+        except NotUnimodular:
+            with pytest.raises(NotUnimodular):
+                trimmed_points(ctx, adm)
+            continue
+        assert trimmed_points(ctx, adm).lattice_points == len(points), name
+        counted.add(kind)
     assert seen >= {"ok", "rank", "not flat", ("zonotope", "ok"),
                     ("zonotope", "rank"), ("zonotope", "not flat")}
+    assert counted >= {"graphic", "cographic"}
 
 
 def test_context_rejects_incidence_matrix():
