@@ -208,6 +208,10 @@ def main(argv=None):
     except (UsageError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # An input too large to answer, such as boxcert --d 10**9.
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except AssertionError as e:
         # Two internal routes disagreed: a check failed, not the input.
         print(f"error: internal check failed: {e}", file=sys.stderr)

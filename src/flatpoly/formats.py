@@ -197,24 +197,20 @@ def load_planegraph(src):
     _expect(obj, "planegraph-v1")
     n, raw_edges, part1 = _graph(obj)
     D = standard_orientation(n, raw_edges, part1)
-    part1_set = set(part1)
-    rotations = []
-    for rot in _list(_field(obj, "rotations"), "rotations", n):
-        out = []
-        for ref in _list(rot, "rotation"):
-            if not isinstance(ref, dict):
-                raise FormatError(f"half-edge must be an object, got {ref!r}")
-            e = _index(_field(ref, "edge"), len(raw_edges), "edge index")
-            end = _field(ref, "end")
-            if end not in ("tail", "head"):
-                raise FormatError(f"bad end marker {end!r}")
-            # The stored end refers to the file's edge list; reorientation
-            # may have swapped tail and head.
-            u, v = raw_edges[e]
-            if u not in part1_set:
-                end = "head" if end == "tail" else "tail"
-            out.append((e, end))
-        rotations.append(out)
+
+    def dart(ref):
+        if not isinstance(ref, dict):
+            raise FormatError(f"half-edge must be an object, got {ref!r}")
+        e = _index(_field(ref, "edge"), len(raw_edges), "edge index")
+        end = _field(ref, "end")
+        if end not in ("tail", "head"):
+            raise FormatError(f"bad end marker {end!r}")
+        # The dart leaving that end: 2e + 1 leaves D's tail. The end names
+        # the file's edge, which reorientation may have reversed.
+        return 2 * e + (raw_edges[e][end == "head"] == D.edges[e][0])
+
+    rotations = [[dart(ref) for ref in _list(rot, "rotation")]
+                 for rot in _list(_field(obj, "rotations"), "rotations", n)]
     return PlaneGraph(D, rotations), part1
 
 

@@ -2,9 +2,10 @@
 the Alexander polynomial of a plane bipartite graph from its Seifert
 matrix.
 
-A half-edge reference is (edge index, "tail" | "head"); each vertex stores
-the counterclockwise cyclic order of its incident half-edges. A dart is a
-traversal direction of an edge: (edge, True) runs tail -> head.
+A dart is an int: 2e + 1 runs edge e from its tail to its head, 2e runs
+it back, and d ^ 1 reverses d. Each vertex stores the counterclockwise
+cyclic order of the darts that leave it (a combinatorial map, Edmonds
+1960).
 """
 
 from __future__ import annotations
@@ -30,67 +31,48 @@ class PlaneGraph:
     __slots__ = ("digraph", "rotations")
 
     def __init__(self, digraph: Digraph, rotations):
-        expected = set()
-        for i in range(len(digraph.edges)):
-            expected.add((i, "tail"))
-            expected.add((i, "head"))
-        seen = []
         rotations = [list(r) for r in rotations]
         if len(rotations) != digraph.n:
             raise MalformedRotation("one rotation per vertex required")
+        seen = [False] * (2 * len(digraph.edges))
         for v, rot in enumerate(rotations):
-            for (e, end) in rot:
-                if end not in ("tail", "head"):
-                    raise MalformedRotation(f"bad end marker {end!r}")
-                t, h = digraph.edges[e]
-                at = t if end == "tail" else h
-                if at != v:
+            for d in rot:
+                if type(d) is not int or not 0 <= d < len(seen):
+                    raise MalformedRotation(f"bad dart {d!r}")
+                if digraph.edges[d >> 1][1 - (d & 1)] != v:
                     raise MalformedRotation(
-                        f"half-edge ({e},{end}) listed at wrong vertex {v}")
-                seen.append((e, end))
-        if sorted(seen) != sorted(expected):
-            raise MalformedRotation("each half-edge must appear exactly once")
+                        f"dart {d} of edge {d >> 1} listed at wrong "
+                        f"vertex {v}")
+                seen[d] = True
+        if not all(seen) or sum(map(len, rotations)) != len(seen):
+            raise MalformedRotation("each dart must appear exactly once")
         self.digraph = digraph
         self.rotations = rotations
 
 
-def _dart_target(P: PlaneGraph, dart):
-    e, fwd = dart
-    t, h = P.digraph.edges[e]
-    return h if fwd else t
-
-
-def _arrival_ref(dart):
-    e, fwd = dart
-    return (e, "head" if fwd else "tail")
-
-
-def _next_dart(P: PlaneGraph, dart):
-    v = _dart_target(P, dart)
-    rot = P.rotations[v]
-    idx = rot.index(_arrival_ref(dart))
-    e, end = rot[(idx + 1) % len(rot)]
-    return (e, end == "tail")
-
-
 def faces(P: PlaneGraph):
-    """Face boundary walks; every dart is used exactly once overall."""
+    """Face boundary walks; every dart is used exactly once overall, and
+    each walk starts at its smallest dart. The dart after d on a walk
+    follows d ^ 1 counterclockwise at d's target. A single vertex has one
+    face, which no dart bounds."""
     if not graphkit.is_connected(P.digraph):
         raise graphkit.Disconnected("plane graph must be connected")
-    remaining = {(e, fwd) for e in range(len(P.digraph.edges))
-                 for fwd in (True, False)}
+    after = [0] * (2 * len(P.digraph.edges))
+    for rot in P.rotations:
+        for i, d in enumerate(rot):
+            after[rot[i - 1]] = d
+    seen = [False] * len(after)
     walks = []
-    while remaining:
-        start = min(remaining)
+    for start in range(len(after)):
         walk = []
         d = start
-        while True:
+        while not seen[d]:
+            seen[d] = True
             walk.append(d)
-            remaining.discard(d)
-            d = _next_dart(P, d)
-            if d == start:
-                break
-        walks.append(walk)
+            d = after[d ^ 1]
+        if walk:
+            walks.append(walk)
+    walks = walks or [[]]
     euler = P.digraph.n - len(P.digraph.edges) + len(walks)
     if euler != 2:
         raise MalformedRotation(
@@ -109,51 +91,33 @@ def dual_with_orientation(P: PlaneGraph, part1) -> DualResult:
     """Oriented planar dual of a plane bipartite graph.
 
     The primal must carry the part1 -> part2 orientation. Each dual edge
-    crosses its primal edge, directed from the face holding the reversed
-    dart to the face holding the forward dart; the construction is
-    validated downstream by the alternating-dimap check.
+    crosses its primal edge, directed from the face holding the dart 2e
+    to the face holding the dart 2e + 1. A face's walk is its dual
+    vertex's rotation, up to reversing each dart, so alexander_poly checks
+    that the dual is an alternating dimap on the walks.
     """
     part1 = set(part1)
     for t, h in P.digraph.edges:
         if t not in part1 or h in part1:
             raise NotBipartite("edges must run from part1 to part2")
     walks = faces(P)
-    face_of = {}
-    for fi, walk in enumerate(walks):
-        for d in walk:
-            face_of[d] = fi
-    dual_edges = []
-    for e in range(len(P.digraph.edges)):
-        left = face_of[(e, False)]
-        right = face_of[(e, True)]
+    face_of = _face_of(walks)
+    dual_edges = list(zip(face_of[::2], face_of[1::2]))
+    for e, (left, right) in enumerate(dual_edges):
         if left == right:
             raise DegenerateDual(
                 f"edge {e} is a bridge; its dual would be a self-loop")
-        dual_edges.append((left, right))
     dual = Digraph(len(walks), dual_edges)
     return DualResult(dual, tuple(tuple(w) for w in walks))
 
 
-def is_alternating_dimap(P: PlaneGraph) -> bool:
-    """True iff every rotation alternates incoming and outgoing edges."""
-    for rot in P.rotations:
-        if len(rot) % 2 != 0:
-            return False
-        outs = [end == "tail" for (e, end) in rot]
-        if any(outs[i] == outs[(i + 1) % len(outs)] for i in range(len(outs))):
-            return False
-    return True
-
-
-def dual_plane_graph(res: DualResult) -> PlaneGraph:
-    """Plane structure on the dual: a face's rotation is its walk order."""
-    rotations = [[] for _ in range(res.dual.n)]
-    for fi, walk in enumerate(res.face_walks):
-        for (e, fwd) in walk:
-            # Dual edge e runs face_of(rev) -> face_of(fwd).
-            end = "head" if fwd else "tail"
-            rotations[fi].append((e, end))
-    return PlaneGraph(res.dual, rotations)
+def _face_of(walks):
+    """The index of the walk that holds each dart, by dart."""
+    face_of = [0] * sum(map(len, walks))
+    for f, walk in enumerate(walks):
+        for d in walk:
+            face_of[d] = f
+    return face_of
 
 
 def normalized(coeffs):
@@ -177,17 +141,17 @@ def seifert_poly(face_walks):
     edges are crossings. All faces but face_walks[0] give a basis of the
     Seifert surface's first homology. V[f][f] is -len(f)/2, an integer
     since every face of a bipartite plane graph has even length, and each
-    edge adds 1 to V[a][b], where face a holds its dart (e, True) and face
-    b its dart (e, False).
+    edge e adds 1 to V[a][b], where face a holds its dart 2e + 1 and face
+    b its dart 2e.
     """
+    face_of = _face_of(face_walks)
     kept = face_walks[1:]
-    face_of = {d: i for i, walk in enumerate(kept) for d in walk}
     V = [[0] * len(kept) for _ in kept]
-    for i, walk in enumerate(kept):
-        V[i][i] = -(len(walk) // 2)
-    for (e, fwd), a in face_of.items():
-        if fwd and (e, False) in face_of:
-            V[a][face_of[(e, False)]] += 1
+    for f, walk in enumerate(kept):
+        V[f][f] = -(len(walk) // 2)
+    for a, b in zip(face_of[1::2], face_of[::2]):
+        if a and b:     # face 0 has no row
+            V[a - 1][b - 1] += 1
     return normalized(pencil_det(V, list(zip(*V))))
 
 
@@ -195,17 +159,19 @@ def alexander_poly(P: PlaneGraph, part1):
     """Alexander polynomial (evaluated at -t, normalized) of the special
     alternating link of a plane bipartite graph.
 
-    Computed from the Seifert matrix. Its degree must be |E| - |V| + 1
-    (Murasugi and Crowell: the Seifert surface of a reduced alternating
-    diagram has minimal genus), and it must equal the tree-reversal
-    polynomial of the oriented dual, an independent route: the dual's
-    reduced Laplacian and Tutte's matrix-tree theorem, which share only
-    the pencil evaluator with the Seifert route. Both are polynomial time,
-    so no spanning tree is enumerated.
+    Computed from the Seifert matrix. The oriented dual must be an
+    alternating dimap: a dual vertex's rotation is its face walk with each
+    dart reversed, so every walk must alternate dart parity. The degree
+    must be |E| - |V| + 1 (Murasugi and Crowell: the Seifert surface of a
+    reduced alternating diagram has minimal genus), and the polynomial
+    must equal the tree-reversal polynomial of the oriented dual, an
+    independent route: the dual's reduced Laplacian and Tutte's
+    matrix-tree theorem, which share only the pencil evaluator with the
+    Seifert route. Both are polynomial time, so no spanning tree is
+    enumerated.
     """
     res = dual_with_orientation(P, part1)
-    dual_pg = dual_plane_graph(res)
-    if not is_alternating_dimap(dual_pg):
+    if not _alternating(res.face_walks):
         raise AssertionError("dual orientation is not an alternating dimap")
     via_seifert = seifert_poly(res.face_walks)
     degree = len(P.digraph.edges) - P.digraph.n + 1
@@ -217,6 +183,12 @@ def alexander_poly(P: PlaneGraph, part1):
     if via_seifert != via_dual:
         raise AssertionError("Seifert and dual tree routes disagree")
     return via_seifert
+
+
+def _alternating(face_walks):
+    """True iff every walk alternates odd and even darts, cyclically."""
+    return all((walk[i - 1] ^ d) & 1
+               for walk in face_walks for i, d in enumerate(walk))
 
 
 def _half(x, y):
@@ -249,13 +221,13 @@ def plane_from_coords(n_vertices, edges, coords, part1, bends=None):
     for i, (t, h) in enumerate(D.edges):
         toward_h = bends.get(i, coords[h])
         toward_t = bends.get(i, coords[t])
-        incident[t].append((i, "tail", toward_h))
-        incident[h].append((i, "head", toward_t))
+        incident[t].append((2 * i + 1, toward_h))
+        incident[h].append((2 * i, toward_t))
     key = cmp_to_key(_ccw_cmp)
     rotations = []
     for v in range(n_vertices):
         x0, y0 = coords[v]
         rot = sorted(incident[v],
-                     key=lambda item: key((item[2][0] - x0, item[2][1] - y0)))
-        rotations.append([(i, end) for (i, end, _c) in rot])
+                     key=lambda item: key((item[1][0] - x0, item[1][1] - y0)))
+        rotations.append([d for (d, _c) in rot])
     return PlaneGraph(D, rotations)

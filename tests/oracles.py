@@ -39,6 +39,12 @@ per-edge grading by one component walk per tree edge. tree_count is the
 Kirchhoff determinant over Fractions. eulerian_small enumerates every
 small connected Eulerian multi-digraph.
 
+The library checks that the oriented dual of a plane bipartite graph is
+an alternating dimap on the primal face walks: a walk must alternate the
+parity of its darts. dual_plane_graph builds the dual as a PlaneGraph
+instead, each face's rotation read off its walk, and is_alternating_dimap
+checks that every rotation alternates incoming and outgoing edges.
+
 The library takes determinants by Bareiss elimination on integer rows.
 det eliminates over Fractions instead, dividing by each pivot.
 
@@ -79,6 +85,7 @@ from flatpoly.exactnum import Matrix, _columns, bareiss_det
 from flatpoly.graphkit import (Digraph, Disconnected, _component,
                                incidence_matrix, is_connected,
                                standard_orientation)
+from flatpoly.planardual import PlaneGraph
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases, ext_semiactivity)
@@ -532,6 +539,36 @@ def p_poly_cuts(D: Digraph, r=0):
     for k, v in counts.items():
         out[k] = v
     return normalize(out)
+
+
+def dual_plane_graph(face_walks) -> PlaneGraph:
+    """The plane dual of a plane graph with these face walks: face f is
+    dual vertex f, dual edge e runs from the face holding the dart 2e to
+    the face holding 2e + 1, and f's rotation is its walk order."""
+    face_of = {d: f for f, walk in enumerate(face_walks) for d in walk}
+    edges = [(face_of[2 * e], face_of[2 * e + 1])
+             for e in range(len(face_of) // 2)]
+    rotations = []
+    for f, walk in enumerate(face_walks):
+        rot = []
+        for d in walk:
+            e = d // 2
+            # Dual edge e leaves f when f holds the dart 2e, and the dual
+            # dart 2e + 1 is the one that leaves its tail.
+            rot.append(2 * e + 1 if d == 2 * e else 2 * e)
+        rotations.append(rot)
+    return PlaneGraph(Digraph(len(face_walks), edges), rotations)
+
+
+def is_alternating_dimap(P: PlaneGraph) -> bool:
+    """True iff every rotation alternates incoming and outgoing edges."""
+    for rot in P.rotations:
+        outs = [d % 2 == 1 for d in rot]    # 2e + 1 leaves e's tail
+        if len(outs) % 2 != 0:
+            return False
+        if any(outs[i] == outs[(i + 1) % len(outs)] for i in range(len(outs))):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,16 @@ def test_alexander(tmp_path, capsys):
     assert code == 0 and rep["result_poly"]["coeffs"] == [2, 2]
 
 
+def test_alexander_single_vertex(tmp_path, capsys):
+    # A point is planar, with one face: its link is the unknot, as pd
+    # gives [1] for a one-vertex digraph.
+    path = write(tmp_path, "pg.json", {
+        "format": "planegraph-v1", "vertices": 1, "part1": [0],
+        "edges": [], "rotations": [[]]})
+    code, rep = run(capsys, ["alexander", "--planegraph", path])
+    assert code == 0 and rep["result_poly"]["coeffs"] == [1]
+
+
 def test_zonotope(tmp_path, capsys):
     path = write(tmp_path, "g.json", {
         "format": "bigraph-v1", "vertices": 4, "part1": [0, 2],
@@ -378,6 +388,19 @@ def test_boxcert_d_above_degree(tmp_path, capsys):
     assert all(len(comp) == 50 and sum(comp) == 57 and
                list(comp) == sorted(comp) for comp, _ in terms)
     assert polyshape.BoxCertificate(50, tuple(terms)).expand() == coeffs
+
+
+def test_boxcert_out_of_memory_is_input_error(tmp_path):
+    # The certificate of [1, 1] at d = 10^9 has compositions of 10^9
+    # parts; under the address-space cap building one ends in a
+    # MemoryError, which must exit 2 with one error line.
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "t",
+                                      "coeffs": [1, 1]})
+    proc = run_python_limited(["-m", "flatpoly.cli", "boxcert", "--poly",
+                               path, "--d", "1000000000"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 def internal_failure(capsys, argv):
@@ -515,22 +538,31 @@ def test_digraph_round_trip():
     assert loaded.n == D.n and loaded.edges == D.edges
 
 
+def half_edges(P, reversed_edges=()):
+    """P's rotations as planegraph-v1 half-edges, naming the ends of an
+    edge in reversed_edges as if the file stored it backwards."""
+    return [[{"edge": d // 2,
+              "end": "tail" if (d % 2 == 1) != (d // 2 in reversed_edges)
+              else "head"} for d in rot] for rot in P.rotations]
+
+
 def test_planegraph_reorients_swapped_edges():
-    # Store C4 with one edge written part2 -> part1; loading restores the
-    # standard orientation and fixes the rotation end markers.
-    P, part1 = corpus.plane_bipartite("C4")
-    rot = [[{"edge": e, "end": end} for (e, end) in r] for r in P.rotations]
-    edges = [list(e) for e in P.digraph.edges]
-    edges[1] = edges[1][::-1]
-    for r in rot:
-        for ref in r:
-            if ref["edge"] == 1:
-                ref["end"] = "head" if ref["end"] == "tail" else "tail"
-    loaded, lp1 = formats.load_planegraph({
-        "format": "planegraph-v1", "vertices": 4, "part1": part1,
-        "edges": edges, "rotations": rot})
-    assert loaded.digraph.edges == P.digraph.edges
-    assert loaded.rotations == P.rotations
+    # Store each graph with one edge, and then with every edge, written
+    # part2 -> part1; loading restores the standard orientation and maps
+    # each end marker to the dart that leaves it.
+    for name in corpus.PLANE_BIPARTITE:
+        P, part1 = corpus.plane_bipartite(name)
+        m = len(P.digraph.edges)
+        for flipped in ({m // 2}, set(range(m))):
+            edges = [[h, t] if e in flipped else [t, h]
+                     for e, (t, h) in enumerate(P.digraph.edges)]
+            loaded, lp1 = formats.load_planegraph({
+                "format": "planegraph-v1", "vertices": P.digraph.n,
+                "part1": part1, "edges": edges,
+                "rotations": half_edges(P, flipped)})
+            assert loaded.digraph.edges == P.digraph.edges, name
+            assert loaded.rotations == P.rotations, (name, flipped)
+            assert lp1 == part1
 
 
 # malformed inputs: exit 2 with an error line, never a traceback or a
@@ -544,8 +576,7 @@ def planegraph_doc(name="C4"):
     P, part1 = corpus.plane_bipartite(name)
     return {"format": "planegraph-v1", "vertices": P.digraph.n,
             "part1": part1, "edges": [list(e) for e in P.digraph.edges],
-            "rotations": [[{"edge": e, "end": end} for (e, end) in r]
-                          for r in P.rotations]}
+            "rotations": half_edges(P)}
 
 
 def test_fa_rejects_float_entry(tmp_path, capsys):

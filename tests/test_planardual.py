@@ -7,11 +7,10 @@ from flatpoly import corpus, graphkit, ormatroid, planardual, polyshape
 from flatpoly.graphkit import Digraph
 from flatpoly.planardual import (DegenerateDual, MalformedRotation,
                                  PlaneGraph, alexander_poly,
-                                 dual_plane_graph, dual_with_orientation,
-                                 faces, is_alternating_dimap, normalized,
+                                 dual_with_orientation, faces, normalized,
                                  plane_from_coords, seifert_poly)
 
-from oracles import tree_count
+from oracles import dual_plane_graph, is_alternating_dimap, tree_count
 
 
 def plane_c4():
@@ -19,12 +18,23 @@ def plane_c4():
 
 
 def test_rotation_validation():
+    # Dart 1 leaves vertex 0 along edge 0, dart 0 leaves vertex 1.
     D = Digraph(2, [(0, 1)])
     with pytest.raises(MalformedRotation):
-        PlaneGraph(D, [[(0, "tail")], []])           # head missing
+        PlaneGraph(D, [[1], []])            # dart 0 missing
     with pytest.raises(MalformedRotation):
-        PlaneGraph(D, [[(0, "head")], [(0, "tail")]])  # ends swapped
-    PlaneGraph(D, [[(0, "tail")], [(0, "head")]])    # valid
+        PlaneGraph(D, [[0], [1]])           # darts swapped
+    with pytest.raises(MalformedRotation):
+        PlaneGraph(D, [[1, 1], [0]])        # dart 1 twice
+    with pytest.raises(MalformedRotation):
+        PlaneGraph(D, [[1], [0, 2]])        # no edge 1
+    PlaneGraph(D, [[1], [0]])               # valid
+
+
+@pytest.mark.parametrize("dart", [True, (0, "tail"), 1.0, "1"])
+def test_rotation_rejects_non_int_dart(dart):
+    with pytest.raises(MalformedRotation, match="bad dart"):
+        PlaneGraph(Digraph(2, [(0, 1)]), [[dart], [0]])
 
 
 def test_faces_c4():
@@ -39,13 +49,22 @@ def test_faces_k4():
     # (10, 6); rotations are counterclockwise.
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     P = PlaneGraph(Digraph(4, edges), [
-        [(0, "tail"), (2, "tail"), (1, "tail")],
-        [(3, "tail"), (4, "tail"), (0, "head")],
-        [(1, "head"), (5, "tail"), (3, "head")],
-        [(2, "head"), (4, "head"), (5, "head")]])
+        [1, 5, 3],
+        [7, 9, 0],
+        [2, 11, 6],
+        [4, 8, 10]])
     walks = faces(P)
     assert len(walks) == 4
     assert all(len(w) == 3 for w in walks)
+    # Each walk starts at its smallest dart, and the walks come in the
+    # order of their first darts.
+    assert [w[0] for w in walks] == sorted(min(w) for w in walks)
+    assert sorted(d for w in walks for d in w) == list(range(12))
+
+
+def test_faces_single_vertex():
+    # A point is planar: one face, which no dart bounds.
+    assert faces(PlaneGraph(Digraph(1, []), [[]])) == [[]]
 
 
 def cyclic(seq):
@@ -58,10 +77,9 @@ def float_rotation(P, coords, bends, v):
     """The rotation at v from float atan2 on the drawing."""
     x0, y0 = coords[v]
 
-    def angle(ref):
-        e, end = ref
-        t, h = P.digraph.edges[e]
-        x, y = bends.get(e, coords[h if end == "tail" else t])
+    def angle(d):
+        # The dart d leaves v toward the end of edge d // 2 at index d % 2.
+        x, y = bends.get(d // 2, coords[P.digraph.edges[d // 2][d % 2]])
         return math.atan2(float(y - y0), float(x - x0))
     return sorted(P.rotations[v], key=angle)
 
@@ -116,24 +134,69 @@ def test_dual_requires_standard_orientation():
 
 
 def test_dual_is_alternating_dimap():
-    for name in ("C4", "C6", "K23", "grid2x3", "theta222"):
+    for name in corpus.PLANE_BIPARTITE:
         P, part1 = corpus.plane_bipartite(name)
         res = dual_with_orientation(P, part1)
-        assert is_alternating_dimap(dual_plane_graph(res))
+        dual_pg = dual_plane_graph(res.face_walks)
+        assert dual_pg.digraph.edges == res.dual.edges, name
+        assert is_alternating_dimap(dual_pg), name
+        assert planardual._alternating(res.face_walks), name
+
+
+def reoriented(P, flipped):
+    """P with the edges in flipped reversed: their two darts trade."""
+    edges = [(h, t) if e in flipped else (t, h)
+             for e, (t, h) in enumerate(P.digraph.edges)]
+    return PlaneGraph(Digraph(P.digraph.n, edges),
+                      [[d ^ 1 if d // 2 in flipped else d for d in rot]
+                       for rot in P.rotations])
+
+
+def test_walk_parity_matches_dual_rotations():
+    # The walk check in alexander_poly against the dual PlaneGraph's
+    # rotations, on plane graphs whose edges run both ways: none, all,
+    # one or a random set of edges reversed from part1 -> part2.
+    rng = random.Random(7)
+    graphs = [corpus.plane_bipartite(name)[0]
+              for name in corpus.PLANE_BIPARTITE]
+    graphs += [corpus.random_plane_bipartite(rng)[0] for _ in range(40)]
+    seen = set()
+    for P in graphs:
+        m = len(P.digraph.edges)
+        for flipped in (set(), set(range(m)), {rng.randrange(m)},
+                        {e for e in range(m) if rng.random() < 0.5}):
+            walks = faces(reoriented(P, flipped))
+            alternates = planardual._alternating(walks)
+            assert alternates == is_alternating_dimap(
+                dual_plane_graph(walks)), (P.digraph.edges, flipped)
+            seen.add(alternates)
+    assert seen == {True, False}
 
 
 def test_is_alternating_dimap_negative():
     D = Digraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)])
-    # Rotation in,in,out,out at vertex 0: not alternating.
-    rot0 = [(0, "tail"), (1, "tail"), (2, "head"), (3, "head")]
-    rot1 = [(0, "head"), (1, "head"), (2, "tail"), (3, "tail")]
-    P = PlaneGraph(D, [rot0, rot1])
+    # Rotation out,out,in,in at vertex 0: not alternating.
+    P = PlaneGraph(D, [[1, 3, 4, 6], [0, 2, 5, 7]])
     assert not is_alternating_dimap(P)
 
 
 def test_is_alternating_dimap_odd_degree():
     P = plane_from_coords(2, [(0, 1)], [(0, 0), (1, 0)], part1=[0])
     assert not is_alternating_dimap(P)
+
+
+def test_alexander_checks_alternating_dual(monkeypatch):
+    # A walk whose first two darts trade places no longer alternates.
+    real = planardual.dual_with_orientation
+
+    def swapped(P, part1):
+        res = real(P, part1)
+        (a, b, *rest), *others = res.face_walks
+        return res._replace(face_walks=((b, a, *rest), *others))
+
+    monkeypatch.setattr(planardual, "dual_with_orientation", swapped)
+    with pytest.raises(AssertionError, match="alternating dimap"):
+        alexander_poly(*plane_c4())
 
 
 def test_normalized():
@@ -248,8 +311,6 @@ def test_euler_formula_enforced():
     # Three parallel edges with the same cyclic order at both endpoints
     # embed on the torus, not the plane; the Euler check rejects them.
     D = Digraph(2, [(0, 1), (0, 1), (0, 1)])
-    rot0 = [(0, "tail"), (1, "tail"), (2, "tail")]
-    rot1 = [(0, "head"), (1, "head"), (2, "head")]
-    P = PlaneGraph(D, [rot0, rot1])
+    P = PlaneGraph(D, [[1, 3, 5], [0, 2, 4]])
     with pytest.raises(MalformedRotation):
         faces(P)
