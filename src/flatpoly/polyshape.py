@@ -144,16 +144,17 @@ def _q_columns(total, parts):
     """(composition, q_product(composition)) for the compositions of total
     into 1 <= parts <= total positive parts, lexicographic, depth first: a
     child extends its parent's product by one window sum, so siblings share
-    the factors of their prefix."""
-    def walk(prefix, prod, left, k):
+    the factors of their prefix. The walk keeps an explicit stack, children
+    pushed largest part first, and so builds no self-referencing closure
+    for the cyclic collector to free."""
+    stack = [((), [1], total, parts)]
+    while stack:
+        prefix, prod, left, k = stack.pop()
         if k == 1:
             yield prefix + (left,), _times_q_number(prod, left)
-            return
-        for m in range(1, left - k + 2):
-            yield from walk(prefix + (m,), _times_q_number(prod, m),
-                            left - m, k - 1)
-
-    return walk((), [1], total, parts)
+        else:
+            stack += [(prefix + (m,), _times_q_number(prod, m), left - m,
+                       k - 1) for m in range(left - k + 1, 0, -1)]
 
 
 def box_certificate(p, d):

@@ -36,10 +36,11 @@ def suite_thm3_5(args, checks, rng):
 
 def suite_thm5_3(args, checks, rng):
     """Tree-reversal polynomial equals the cographic basis polynomial, and
-    its determinant route (Tutte's matrix-tree theorem) equals the search
-    that grows each tree of the simple graph underneath from the root, one
-    bundle of parallel edges per step. The check names keep "scan" for
-    that search, so reports stay as they were."""
+    its determinant route (Tutte's matrix-tree theorem) at root 0 equals
+    the search that grows each tree of the simple graph underneath from a
+    vertex of minimum degree, one bundle of parallel edges per step. The
+    check names keep "scan" for that search, so reports stay as they
+    were."""
     from . import graphkit, ormatroid
 
     if args.digraph:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpoly import (cli, corpus, exactnum, formats, graphkit, lpexact,
-                      ormatroid, polyshape, suites, zonolattice)
+                      ormatroid, planardual, polyshape, suites,
+                      zonolattice)
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
@@ -107,6 +109,19 @@ def test_pd_long_cycle(tmp_path, capsys):
         "edges": [[i, (i + 1) % n] for i in range(n)]})
     code, rep = run(capsys, ["pd", "--digraph", path])
     assert code == 0 and rep["result_poly"]["coeffs"] == [1] * n
+
+
+def test_pd_reports_the_given_root(tmp_path, capsys):
+    # The search grows the trees from a vertex of least degree (vertex 2
+    # here), but the report names the root that was asked for.
+    edges = [[0, 1], [1, 0], [1, 2], [2, 3], [3, 1], [0, 4], [4, 3], [3, 0]]
+    path = write(tmp_path, "d.json", {
+        "format": "digraph-v1", "vertices": 5, "edges": edges})
+    expected = graphkit.p_poly_det(Digraph(5, edges), 0)
+    for r in range(5):
+        code, rep = run(capsys, ["pd", "--digraph", path, "--root", str(r)])
+        assert code == 0 and rep["root"] == r
+        assert rep["result_poly"]["coeffs"] == expected
 
 
 def test_verify_rejects_non_eulerian(tmp_path, capsys):
@@ -808,3 +823,41 @@ def test_fa_matrix_loads_only_its_modules(tmp_path):
         f"assert flatpoly.cli.main(['fa', '--matrix', {path!r}]) == 0")
     assert "flatpoly.ormatroid" in added
     assert not added & UNUSED_BY_FA
+
+
+def test_requests_leave_no_cyclic_garbage(tmp_path, capsys):
+    # Every command frees what it built by reference counting alone: with
+    # the cyclic collector off, a request leaves nothing for it to find. A
+    # closure that calls itself through its own cell, or a search frame
+    # that points back at its stack, would show here.
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["theta222"]
+    bigraph = write(tmp_path, "g.json", {
+        "format": "bigraph-v1", "vertices": n, "part1": list(part1),
+        "edges": [list(e) for e in edges]})
+    P, part1 = corpus.plane_bipartite("theta222")
+    dual = planardual.dual_with_orientation(P, part1).dual
+    digraph = write(tmp_path, "d.json", formats.dump_digraph(dual))
+    planegraph = write(tmp_path, "pg.json", planegraph_doc("theta222"))
+    poly = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "q",
+                                      "coeffs": [1, 3, 4, 3, 1]})
+    requests = [["fa", "--matrix", matrix_file(tmp_path)],
+                ["fa", "--bigraph", bigraph],
+                ["pd", "--digraph", digraph, "--root", str(dual.n - 1)],
+                ["alexander", "--planegraph", planegraph],
+                ["zonotope", "--bigraph", bigraph],
+                ["tp", "--d", "3", "--n", "5", "--seed", "1"],
+                ["boxcert", "--poly", poly, "--d", "3"]]
+    # A first run imports each command's modules and builds the parser.
+    for argv in requests:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    gc.collect()
+    for argv in requests:
+        gc.disable()
+        try:
+            code = main(argv)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert (code, found) == (0, 0), argv
+    capsys.readouterr()

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import corpus, exactnum, ormatroid, planardual
+from flatpoly import corpus, exactnum, graphkit, ormatroid, planardual
 from flatpoly.exactnum import maximal_minors
 from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
-                               NotEulerian, cographic_matrix, graphic_matrix,
-                               incidence_matrix, is_semibalanced, p_poly,
-                               p_poly_det, standard_orientation)
+                               NotEulerian, _grow_trees, cographic_matrix,
+                               graphic_matrix, incidence_matrix,
+                               is_semibalanced, p_poly, p_poly_det,
+                               standard_orientation)
 
 from oracles import (NotSpanningTree, apply, det, eulerian_small,
                      flat_witness, kernel_basis, p_poly_cuts, spanning_trees,
@@ -218,8 +219,34 @@ def test_p_poly_doubled_two_cycle():
 def test_p_poly_root_independence():
     D = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 0)])
     polys = {tuple(route(D, r)) for r in range(4)
-             for route in (p_poly, p_poly_det)}
+             for route in (p_poly, _grow_trees, p_poly_det)}
     assert len(polys) == 1
+
+
+def test_p_poly_grows_trees_from_a_minimum_degree_vertex(monkeypatch):
+    # Whatever root is asked for, the search starts at the first vertex of
+    # least degree, counting parallel edges.
+    roots = []
+
+    def record(D, r):
+        roots.append(r)
+        return _grow_trees(D, r)
+
+    monkeypatch.setattr(graphkit, "_grow_trees", record)
+    # Degrees 4, 4, 2, 4, 2: vertices 2 and 4 tie, and 2 comes first.
+    D = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (0, 4),
+                    (4, 3), (3, 0)])
+    for r in range(5):
+        assert p_poly(D, r) == p_poly_det(D, r)
+    assert roots == [2] * 5
+    roots.clear()
+    rng = random.Random(5)
+    for _ in range(20):
+        D = corpus.random_eulerian(rng, 14)
+        degree = [sum(v in e for e in D.edges) for v in range(D.n)]
+        r = rng.randrange(D.n)
+        p_poly(D, r)
+        assert roots.pop() == degree.index(min(degree)), (D, r)
 
 
 def test_p_poly_tree_count():
@@ -242,15 +269,16 @@ def test_p_poly_det_one_vertex():
 
 
 def test_p_poly_det_matches_scan_on_larger_digraphs():
-    # The tree search, Tutte's determinant and the cut oracle's subset scan
-    # at every root of 60 random Eulerian digraphs with up to 14 edges,
-    # larger than the presentation corpus's.
+    # The tree search grown from every root, Tutte's determinant and the
+    # cut oracle's subset scan at every root of 60 random Eulerian digraphs
+    # with up to 14 edges, larger than the presentation corpus's.
     rng = random.Random(0)
     for _ in range(60):
         D = corpus.random_eulerian(rng, 14)
+        p = p_poly(D, 0)
         for r in range(D.n):
-            assert p_poly(D, r) == p_poly_det(D, r) == p_poly_cuts(D, r), \
-                (D, r)
+            assert p == _grow_trees(D, r) == p_poly_det(D, r) \
+                == p_poly_cuts(D, r), (D, r)
 
 
 @st.composite
@@ -275,8 +303,10 @@ def cycle_unions(draw):
 @settings(max_examples=100, deadline=None)
 @given(cycle_unions())
 def test_p_poly_matches_routes_on_cycle_unions(D):
+    p = p_poly(D, 0)
     for r in range(D.n):
-        assert p_poly(D, r) == p_poly_det(D, r) == p_poly_cuts(D, r), (D, r)
+        assert p == _grow_trees(D, r) == p_poly_det(D, r) \
+            == p_poly_cuts(D, r), (D, r)
 
 
 @st.composite
@@ -302,12 +332,12 @@ def bundled_cycle_unions(draw):
 @settings(max_examples=60, deadline=None)
 @given(bundled_cycle_unions())
 def test_p_poly_matches_routes_on_heavy_bundles(D):
-    # The bundle weights c0 + c1 t and the packed digits against the
-    # determinant at every root, and against the per-tree cut oracle
-    # where its subset scan is short.
+    # The bundle weights c0 + c1 t and the packed digits of the search
+    # grown from every root against the determinant, and against the
+    # per-tree cut oracle where its subset scan is short.
+    p = p_poly(D, 0)
     for r in range(D.n):
-        p = p_poly(D, r)
-        assert p == p_poly_det(D, r), (D, r)
+        assert p == _grow_trees(D, r) == p_poly_det(D, r), (D, r)
         if len(D.edges) <= 14:
             assert p == p_poly_cuts(D, r), (D, r)
 
@@ -461,15 +491,16 @@ def test_f_poly_matches_tree_references(presentation_corpus):
 
 
 def test_p_poly_matches_cut_oracle(presentation_corpus):
-    # The tree search, Tutte's determinant and the cut oracle agree at
-    # every root, and P(1) is the Kirchhoff count of undirected spanning
-    # trees.
+    # The tree search grown from every root, Tutte's determinant and the
+    # cut oracle agree at every root, and P(1) is the Kirchhoff count of
+    # undirected spanning trees.
     for D, eulerian in presentation_corpus:
         if eulerian:
             trees = tree_count(D)
             for r in range(D.n):
                 p = p_poly_det(D, r)
-                assert p == p_poly(D, r) == p_poly_cuts(D, r), (D, r)
+                assert p == p_poly(D, r) == _grow_trees(D, r) \
+                    == p_poly_cuts(D, r), (D, r)
                 assert sum(p) == trees, (D, r)
 
 
