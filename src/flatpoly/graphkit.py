@@ -4,6 +4,8 @@ the simple graph underneath once from a vertex of minimum degree (P_D does
 not depend on the root), with the parallel edges between two vertices
 merged into one weighted bundle and one frontier stack shared by the whole
 search, and p_poly_det takes a determinant (Tutte's matrix-tree theorem).
+planardual.alexander_poly calls p_poly_det too, on the oriented planar dual
+of a plane bipartite graph.
 
 Edges are an ordered list of (tail, head) pairs; the input order is the
 ground-set order everywhere. Parallel edges are distinct ground-set
@@ -307,6 +309,10 @@ def p_poly_det(D: Digraph, r=0):
     arborescence uses an edge as its weight-t arc exactly when the edge
     points away from r. So det(L0 + t L1) = p_poly(D, r), computed in
     O(n^4) integer operations instead of one search leaf per tree.
+
+    verify thm5_3 checks it against p_poly. On the oriented dual of a
+    plane bipartite graph at face 0, L0 + t L1 is minus the Seifert pencil
+    V^T + tV, so planardual.alexander_poly takes its determinant here.
     """
     _check_eulerian(D, r)
     L0 = [[0] * D.n for _ in range(D.n)]

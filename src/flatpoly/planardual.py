@@ -1,6 +1,6 @@
 """Plane graphs via rotation systems, faces, the oriented planar dual, and
-the Alexander polynomial of a plane bipartite graph from its Seifert
-matrix.
+the Alexander polynomial of a plane bipartite graph as the tree-reversal
+polynomial of its oriented dual.
 
 A dart is an int: 2e + 1 runs edge e from its tail to its head, 2e runs
 it back, and d ^ 1 reverses d. Each vertex stores the counterclockwise
@@ -14,7 +14,6 @@ from collections import namedtuple
 from functools import cmp_to_key
 
 from . import graphkit
-from .exactnum import pencil_det
 from .graphkit import Digraph, NotBipartite
 from .polyshape import normalize
 
@@ -94,7 +93,8 @@ def dual_with_orientation(P: PlaneGraph, part1) -> DualResult:
     crosses its primal edge, directed from the face holding the dart 2e
     to the face holding the dart 2e + 1. A face's walk is its dual
     vertex's rotation, up to reversing each dart, so alexander_poly checks
-    that the dual is an alternating dimap on the walks.
+    that the dual is an alternating dimap on the walks before it takes the
+    dual's tree-reversal polynomial.
     """
     part1 = set(part1)
     for t, h in P.digraph.edges:
@@ -132,57 +132,35 @@ def normalized(coeffs):
     return coeffs
 
 
-def seifert_poly(face_walks):
-    """det(V - tV^T) at -t, that is det(V + tV^T), normalized, for the
-    Seifert matrix V of the special alternating link of a plane bipartite
-    graph (Seifert 1934).
-
-    The graph is the link's Seifert graph: vertices are Seifert circles and
-    edges are crossings. All faces but face_walks[0] give a basis of the
-    Seifert surface's first homology. V[f][f] is -len(f)/2, an integer
-    since every face of a bipartite plane graph has even length, and each
-    edge e adds 1 to V[a][b], where face a holds its dart 2e + 1 and face
-    b its dart 2e.
-    """
-    face_of = _face_of(face_walks)
-    kept = face_walks[1:]
-    V = [[0] * len(kept) for _ in kept]
-    for f, walk in enumerate(kept):
-        V[f][f] = -(len(walk) // 2)
-    for a, b in zip(face_of[1::2], face_of[::2]):
-        if a and b:     # face 0 has no row
-            V[a - 1][b - 1] += 1
-    return normalized(pencil_det(V, list(zip(*V))))
-
-
 def alexander_poly(P: PlaneGraph, part1):
     """Alexander polynomial (evaluated at -t, normalized) of the special
-    alternating link of a plane bipartite graph.
+    alternating link of a plane bipartite graph, the link's Seifert graph
+    (Seifert circles are vertices, crossings are edges).
 
-    Computed from the Seifert matrix. The oriented dual must be an
-    alternating dimap: a dual vertex's rotation is its face walk with each
-    dart reversed, so every walk must alternate dart parity. The degree
-    must be |E| - |V| + 1 (Murasugi and Crowell: the Seifert surface of a
-    reduced alternating diagram has minimal genus), and the polynomial
-    must equal the tree-reversal polynomial of the oriented dual, an
-    independent route: the dual's reduced Laplacian and Tutte's
-    matrix-tree theorem, which share only the pencil evaluator with the
-    Seifert route. Both are polynomial time, so no spanning tree is
-    enumerated.
+    All faces but face 0 give a basis of the Seifert surface's first
+    homology. Its Seifert matrix V has V[f][f] = -len(f)/2, plus 1 at
+    V[a][b] per edge whose dart 2e + 1 is in face a and 2e in face b
+    (Seifert 1934). Every face has len(f)/2 outgoing and len(f)/2 incoming
+    dual edges, so the dual's out-degree Laplacian pencil reduced at face
+    0 is L0 + t L1 = -(V^T + tV), and one determinant, p_poly_det of the
+    dual at root 0, gives det(V + tV^T) up to sign. No tree is enumerated.
+
+    The oriented dual must be an alternating dimap: a dual vertex's
+    rotation is its face walk with each dart reversed, so every walk must
+    alternate dart parity. The degree must be |E| - |V| + 1 (Murasugi and
+    Crowell: the Seifert surface of a reduced alternating diagram has
+    minimal genus).
     """
     res = dual_with_orientation(P, part1)
     if not _alternating(res.face_walks):
         raise AssertionError("dual orientation is not an alternating dimap")
-    via_seifert = seifert_poly(res.face_walks)
+    poly = normalized(graphkit.p_poly_det(res.dual, 0))
     degree = len(P.digraph.edges) - P.digraph.n + 1
-    if len(via_seifert) - 1 != degree:
+    if len(poly) - 1 != degree:
         raise AssertionError(
-            f"Seifert determinant has degree {len(via_seifert) - 1}, "
+            f"dual determinant has degree {len(poly) - 1}, "
             f"not |E| - |V| + 1 = {degree}")
-    via_dual = normalized(graphkit.p_poly_det(res.dual, 0))
-    if via_seifert != via_dual:
-        raise AssertionError("Seifert and dual tree routes disagree")
-    return via_seifert
+    return poly
 
 
 def _alternating(face_walks):

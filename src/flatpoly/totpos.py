@@ -172,8 +172,9 @@ def f_tp_closed(fmp: FlatMaxPositive):
 
     The polynomial is summed from the integer minors and each coefficient
     is divided by the table's scale once. The certificate carries every
-    term's coefficient as a Fraction, so its expand() is a second route
-    to the same polynomial.
+    term's coefficient as a Fraction. Its expand() runs the same q-number
+    combination on the same terms, so it is no second route; the minor
+    table's f_poly_frac is.
 
     Returns (coefficients as Fractions, BoxCertificate).
     """

@@ -45,6 +45,11 @@ parity of its darts. dual_plane_graph builds the dual as a PlaneGraph
 instead, each face's rotation read off its walk, and is_alternating_dimap
 checks that every rotation alternates incoming and outgoing edges.
 
+The library takes the Alexander polynomial of a plane bipartite graph as
+the determinant of its oriented dual's reduced Laplacian pencil.
+seifert_matrix builds the Seifert matrix V from the face walks instead,
+and seifert_poly takes det(V + tV^T).
+
 The library takes determinants by Bareiss elimination on integer rows.
 det eliminates over Fractions instead, dividing by each pivot.
 
@@ -81,11 +86,11 @@ from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from flatpoly import lpexact
-from flatpoly.exactnum import Matrix, _columns, bareiss_det
+from flatpoly.exactnum import Matrix, _columns, bareiss_det, pencil_det
 from flatpoly.graphkit import (Digraph, Disconnected, _component,
                                incidence_matrix, is_connected,
                                standard_orientation)
-from flatpoly.planardual import PlaneGraph
+from flatpoly.planardual import PlaneGraph, normalized
 from flatpoly.polyshape import normalize, poly_add
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
                                 enumerate_bases, ext_semiactivity)
@@ -569,6 +574,33 @@ def is_alternating_dimap(P: PlaneGraph) -> bool:
         if any(outs[i] == outs[(i + 1) % len(outs)] for i in range(len(outs))):
             return False
     return True
+
+
+def seifert_matrix(face_walks, dropped=0):
+    """The Seifert matrix V of the special alternating link of a plane
+    bipartite graph, its Seifert graph (Seifert 1934), on the faces other
+    than face dropped, in face order: those faces give a basis of the
+    Seifert surface's first homology. V[f][f] is -len(f)/2, an integer
+    since every face of a bipartite plane graph has even length, and each
+    edge e adds 1 to V[a][b], where face a holds its dart 2e + 1 and face
+    b its dart 2e."""
+    kept = [f for f in range(len(face_walks)) if f != dropped]
+    row = {f: i for i, f in enumerate(kept)}
+    face_of = {d: f for f, walk in enumerate(face_walks) for d in walk}
+    V = [[0] * len(kept) for _ in kept]
+    for f in kept:
+        V[row[f]][row[f]] = -(len(face_walks[f]) // 2)
+    for e in range(len(face_of) // 2):
+        a, b = face_of[2 * e + 1], face_of[2 * e]
+        if a != dropped and b != dropped:
+            V[row[a]][row[b]] += 1
+    return V
+
+
+def seifert_poly(face_walks, dropped=0):
+    """det(V - tV^T) at -t, that is det(V + tV^T), normalized."""
+    V = seifert_matrix(face_walks, dropped)
+    return normalized(pencil_det(V, [list(col) for col in zip(*V)]))
 
 
 @dataclass(frozen=True)

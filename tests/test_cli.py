@@ -426,6 +426,7 @@ def internal_failure(capsys, argv):
     assert code == 1 and cap.out == ""
     assert cap.err.startswith("error: internal check failed")
     assert "Traceback" not in cap.err
+    return cap.err
 
 
 def test_alexander_builds_no_minor_table(tmp_path, capsys, monkeypatch):
@@ -452,10 +453,48 @@ def test_alexander_scans_no_trees(tmp_path, capsys, monkeypatch):
     assert rep["result_poly"]["coeffs"] == [3, 15, 33, 45, 45, 33, 15, 3]
 
 
-def test_alexander_dual_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+def test_alexander_wrong_degree_exits_1(tmp_path, capsys, monkeypatch):
+    # grid2x3 has 7 edges and 6 vertices, so its polynomial has degree 2.
     monkeypatch.setattr(graphkit, "p_poly_det", lambda D, r=0: [1, 1])
     path = write(tmp_path, "pg.json", planegraph_doc("grid2x3"))
-    internal_failure(capsys, ["alexander", "--planegraph", path])
+    err = internal_failure(capsys, ["alexander", "--planegraph", path])
+    assert "degree 1, not |E| - |V| + 1 = 2" in err
+
+
+def test_alexander_takes_one_determinant(tmp_path, capsys, monkeypatch):
+    # One pencil of size F - 1 for F faces, evaluated at t = 0..F - 1.
+    sizes = []
+    real = exactnum.bareiss_det
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(exactnum, "bareiss_det", counted)
+    for name, n_faces in (("grid2x3", 3), ("C6-doubled", 8)):
+        sizes.clear()
+        path = write(tmp_path, "pg.json", planegraph_doc(name))
+        code, _rep = run(capsys, ["alexander", "--planegraph", path])
+        assert code == 0 and sizes == [n_faces - 1] * n_faces, name
+
+
+def test_cor5_4_catches_wrong_constant_term(capsys, monkeypatch):
+    # alexander checks only the degree of its determinant. A wrong
+    # constant term of the right degree fails verify cor5_4, whose f routes
+    # read minor tables.
+    real = graphkit.p_poly_det
+
+    def wrong_constant(D, r=0):
+        p = real(D, r)
+        return [2 * p[0]] + p[1:]
+
+    monkeypatch.setattr(graphkit, "p_poly_det", wrong_constant)
+    code, rep = run(capsys, ["verify", "cor5_4", "--trials", "1"])
+    assert code == 1
+    names = [c["check"] for c in rep["checks"]]
+    assert names == [f"duality[{name}]" for name in corpus.PLANE_BIPARTITE] \
+        + ["duality[random-0]"]
+    assert not any(c["pass"] for c in rep["checks"])
 
 
 def test_boxcert_wrong_witness_exits_1(tmp_path, capsys, monkeypatch):

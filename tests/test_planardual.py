@@ -4,13 +4,16 @@ import random
 import pytest
 
 from flatpoly import corpus, graphkit, ormatroid, planardual, polyshape
+from flatpoly.exactnum import pencil_det
 from flatpoly.graphkit import Digraph
 from flatpoly.planardual import (DegenerateDual, MalformedRotation,
                                  PlaneGraph, alexander_poly,
                                  dual_with_orientation, faces, normalized,
-                                 plane_from_coords, seifert_poly)
+                                 plane_from_coords)
 
-from oracles import dual_plane_graph, is_alternating_dimap, tree_count
+from oracles import (dual_plane_graph, is_alternating_dimap,
+                     pencil_det_cofactor, seifert_matrix, seifert_poly,
+                     tree_count)
 
 
 def plane_c4():
@@ -259,10 +262,8 @@ def test_seifert_matches_primal_and_dual_for_every_dropped_face():
         expected = primal_f(P)
         assert normalized(graphkit.p_poly(res.dual, 0)) == expected, name
         assert len(expected) - 1 == murasugi_crowell_degree(P), name
-        walks = res.face_walks
-        for i in range(len(walks)):
-            dropped_first = (walks[i],) + walks[:i] + walks[i + 1:]
-            assert seifert_poly(dropped_first) == expected, (name, i)
+        for i in range(len(res.face_walks)):
+            assert seifert_poly(res.face_walks, i) == expected, (name, i)
 
 
 def test_seifert_matches_primal_and_dual_on_random_graphs():
@@ -277,9 +278,56 @@ def test_seifert_matches_primal_and_dual_on_random_graphs():
         assert alexander_poly(P, part1) == seifert, i
 
 
+def reduced_pencil(D, r):
+    """The pencil (L0, L1) that p_poly_det hands to pencil_det for D at
+    root r."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphkit, "pencil_det",
+                   lambda A, B: seen.append((A, B)) or [1])
+        graphkit.p_poly_det(D, r)
+    (pencil,) = seen
+    return pencil
+
+
+def dual_pencils(graphs):
+    """(graph index, face r, dual pencil at r, Seifert matrix without r)
+    for every face of every graph."""
+    for i, (P, part1) in enumerate(graphs):
+        res = dual_with_orientation(P, part1)
+        for r in range(res.dual.n):
+            yield (i, r, reduced_pencil(res.dual, r),
+                   seifert_matrix(res.face_walks, r))
+
+
+def corpus_graphs():
+    return [corpus.plane_bipartite(name) for name in corpus.PLANE_BIPARTITE]
+
+
+def test_dual_laplacian_pencil_is_minus_seifert_pencil():
+    # alexander_poly rests on this identity: every face has as many
+    # outgoing as incoming dual edges, so at every face r the oriented
+    # dual's out-degree Laplacian pencil reduced at r is (-V^T, -V), for
+    # the Seifert matrix V on the other faces.
+    rng = random.Random(5)
+    graphs = corpus_graphs()
+    graphs += [corpus.random_plane_bipartite(rng) for _ in range(100)]
+    for i, r, (L0, L1), V in dual_pencils(graphs):
+        assert L0 == [[-x for x in col] for col in zip(*V)], (i, r)
+        assert L1 == [[-x for x in row] for row in V], (i, r)
+
+
+def test_pencil_det_matches_cofactor_on_dual_pencils():
+    # The evaluator alexander_poly uses, against first-row cofactor
+    # expansion, on the dual pencils of the corpus at every face.
+    for i, r, (L0, L1), _V in dual_pencils(corpus_graphs()):
+        assert pencil_det(L0, L1) == pencil_det_cofactor(L0, L1), (i, r)
+
+
 def test_alexander_on_6x6_grid():
-    # 60 edges: a tree scan would test C(60, 25) edge subsets. Both routes
-    # are determinants, so this runs in well under a second.
+    # 60 edges: a tree scan would test C(60, 25) edge subsets. The route is
+    # one determinant of a 25 x 25 pencil, so this runs in well under a
+    # second.
     n, edges, part1, coords, _b = corpus._grid(6, 6)
     P = planardual.plane_from_coords(n, edges, coords, part1)
     a = alexander_poly(P, part1)
@@ -302,7 +350,7 @@ def test_random_plane_bipartite_is_seeded():
 
 
 def test_alexander_checks_murasugi_crowell_degree(monkeypatch):
-    monkeypatch.setattr(planardual, "seifert_poly", lambda walks: [2])
+    monkeypatch.setattr(graphkit, "p_poly_det", lambda D, r=0: [2])
     with pytest.raises(AssertionError, match="degree"):
         alexander_poly(*plane_c4())
 

@@ -187,9 +187,11 @@ def test_f_tp_closed_matches_bruteforce_random():
 
 
 def test_f_tp_closed_reads_minors_not_certificate(monkeypatch):
-    # verify thm8_8 checks cert.expand() against the closed form, so the
-    # closed form is summed from the minor table without expanding the
-    # certificate; the two routes agree, as Fractions and in length.
+    # The closed form is summed from the minor table without expanding the
+    # certificate. expand() runs the same q-number combination on the same
+    # terms, so it is no independent route: verify thm8_8 compares the
+    # closed form with f_poly_frac only. All three agree, as Fractions and
+    # in length.
     rng = random.Random(4)
     fmps = [totpos.flat_maxpos_from_network(random_network(d, N, rng))
             for d, N in ((1, 3), (2, 5), (3, 6), (4, 7))]
