@@ -9,8 +9,8 @@ is interpolated from its values. One pivot kernel, _pivot, does every
 other exact-division update: Gauss-Jordan here and the simplex tableau
 in lpexact. One Gauss-Jordan elimination yields the first basis B0 and
 the Cramer coefficients chi(B0, b_i -> j) of every column, from which
-rank, flatness, linear expansions and the Gale dual are read; Cramer
-expansion fills every other minor with one exact division. The table chi
+rank, flatness and linear expansions are read; Cramer expansion fills
+every other minor with one exact division. The table chi
 is keyed by the int mask sum of 2^c over a subset's columns, and its keys
 run in the order of combinations(range(N), d). The minor with column b
 replaced by column j in place is the entry at mask ^ (1 << b) | (1 << j),
@@ -23,7 +23,7 @@ workers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 
 class Matrix:
@@ -316,34 +316,3 @@ def _swapped_minor(chi, mask, b, j):
     c = chi[mask ^ (1 << b) | (1 << j)]
     lo, hi = (b, j) if b < j else (j, b)
     return -c if (mask & ((1 << hi) - (2 << lo))).bit_count() & 1 else c
-
-
-def dual_matrix(A: Matrix) -> Matrix:
-    """Gale dual of a full-row-rank matrix, read from one elimination.
-
-    With B the first basis, row k (one per column k not in B) holds
-    -chi(B, b_i -> k) / chi(B) at column b_i and 1 at column k: the
-    dependence that expresses column k in B. The rows span the orthogonal
-    complement of A's row space. Row k is stored over the multiplier
-    |chi(B)| / g, g the gcd of chi(B) and the row's chi(B, b_i -> k), the
-    lcm of its denominators.
-    """
-    reduced = _gauss_jordan(A.num)
-    if reduced is None:
-        raise ValueError("matrix must have full row rank")
-    basis, m = reduced
-    cb = m[0][basis[0]]
-    num, den = [], []
-    for k in range(A.cols):
-        if k in basis:
-            continue
-        g = gcd(cb, *(mk[k] for mk in m))
-        if cb < 0:
-            g = -g
-        row = [0] * A.cols
-        row[k] = cb // g
-        for b, mk in zip(basis, m):
-            row[b] = -mk[k] // g
-        num.append(row)
-        den.append(cb // g)
-    return _integer_matrix(num, den)

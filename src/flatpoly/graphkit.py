@@ -1,4 +1,4 @@
-"""Digraphs, matrix presentations, and the k-spanning-tree polynomial P_D
+"""Digraphs, the graphic matrix, and the k-spanning-tree polynomial P_D
 of an Eulerian digraph, by two routes: p_poly grows each spanning tree of
 the simple graph underneath once from a vertex of minimum degree (P_D does
 not depend on the root), with the parallel edges between two vertices
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, prod
 
-from .exactnum import Matrix, dual_matrix, pencil_det
+from .exactnum import Matrix, pencil_det
 from .polyshape import normalize
 
 
@@ -93,20 +93,6 @@ def graphic_matrix(D: Digraph) -> Matrix:
     if not is_connected(D):
         raise Disconnected("graph is not connected")
     return Matrix(incidence_matrix(D).num[:-1])
-
-
-def cographic_matrix(D: Digraph) -> Matrix:
-    """The cographic presentation: the Gale dual of the graphic matrix.
-
-    Read from the graphic matrix's minor table with B the lexicographically
-    first spanning tree. Row k belongs to the k-th non-tree edge and holds
-    its signed fundamental cycle, so the identity sits on the non-tree
-    edges and a tree edge's column holds the signs of its fundamental cut.
-    The rows span the cycle space, the orthogonal complement of the
-    graphic matrix's rows, so the columns present the dual oriented
-    matroid.
-    """
-    return dual_matrix(graphic_matrix(D))
 
 
 def _check_eulerian(D: Digraph, r):

@@ -10,7 +10,8 @@ fundamental circuits are ratios of its entries. A basis is named by its
 key in that table, the int mask sum of 2^c over its columns. The basis B
 with column b replaced by column j in place has its minor at the key
 B ^ (1 << b) | (1 << j), negated when an odd number of B's columns lie
-strictly between b and j.
+strictly between b and j. cographic_f_poly reads the f of the Gale dual
+from the same table, through the cocircuits of each basis.
 """
 
 from __future__ import annotations
@@ -154,6 +155,50 @@ def f_poly(ctx: MatroidContext, rho=LEX_ORDER):
     if any(c.denominator != 1 for c in out):
         raise ValueError("non-integer coefficient; use f_poly_frac")
     return [int(c) for c in out]
+
+
+def _first_swap(chi, basis, b):
+    """chi(basis, b -> j) in place for the smallest column j < b outside
+    basis where it is nonzero, or 0 if there is none; b is internally
+    active iff it is 0. The sign is corrected by the number of basis
+    columns strictly between j and b, counted down as j rises."""
+    key, between = basis ^ (1 << b), (basis & ((1 << b) - 1)).bit_count()
+    for j in range(b):
+        if basis >> j & 1:
+            between -= 1
+        elif c := chi[key | 1 << j]:
+            return -c if between & 1 else c
+    return 0
+
+
+def cographic_f_poly(A: Matrix):
+    """f_poly of the Gale dual of A, a matrix of full row rank, under
+    LEX_ORDER, read from A's own minor table; on graphkit.graphic_matrix(D)
+    it is the f of D's cographic matroid, flat iff D is Eulerian.
+
+    The dual's bases are the complements of A's bases B, and its
+    fundamental circuit of b in B is A's fundamental cocircuit of b, with
+    sign + at b and the sign of chi(B, b -> j) * chi(B) at j. So b is
+    active iff _first_swap is 0 or has the sign of chi(B). The dual's
+    first basis, the complement of A's first basis B0, gets volume 1, so
+    B weighs |chi(B) / chi(B0)|; a non-integer coefficient raises.
+    """
+    reduced = _gauss_jordan(A.num)
+    if reduced is None:
+        raise ValueError("matrix must have full row rank")
+    b0, m = reduced
+    chi = _minor_table(b0, m)
+    coeffs = {}
+    for basis, cb in chi.items():
+        if cb:
+            ext = sum(s == 0 or (s > 0) == (cb > 0) for s in
+                      (_first_swap(chi, basis, b) for b in _columns(basis)))
+            coeffs[ext] = coeffs.get(ext, 0) + abs(cb)
+    out = [divmod(coeffs.get(k, 0), abs(m[0][b0[0]]))
+           for k in range(max(coeffs) + 1)]
+    if any(r for _, r in out):
+        raise ValueError("non-integer coefficient")
+    return [q for q, _ in out]
 
 
 def sample_generic_rho(ctx: MatroidContext, rng):

@@ -35,9 +35,10 @@ def suite_thm3_5(args, checks, rng):
 
 
 def suite_thm5_3(args, checks, rng):
-    """Tree-reversal polynomial equals the cographic basis polynomial, and
-    its determinant route (Tutte's matrix-tree theorem) at root 0 equals
-    the search that grows each tree of the simple graph underneath from a
+    """Tree-reversal polynomial equals the cographic basis polynomial,
+    read from the cocircuits of the graphic matrix's minor table, and its
+    determinant route (Tutte's matrix-tree theorem) at root 0 equals the
+    search that grows each tree of the simple graph underneath from a
     vertex of minimum degree, one bundle of parallel edges per step. The
     check names keep "scan" for that search, so reports stay as they
     were."""
@@ -55,8 +56,8 @@ def suite_thm5_3(args, checks, rng):
         # Loops are rejected and p_poly rejects a disconnected graph, so a
         # graph with no edge has one vertex. Its cographic matroid is
         # empty, with one basis of volume 1.
-        f = ormatroid.f_poly(ormatroid.MatroidContext(
-            graphkit.cographic_matrix(D))) if D.edges else [1]
+        f = ormatroid.cographic_f_poly(
+            graphkit.graphic_matrix(D)) if D.edges else [1]
         _check(checks, f"pd-equals-cographic[{i}]", p == f, f"{p} vs {f}")
         q = graphkit.p_poly_det(D, 0)
         _check(checks, f"pd-det-equals-scan[{i}]", q == p, f"{q} vs {p}")
@@ -65,8 +66,8 @@ def suite_thm5_3(args, checks, rng):
 def suite_cor5_4(args, checks, rng):
     """The Alexander polynomial (the dual's Laplacian determinant, which is
     the Seifert determinant), the dual's cographic f and the primal's
-    graphic f agree on the corpus and on random plane bipartite graphs.
-    The two f routes read minor tables, independent of the determinant."""
+    graphic f, both read from graphic minor tables independent of the
+    determinant, agree on the corpus and on random plane bipartite graphs."""
     from . import corpus, graphkit, ormatroid, planardual
 
     graphs = [(name, corpus.plane_bipartite(name))
@@ -76,8 +77,8 @@ def suite_cor5_4(args, checks, rng):
     for name, (P, part1) in graphs:
         seifert = planardual.alexander_poly(P, part1)
         res = planardual.dual_with_orientation(P, part1)
-        f_dual = planardual.normalized(ormatroid.f_poly(
-            ormatroid.MatroidContext(graphkit.cographic_matrix(res.dual))))
+        f_dual = planardual.normalized(ormatroid.cographic_f_poly(
+            graphkit.graphic_matrix(res.dual)))
         f_primal = planardual.normalized(ormatroid.f_poly(
             ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))))
         _check(checks, f"duality[{name}]", seifert == f_dual == f_primal,

@@ -177,10 +177,8 @@ def trimmed_points(ctx: ZonotopeContext, adm: AdmissibleVector):
         summed = ext + negative
         point = tuple(map(sum, zip(origin, *(vectors[j] for j in summed))))
         levels[point] = len(summed)
-        internal = sum(
-            not any(chi[basis ^ (1 << b) | (1 << j)]
-                    for j in range(b) if not basis >> j & 1)
-            for b in cols)
+        internal = sum(not ormatroid._first_swap(chi, basis, b)
+                       for b in cols)
         count += 2 ** internal
         unimodular = unimodular and chi[basis] in (1, -1)
     if not unimodular:

@@ -11,8 +11,9 @@ import pytest
 
 import flatpoly
 from flatpoly import corpus, totpos
-from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
-                               standard_orientation)
+from flatpoly.graphkit import graphic_matrix, standard_orientation
+
+from oracles import cographic_presentation
 
 #: Wall-clock limit per test, in seconds.  The slowest test takes about
 #: 12 s, so only a test that does not terminate (say, a simplex that cycles)
@@ -70,7 +71,7 @@ def flat_corpus():
     rng = random.Random(101)
     for i in range(8):
         D = corpus.random_eulerian(rng, max_edges=8)
-        mats.append(("cographic:%d" % i, cographic_matrix(D)))
+        mats.append(("cographic:%d" % i, cographic_presentation(D)))
     for i in range(8):
         d = rng.randint(2, 3)
         N = rng.randint(d + 1, d + 4)

@@ -526,6 +526,11 @@ def tree_cographic_matrix(D: Digraph, tree) -> Matrix:
                    for i in range(n_rows)])
 
 
+def cographic_presentation(D: Digraph) -> Matrix:
+    """The cut presentation at the first spanning tree."""
+    return tree_cographic_matrix(D, next(spanning_trees(D)))
+
+
 def p_poly_cuts(D: Digraph, r=0):
     """Spanning trees graded by the number of edges pointing away from r,
     with one component walk per tree edge: d points away from r iff its

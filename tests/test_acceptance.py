@@ -12,14 +12,13 @@ import pytest
 
 from flatpoly import corpus, graphkit, ormatroid, planardual, totpos
 from flatpoly.exactnum import _columns
-from flatpoly.graphkit import (cographic_matrix, graphic_matrix, p_poly,
-                               standard_orientation)
+from flatpoly.graphkit import graphic_matrix, p_poly, standard_orientation
 from flatpoly.polyshape import box_certificate, poly_shift, shape_report
 from flatpoly.zonolattice import (bipartite_admissible_l,
                                   bipartite_graph_context, level_poly,
                                   trimmed_points)
 
-from oracles import eulerian_small, tree_count
+from oracles import cographic_presentation, eulerian_small, tree_count
 
 
 @contextmanager
@@ -80,8 +79,9 @@ def test_criterion_1_rho_invariance(flat_corpus):
 def test_criterion_2_pd_equals_cographic_f(eulerian_corpus):
     with criterion(2, "P_D = f over cographic matrix (Thm 5.3)"):
         for D in eulerian_corpus:
-            ctx = ormatroid.MatroidContext(cographic_matrix(D))
-            assert p_poly(D, 0) == ormatroid.f_poly(ctx)
+            ctx = ormatroid.MatroidContext(cographic_presentation(D))
+            assert p_poly(D, 0) == ormatroid.f_poly(ctx) == \
+                ormatroid.cographic_f_poly(graphic_matrix(D))
 
 
 def test_criterion_3_root_independence(eulerian_corpus):
@@ -98,8 +98,8 @@ def test_criterion_4_duality_alexander():
             f_primal = planardual.normalized(ormatroid.f_poly(
                 ormatroid.MatroidContext(graphic_matrix(P.digraph))))
             res = planardual.dual_with_orientation(P, part1)
-            f_dual = planardual.normalized(ormatroid.f_poly(
-                ormatroid.MatroidContext(cographic_matrix(res.dual))))
+            f_dual = planardual.normalized(ormatroid.cographic_f_poly(
+                graphic_matrix(res.dual)))
             assert f_primal == f_dual == planardual.alexander_poly(P, part1)
 
 

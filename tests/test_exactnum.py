@@ -10,14 +10,14 @@ from flatpoly import corpus, exactnum, formats, totpos
 from flatpoly.exactnum import (Matrix, _gauss_jordan, _lex_masks,
                                _minor_table, _swapped_minor, bareiss_det,
                                maximal_minors, pencil_det)
-from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
-                               standard_orientation)
-from flatpoly.ormatroid import MatroidContext
+from flatpoly.graphkit import graphic_matrix, standard_orientation
+from flatpoly.ormatroid import MatroidContext, cographic_f_poly
 from flatpoly.zonolattice import ZonotopeContext
 
 from conftest import run_python_limited
-from oracles import (apply, flat_witness, identity, independent_rows, mask,
-                     mask_table, maximal_minors_bareiss, minor_table_tuples,
+from oracles import (apply, cographic_presentation, flat_witness, identity,
+                     independent_rows, mask, mask_table,
+                     maximal_minors_bareiss, minor_table_tuples,
                      pencil_det_cofactor, rank, rref, solve,
                      swapped_minor_tuples)
 
@@ -41,7 +41,8 @@ def test_matrix_entry_types():
 
 def test_integer_inputs_build_no_fraction(tmp_path, monkeypatch):
     # An integer matrix-v1 file with "p" strings, and a graphic matrix, are
-    # read, stored and tabulated without constructing a Fraction.
+    # read, stored and tabulated without constructing a Fraction, and so
+    # is the cographic f read from the graphic matrix's table.
     path = tmp_path / "m.json"
     path.write_text(json.dumps({
         "format": "matrix-v1", "rows": 3, "cols": 5,
@@ -61,7 +62,7 @@ def test_integer_inputs_build_no_fraction(tmp_path, monkeypatch):
     MatroidContext(m)
     maximal_minors(m)
     ZonotopeContext(graphic_matrix(D))
-    maximal_minors(cographic_matrix(D))
+    cographic_f_poly(graphic_matrix(D))
     assert made == []
     assert Fraction(1, 2) and made == [(1, 2)]
 
@@ -285,7 +286,7 @@ def test_maximal_minors_match_bareiss_on_corpus():
     mats = []
     for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
         D = standard_orientation(n, edges, part1)
-        mats += [graphic_matrix(D), cographic_matrix(D)]
+        mats += [graphic_matrix(D), cographic_presentation(D)]
     rng = random.Random(14)
     mats += [corpus.random_flat_matrix(rng).matrix for _ in range(30)]
     for d in range(2, 6):

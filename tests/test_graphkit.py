@@ -1,19 +1,20 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import corpus, exactnum, graphkit, ormatroid, planardual
+from flatpoly import corpus, graphkit, ormatroid, planardual
 from flatpoly.exactnum import maximal_minors
 from flatpoly.graphkit import (Digraph, Disconnected, NotBipartite,
-                               NotEulerian, _grow_trees, cographic_matrix,
-                               graphic_matrix, incidence_matrix,
-                               is_semibalanced, p_poly, p_poly_det,
-                               standard_orientation)
+                               NotEulerian, _grow_trees, graphic_matrix,
+                               incidence_matrix, is_semibalanced, p_poly,
+                               p_poly_det, standard_orientation)
 
-from oracles import (NotSpanningTree, apply, det, eulerian_small,
-                     flat_witness, kernel_basis, p_poly_cuts, spanning_trees,
-                     tree_cographic_matrix, tree_count, tree_graphic_matrix)
+from oracles import (NotSpanningTree, apply, cographic_presentation, det,
+                     eulerian_small, flat_witness, kernel_basis, p_poly_cuts,
+                     spanning_trees, tree_cographic_matrix, tree_count,
+                     tree_graphic_matrix)
 
 # The worked five-vertex digraph used in the matrix-presentation figures:
 # e1: 1->2, e2: 1->3, e3: 3->4, e4: 1->5, e5: 2->3, e6: 4->1, e7: 4->5
@@ -87,16 +88,11 @@ def test_graphic_matrix_figure():
 
 
 def test_cographic_matrix_figure():
-    figure = [
+    assert ints(tree_cographic_matrix(FIG_D, FIG_T)) == [
         [1, -1, 0, 0, 1, 0, 0],
         [0, 1, 1, 0, 0, 1, 0],
         [0, 1, 1, -1, 0, 0, 1],
     ]
-    assert ints(tree_cographic_matrix(FIG_D, FIG_T)) == figure
-    # FIG_T is the lexicographically first spanning tree, so the Gale dual
-    # read from the minor table is the same matrix.
-    assert next(spanning_trees(FIG_D)) == FIG_T
-    assert ints(cographic_matrix(FIG_D)) == figure
 
 
 def test_graphic_matrix_is_reduced_incidence():
@@ -115,7 +111,7 @@ def test_graphic_cographic_duality():
     assert K == minus_mt
     # The presentations are orthogonal: every cycle row of the
     # cographic matrix is in the kernel of the reduced incidence matrix.
-    for row in cographic_matrix(FIG_D).entries:
+    for row in B.entries:
         assert all(x == 0 for x in apply(graphic_matrix(FIG_D), row))
 
 
@@ -134,7 +130,6 @@ def test_graphic_rejects_non_tree():
 def test_cographic_directed_3cycle():
     D = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     assert ints(tree_cographic_matrix(D, (0, 1))) == [[1, 1, 1]]
-    assert ints(cographic_matrix(D)) == [[1, 1, 1]]
 
 
 def test_same_dependences_graphic_vs_incidence():
@@ -170,11 +165,9 @@ def test_flatness_characterizations():
     assert not flat(graphic_matrix(odd))
     # Cographic matrix flat iff Eulerian orientation.
     assert flat(tree_cographic_matrix(odd, tree))  # Eulerian
-    assert flat(cographic_matrix(odd))
     non_euler = Digraph(3, [(0, 1), (2, 1), (0, 2)])
     tree2 = next(spanning_trees(non_euler))
     assert not flat(tree_cographic_matrix(non_euler, tree2))
-    assert not flat(cographic_matrix(non_euler))
 
 
 def test_flatness_characterizations_on_corpus():
@@ -184,12 +177,12 @@ def test_flatness_characterizations_on_corpus():
     for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
         D = standard_orientation(n, edges, part1)
         assert flat(graphic_matrix(D))
-        assert not flat(cographic_matrix(D))
+        assert not flat(cographic_presentation(D))
     for D in eulerian_small(max_edges=5):
         assert flat(graphic_matrix(D)) == is_semibalanced(D)
-        assert flat(cographic_matrix(D))
+        assert flat(cographic_presentation(D))
         (t, h), *rest = D.edges
-        assert not flat(cographic_matrix(Digraph(D.n, [(h, t)] + rest)))
+        assert not flat(cographic_presentation(Digraph(D.n, [(h, t)] + rest)))
 
 
 def test_p_poly_rejects_disconnected_or_bad_root():
@@ -307,6 +300,8 @@ def test_p_poly_matches_routes_on_cycle_unions(D):
     for r in range(D.n):
         assert p == _grow_trees(D, r) == p_poly_det(D, r) \
             == p_poly_cuts(D, r), (D, r)
+    assert p == ormatroid.cographic_f_poly(graphic_matrix(D)) == \
+        ormatroid.f_poly(ormatroid.MatroidContext(cographic_presentation(D)))
 
 
 @st.composite
@@ -334,12 +329,18 @@ def bundled_cycle_unions(draw):
 def test_p_poly_matches_routes_on_heavy_bundles(D):
     # The bundle weights c0 + c1 t and the packed digits of the search
     # grown from every root against the determinant, and against the
-    # per-tree cut oracle where its subset scan is short.
+    # per-tree cut oracle where its subset scan is short; against the
+    # cographic f and its cut presentation where their minor tables are
+    # small.
     p = p_poly(D, 0)
     for r in range(D.n):
         assert p == _grow_trees(D, r) == p_poly_det(D, r), (D, r)
         if len(D.edges) <= 14:
             assert p == p_poly_cuts(D, r), (D, r)
+    if comb(len(D.edges), D.n - 1) <= 5000:
+        assert p == ormatroid.cographic_f_poly(graphic_matrix(D)) == \
+            ormatroid.f_poly(
+                ormatroid.MatroidContext(cographic_presentation(D))), D
 
 
 def test_p_poly_work_follows_the_simple_graph():
@@ -379,11 +380,10 @@ def test_p_poly_work_follows_the_tree_count():
 
 
 def test_p_poly_equals_cographic_f():
-    D = FIG_D  # this one is not Eulerian; use an Eulerian instance instead
     E = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 0)])
     p = p_poly(E, 0)
-    f = ormatroid.f_poly(ormatroid.MatroidContext(cographic_matrix(E)))
-    assert p == f
+    f = ormatroid.f_poly(ormatroid.MatroidContext(cographic_presentation(E)))
+    assert p == f == ormatroid.cographic_f_poly(graphic_matrix(E))
 
 
 def test_standard_orientation():
@@ -404,8 +404,7 @@ def test_is_semibalanced():
 
 def test_total_unimodularity_spot_check():
     from itertools import combinations
-    for B in (tree_cographic_matrix(FIG_D, FIG_T), cographic_matrix(FIG_D),
-              graphic_matrix(FIG_D)):
+    for B in (tree_cographic_matrix(FIG_D, FIG_T), graphic_matrix(FIG_D)):
         entries = B.entries
         for size in range(1, B.rows + 1):
             for rows in combinations(range(B.rows), size):
@@ -454,24 +453,6 @@ def test_presentations_match_tree_references(presentation_corpus):
         tree = list(spanning_trees(D))[-1]
         assert same_up_to_sign(graphic_matrix(D),
                                tree_graphic_matrix(D, tree)), D
-        assert same_up_to_sign(cographic_matrix(D),
-                               tree_cographic_matrix(D, tree)), D
-
-
-def test_cographic_matrix_builds_no_minor_table(monkeypatch):
-    # The Gale dual is read from one elimination of the graphic matrix,
-    # not from its table of maximal minors.
-    def no_table(*args):
-        raise AssertionError("minor table built")
-
-    for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
-        D = standard_orientation(n, edges, part1)
-        with monkeypatch.context() as mp:
-            mp.setattr(exactnum, "maximal_minors", no_table)
-            mp.setattr(exactnum, "_minor_table", no_table)
-            B = cographic_matrix(D)
-        tree = next(spanning_trees(D))
-        assert same_up_to_sign(B, tree_cographic_matrix(D, tree)), D
 
 
 def test_f_poly_matches_tree_references(presentation_corpus):
@@ -479,7 +460,10 @@ def test_f_poly_matches_tree_references(presentation_corpus):
     for D, eulerian in presentation_corpus:
         tree = list(spanning_trees(D))[-1]
         if eulerian:
-            new, ref = cographic_matrix(D), tree_cographic_matrix(D, tree)
+            new = cographic_presentation(D)
+            ref = tree_cographic_matrix(D, tree)
+            assert ormatroid.cographic_f_poly(graphic_matrix(D)) == \
+                ormatroid.f_poly(ormatroid.MatroidContext(ref)), D
         else:
             new, ref = graphic_matrix(D), tree_graphic_matrix(D, tree)
         ctx = ormatroid.MatroidContext(new)

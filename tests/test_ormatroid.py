@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpoly import corpus, ormatroid
+from flatpoly import corpus, graphkit, ormatroid, planardual
 from flatpoly.exactnum import Matrix, _columns
-from flatpoly.graphkit import (cographic_matrix, graphic_matrix,
+from flatpoly.graphkit import (Digraph, graphic_matrix, p_poly,
                                standard_orientation)
 from flatpoly.ormatroid import (LEX_ORDER, MatroidContext, NotGeneric,
-                                enumerate_bases, ext_semiactivity, f_poly,
-                                f_poly_frac, sample_generic_rho)
+                                cographic_f_poly, enumerate_bases,
+                                ext_semiactivity, f_poly, f_poly_frac,
+                                sample_generic_rho)
 
 import oracles
 from oracles import (SignedCircuit, circuits, fundamental_circuit,
@@ -216,8 +217,8 @@ def test_ext_matches_circuit_oracle_on_wide_corpus():
     for n, edges, part1, _c, _b in corpus.PLANE_BIPARTITE.values():
         D = standard_orientation(n, edges, part1)
         ctxs.append(MatroidContext(graphic_matrix(D)))
-    ctxs += [MatroidContext(cographic_matrix(corpus.random_eulerian(rng, 12)))
-             for _ in range(30)]
+    ctxs += [MatroidContext(oracles.cographic_presentation(
+        corpus.random_eulerian(rng, 12))) for _ in range(30)]
     assert len(ctxs) == 85
     checked = 0
     for ctx in ctxs:
@@ -309,3 +310,76 @@ def test_f_poly_frac_ignores_positive_rho_scale(flat_corpus, data):
             return NotGeneric
 
     assert outcome([c * x for x in rho]) == outcome(rho)
+
+
+def cographic_f_oracle(D):
+    """f of D's cut presentation, a flat matrix when D is Eulerian."""
+    return f_poly(MatroidContext(oracles.cographic_presentation(D)))
+
+
+def test_cographic_f_poly_matches_cut_presentation_and_p_poly():
+    # The oriented duals of the 15 corpus graphs and 200 random Eulerian
+    # digraphs with up to 12 edges (Theorem 5.3).
+    digraphs = [planardual.dual_with_orientation(
+        *corpus.plane_bipartite(name)).dual for name in corpus.PLANE_BIPARTITE]
+    rng = random.Random(29)
+    digraphs += [corpus.random_eulerian(rng, 12) for _ in range(200)]
+    for D in digraphs:
+        assert cographic_f_poly(graphic_matrix(D)) == cographic_f_oracle(D) \
+            == p_poly(D), D
+
+
+def test_cographic_f_poly_of_the_cut_presentation_is_the_graphic_f():
+    # The Gale dual of the cut presentation presents the graphic matroid,
+    # flat for a semibalanced digraph, whose cut presentation is not flat
+    # unless it is also Eulerian.
+    rng = random.Random(30)
+    checked = 0
+    while checked < 200:
+        D, _levels = corpus.random_semibalanced(rng)
+        if len(D.edges) == D.n - 1:
+            continue  # a tree: its cographic matroid has rank 0
+        assert cographic_f_poly(oracles.cographic_presentation(D)) == \
+            f_poly(MatroidContext(graphic_matrix(D))), D
+        checked += 1
+
+
+def test_cographic_f_poly_by_hand():
+    # A directed 2-cycle's cut presentation is the row (1, 1), a circuit
+    # (1, -1), so in the basis {0} the column 1 is not active: f = 1 + t,
+    # P_D at either root. Reversing one edge makes two parallel edges, the
+    # row (1, -1) and the circuit (1, 1), and both bases have one active
+    # column. The directed triangle has P_D = 1 + t + t^2; with its last
+    # edge reversed, the cut presentation (-1, -1, 1) has the circuits
+    # (1, -1, 0), (1, 0, 1) and (0, 1, 1), and the bases {0}, {1}, {2}
+    # have 1, 2 and 2 active columns.
+    assert cographic_f_poly(graphic_matrix(Digraph(2, [(0, 1), (1, 0)]))) \
+        == [1, 1]
+    assert cographic_f_poly(graphic_matrix(Digraph(2, [(0, 1), (0, 1)]))) \
+        == [0, 2]
+    triangle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert cographic_f_poly(graphic_matrix(triangle)) == [1, 1, 1]
+    assert cographic_f_poly(graphic_matrix(
+        Digraph(3, [(0, 1), (1, 2), (0, 2)]))) == [0, 1, 2]
+
+
+def test_cographic_f_poly_ignores_row_scales():
+    # Scaling rows keeps the row space, so the Gale dual and its volumes,
+    # normalised at the first basis, are the same: the integer table is
+    # tripled in the first matrix, and the second has the scale 2^rows.
+    for D in (corpus.random_eulerian(random.Random(seed), 10)
+              for seed in range(20)):
+        A = graphic_matrix(D)
+        tripled = Matrix([[3 * x for x in A.num[0]]] + A.num[1:])
+        halved = Matrix([[Fraction(x, 2) for x in row] for row in A.num])
+        assert halved.scale == 2 ** A.rows
+        assert cographic_f_poly(tripled) == cographic_f_poly(halved) == \
+            cographic_f_poly(A) == p_poly(D), D
+
+
+def test_cographic_f_poly_rejects_bad_input():
+    with pytest.raises(ValueError, match="full row rank"):
+        cographic_f_poly(Matrix([[1, 1], [2, 2]]))
+    # The Gale dual of (2, 1) has the volumes 1 and 1/2.
+    with pytest.raises(ValueError, match="non-integer"):
+        cographic_f_poly(Matrix([[2, 1]]))

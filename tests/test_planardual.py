@@ -241,8 +241,8 @@ def test_duality_corollary():
         f_primal = normalized(ormatroid.f_poly(
             ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))))
         res = dual_with_orientation(P, part1)
-        f_dual = normalized(ormatroid.f_poly(
-            ormatroid.MatroidContext(graphkit.cographic_matrix(res.dual))))
+        f_dual = normalized(ormatroid.cographic_f_poly(
+            graphkit.graphic_matrix(res.dual)))
         assert f_primal == f_dual == alexander_poly(P, part1)
 
 
