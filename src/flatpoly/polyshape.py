@@ -1,4 +1,7 @@
-"""Integer polynomials, q-number products, and coefficient-shape predicates.
+"""Integer polynomials, q-number products, coefficient-shape predicates and
+box certificates, which are refused from the coefficients when p is not
+palindromic and trapezoidal, read in closed form for at most two q-number
+factors above [1]_q, and found by an exact LP otherwise.
 
 A polynomial is a list of coefficients, index i = coefficient of t^i,
 normalized so there is no trailing zero (the zero polynomial is []).
@@ -159,19 +162,16 @@ def _q_columns(total, parts):
 
 def box_certificate(p, d):
     """Certificate that p is a positive combination of d-fold q-number
-    products of fixed total, or None when the exact feasibility LP over all
-    compositions is infeasible.
+    products of fixed total, or None when there is none.
 
-    A d-fold product of total D + d, D = deg(p), has at most D parts above
-    1 and [1]_q = 1, so for d > D the LP is solved over min(d, D)-fold
-    products (the 0-fold product is 1) and d - D parts 1 are prepended,
-    which keeps every composition nondecreasing.
-
-    The returned certificate is re-verified by expansion, so a solver bug
-    cannot produce a silently wrong answer.
+    A q-product is positive and log-concave, so trapezoidal and symmetric
+    about D/2, D = deg(p), and so is a positive sum of them: p that is not
+    both is refused at once. At most min(d, D) parts of a composition of
+    D + d exceed 1, as [1]_q = 1; the parts 1 come first, so compositions
+    are nondecreasing. With at most two parts above 1 the certificate is
+    read in closed form from the first half of p, otherwise from the
+    exact feasibility LP over all compositions.
     """
-    from . import lpexact
-
     if d < 1:
         raise ValueError(f"box certificates need d >= 1 factors, got {d}")
     p = normalize(p)
@@ -179,22 +179,51 @@ def box_certificate(p, d):
         raise ValueError("the zero polynomial has no box certificate")
     if any(a < 0 for a in p):
         raise ValueError("certificates exist only for nonnegative coefficients")
+    if p != p[::-1] or not _is_trapezoidal(p):
+        return None
+    D = len(p) - 1
+    if min(d, D) > 2:
+        return _box_lp(p, d)
+    if d == 1:
+        return _certified(p, d, [((D + 1,), Fraction(p[0]))]) \
+            if p.count(p[0]) == len(p) else None
+    # [m]_q [D+2-m]_q, m <= h + 1, rises by 1 at t^i for i < m and is flat
+    # from there to the middle h: p's rise r_i is the sum of c_m over m > i,
+    # so c_m = r_(m-1) - r_m and c_(h+1) = r_h. For D <= 1 the one term is
+    # (1, D + 1), the LP's (D + 1,) after its d - 1 ones.
+    h = D // 2
+    rises = [b - a for a, b in zip([0] + p, p[:h + 1])]
+    cs = [a - b for a, b in zip(rises, rises[1:])] + [rises[h]]
+    if any(c < 0 for c in cs):
+        return None
+    return _certified(p, d, [((1,) * (d - 2) + (m, D + 2 - m), Fraction(c))
+                             for m, c in enumerate(cs, 1) if c > 0])
+
+
+def _box_lp(p, d):
+    """box_certificate's LP for a normalized nonnegative p: one equality
+    per coefficient of t^0 .. t^D, one variable per composition of D + k
+    into k = min(d, D) parts (the 0-fold product is 1), whose product has
+    degree D and so a full integer column."""
+    from . import lpexact
+
     D = len(p) - 1
     k = min(d, D)
     comps, columns = zip(*(_q_columns(D + k, k) if k else [((), [1])]))
-    # One equality per coefficient of t^0 .. t^D, one variable per
-    # composition; every product has degree D, so its coefficients are a
-    # full integer column.
-    rows = zip(*columns)
     prog = lpexact.LinearProgram.build(
-        objective=[0] * len(comps), eq_lhs=rows, eq_rhs=p)
+        objective=[0] * len(comps), eq_lhs=zip(*columns), eq_rhs=p)
     out = lpexact.lp_solve(prog)
     if out.status != lpexact.OPTIMAL:
         return None
     ones = (1,) * (d - k)
-    terms = tuple((ones + comp, coef) for comp, coef in zip(comps, out.witness)
-                  if coef > 0)
-    cert = BoxCertificate(d, terms)
+    return _certified(p, d, [(ones + comp, coef) for comp, coef
+                             in zip(comps, out.witness) if coef > 0])
+
+
+def _certified(p, d, terms):
+    """The certificate of terms, re-verified by expansion, so a wrong
+    closed form or a solver bug cannot produce a silently wrong answer."""
+    cert = BoxCertificate(d, tuple(terms))
     if cert.expand() != p:
         raise AssertionError("certificate expansion mismatch")
     return cert

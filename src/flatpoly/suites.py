@@ -127,7 +127,7 @@ def suite_thm8_8(args, checks, rng):
         closed, _cert = totpos.f_tp_closed(fmp)
         brute = ormatroid.f_poly_frac(ormatroid.MatroidContext(fmp.A))
         _check(checks, f"tp-closed-form[{i}]", closed == brute,
-               f"{closed} vs {brute}")
+               f"{[str(c) for c in closed]} vs {[str(c) for c in brute]}")
 
 
 def suite_lemma8_1(args, checks, rng):

@@ -196,6 +196,8 @@ def test_verify_suites_pass(capsys):
                                  "--trials", "2"])
         assert code == 0, suite
         assert rep["checks"] and all(c["pass"] for c in rep["checks"])
+        # Coefficients are written as numbers, never as Python reprs.
+        assert "Fraction(" not in json.dumps(rep), suite
 
 
 def test_verify_trials_sets_graph_counts(capsys):
@@ -353,6 +355,27 @@ def test_zonotope_solves_no_lp(tmp_path, capsys, monkeypatch):
     assert code == 0 and rep["level_poly"]["coeffs"] == [0, 2, 2]
 
 
+def test_boxcert_solves_no_lp_where_coefficients_decide(tmp_path, capsys,
+                                                        monkeypatch):
+    # A p that is not palindromic and trapezoidal is refused from its
+    # coefficients, and at most two q-numbers above [1]_q have a closed
+    # form; every d <= 2 input is decided either way.
+    def no_lp(prog):
+        raise AssertionError("boxcert solved an LP")
+
+    monkeypatch.setattr(lpexact, "lp_solve", no_lp)
+    cases = [([1, 3, 4, 3, 2], 3, 1), ([2, 1, 2], 3, 1), ([1, 2, 1], 5, 0),
+             ([7], 1, 0), ([7], 2, 0), ([2, 2], 1, 0), ([2, 3], 2, 1),
+             ([1, 1, 1], 1, 0), ([1, 2, 1], 1, 1), ([1, 2, 1], 2, 0),
+             ([1, 3, 1], 2, 1), ([1, 0, 1], 2, 1), ([1, 2, 2, 1], 2, 0),
+             ([1, 3, 4, 3, 1], 2, 1), ([1, 2, 3, 3, 3, 2, 1], 2, 0)]
+    for coeffs, d, want in cases:
+        path = write(tmp_path, "p.json", {"format": "poly-v1",
+                                          "variable": "q", "coeffs": coeffs})
+        code, rep = run(capsys, ["boxcert", "--poly", path, "--d", str(d)])
+        assert code == want and rep["box_positive"] == (want == 0), coeffs
+
+
 def test_tp_seeded_deterministic(capsys):
     code1, rep1 = run(capsys, ["tp", "--d", "2", "--n", "4", "--seed", "9"])
     code2, rep2 = run(capsys, ["tp", "--d", "2", "--n", "4", "--seed", "9"])
@@ -506,8 +529,8 @@ def test_boxcert_wrong_witness_exits_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(lpexact, "lp_solve", wrong_witness)
     path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "q",
-                                      "coeffs": [1, 2, 1]})
-    internal_failure(capsys, ["boxcert", "--poly", path, "--d", "2"])
+                                      "coeffs": [1, 2, 2, 1]})
+    internal_failure(capsys, ["boxcert", "--poly", path, "--d", "3"])
 
 
 def test_shape_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -862,6 +885,31 @@ def test_fa_matrix_loads_only_its_modules(tmp_path):
         f"assert flatpoly.cli.main(['fa', '--matrix', {path!r}]) == 0")
     assert "flatpoly.ormatroid" in added
     assert not added & UNUSED_BY_FA
+
+
+def _refused_boxcert_modules(tmp_path, coeffs, d):
+    path = write(tmp_path, "p.json", {"format": "poly-v1", "variable": "q",
+                                      "coeffs": coeffs})
+    return _modules_added(
+        "import flatpoly.cli\n"
+        f"assert flatpoly.cli.main(['boxcert', '--poly', {path!r}, "
+        f"'--d', '{d}']) == 1")
+
+
+def test_boxcert_loads_lpexact_only_for_its_lp(tmp_path):
+    assert "flatpoly.lpexact" not in _refused_boxcert_modules(
+        tmp_path, [1, 2, 1, 3], 3)
+    # [1, 5, 5, 1] passes the presolve, and only the LP refuses it at d = 3.
+    assert "flatpoly.lpexact" in _refused_boxcert_modules(
+        tmp_path, [1, 5, 5, 1], 3)
+
+
+def test_explore_loads_no_lp():
+    added = _modules_added(
+        "import flatpoly.cli\n"
+        "assert flatpoly.cli.main(['explore', '--family', 'semibalanced', "
+        "'--trials', '5']) == 0")
+    assert "flatpoly.suites" in added and "flatpoly.lpexact" not in added
 
 
 def test_requests_leave_no_cyclic_garbage(tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatpoly import polyshape
-from flatpoly.polyshape import (BoxCertificate, _q_columns, box_certificate,
-                                normalize, poly_add, poly_shift, q_product,
-                                shape_report)
+from flatpoly.polyshape import (BoxCertificate, _box_lp, _q_columns,
+                                box_certificate, normalize, poly_add,
+                                poly_shift, q_product, shape_report)
 
 from oracles import _compositions, poly_eval, poly_mul, reverse_in_degree
 
@@ -115,13 +115,71 @@ def test_box_witness_compositions_are_nondecreasing():
         p = oracle_expand(terms)
         if rng.random() < 0.25:
             p = [p[0] + 1] + p[1:]
-        cert = box_certificate(p, d)
+        cert = _box_lp(p, d)
         if cert is None:
             continue
         feasible += 1
         for comp, _ in cert.terms:
             assert list(comp) == sorted(comp)
     assert feasible >= 140
+
+
+def _box_draw(rng, way):
+    """A seeded (p, d) with d in 1..6 and deg p in 0..10: a raw random
+    list, a positive sum of d-fold q-products of one total, or such a sum
+    with one palindromic coefficient pair nudged by +1, -1 or -2."""
+    while True:
+        d, D = rng.randint(1, 6), rng.randint(0, 10)
+        if way == "raw":
+            return [rng.randint(0, 6) for _ in range(D)] + [
+                rng.randint(1, 6)], d
+        p = oracle_expand([(rng.choice(list(_compositions(D + d, d))),
+                            rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 3))])
+        if way == "sum":
+            return p, d
+        i, step = rng.randint(0, D // 2), rng.choice((1, -1, -2))
+        for j in {i, D - i}:
+            p[j] += step
+        p = normalize(p)
+        if p and min(p) >= 0:
+            return p, d
+
+
+@pytest.mark.parametrize("way", ["raw", "sum", "nudged"])
+def test_box_certificate_matches_lp(way, monkeypatch):
+    # The LP over all compositions is the oracle of every decision that
+    # the presolve and the closed forms make: 5,100 draws in all. Where
+    # box_certificate runs the LP itself, its own solve is the oracle.
+    solved = []
+
+    def recording(p, d):
+        solved.append(_box_lp(p, d))
+        return solved[-1]
+
+    monkeypatch.setattr(polyshape, "_box_lp", recording)
+    rng = random.Random(f"box-{way}")
+    seen = dict.fromkeys(("presolve", "closed", "closed-none", "lp",
+                          "lp-none"), 0)
+    for _ in range(1700):
+        p, d = _box_draw(rng, way)
+        solved.clear()
+        got = box_certificate(p, d)
+        shaped = p == p[::-1] and shape_report(p).trapezoidal
+        assert len(solved) == (shaped and min(d, len(p) - 1) > 2), (p, d)
+        lp = solved[0] if solved else _box_lp(p, d)
+        assert repr(got) == repr(lp), (p, d)
+        if not shaped:
+            seen["presolve"] += 1
+        else:
+            route = "lp" if solved else "closed"
+            seen[route + ("-none" if got is None else "")] += 1
+    # A positive sum of q-products is palindromic and trapezoidal, so the
+    # presolve refuses none of them; each refusal above met an infeasible LP.
+    assert (seen["presolve"] == 0) if way == "sum" \
+        else seen["presolve"] >= 400, seen
+    if way == "nudged":
+        assert min(seen.values()) >= 100, seen
 
 
 def test_shape_knot_coefficients():
