@@ -26,19 +26,28 @@ def _shape_dict(p):
 
 
 def cmd_fa(args):
-    from . import graphkit, ormatroid
+    """f of a flat matrix, from its table of maximal minors, or of a
+    bipartite graph's graphic matroid under the standard orientation.
 
+    A graph is split into blocks. Each block with a plane embedding gives
+    its f as one determinant, the P_D of its embedding's oriented dual
+    (Corollary 5.4). Only a block with no embedding reads the minor table,
+    so a planar graph loads planardual and planarembed, not ormatroid.
+    """
     if args.matrix and args.bigraph:
         raise UsageError("fa takes --matrix or --bigraph, not both")
     if args.matrix:
-        m = formats.load_matrix(args.matrix)
-        ctx = ormatroid.MatroidContext(m)
+        from . import ormatroid
+
+        poly = ormatroid.f_poly_frac(
+            ormatroid.MatroidContext(formats.load_matrix(args.matrix)))
     elif args.bigraph:
+        from . import graphkit, planardual
+
         D = graphkit.standard_orientation(*formats.load_bigraph(args.bigraph))
-        ctx = ormatroid.MatroidContext(graphkit.graphic_matrix(D))
+        poly = planardual.graphic_f_poly(D)
     else:
         raise UsageError("fa needs --matrix or --bigraph")
-    poly = ormatroid.f_poly_frac(ctx)
     _report(args, "fa", result_poly=formats.dump_poly(poly),
             shape=_shape_dict(poly))
     return 0

@@ -1,11 +1,18 @@
-"""Plane graphs via rotation systems, faces, the oriented planar dual, and
-the Alexander polynomial of a plane bipartite graph as the tree-reversal
-polynomial of its oriented dual.
+"""Plane graphs via rotation systems, faces, the oriented planar dual, the
+Alexander polynomial of a plane bipartite graph as the tree-reversal
+polynomial of its oriented dual, and the graphic f of a bipartite graph
+under its standard orientation, read the same way from a computed
+embedding of each block.
 
 A dart is an int: 2e + 1 runs edge e from its tail to its head, 2e runs
 it back, and d ^ 1 reverses d. Each vertex stores the counterclockwise
 cyclic order of the darts that leave it (a combinatorial map, Edmonds
 1960).
+
+graphic_f_poly splits the graph into blocks and embeds each block with
+planarembed, which only it loads. Only a block with no plane embedding
+reads the minor table, through ormatroid, which is loaded for that block
+alone.
 """
 
 from __future__ import annotations
@@ -151,16 +158,22 @@ def alexander_poly(P: PlaneGraph, part1):
     Crowell: the Seifert surface of a reduced alternating diagram has
     minimal genus).
     """
-    res = dual_with_orientation(P, part1)
-    if not _alternating(res.face_walks):
-        raise AssertionError("dual orientation is not an alternating dimap")
-    poly = normalized(graphkit.p_poly_det(res.dual, 0))
+    poly = normalized(_dual_pd(P, part1))
     degree = len(P.digraph.edges) - P.digraph.n + 1
     if len(poly) - 1 != degree:
         raise AssertionError(
             f"dual determinant has degree {len(poly) - 1}, "
             f"not |E| - |V| + 1 = {degree}")
     return poly
+
+
+def _dual_pd(P: PlaneGraph, part1):
+    """P_D of P's oriented dual at face 0, once the dual is checked to be
+    an alternating dimap."""
+    res = dual_with_orientation(P, part1)
+    if not _alternating(res.face_walks):
+        raise AssertionError("dual orientation is not an alternating dimap")
+    return graphkit.p_poly_det(res.dual, 0)
 
 
 def _alternating(face_walks):
@@ -209,3 +222,67 @@ def plane_from_coords(n_vertices, edges, coords, part1, bends=None):
                      key=lambda item: key((item[1][0] - x0, item[1][1] - y0)))
         rotations.append([d for (d, _c) in rot])
     return PlaneGraph(D, rotations)
+
+
+def graphic_f_poly(D: Digraph):
+    """f of D's graphic matroid under LEX_ORDER, for the standard
+    orientation D of a connected bipartite graph: every vertex is a tail
+    only or a head only, and the tails are part 1.
+
+    The graphic matroid is the direct sum of its blocks' matroids, so f is
+    the product of the blocks' f. A bridge contributes [1]. A block with a
+    plane embedding contributes the P_D of its oriented dual at face 0,
+    as given, since f equals that P_D for a plane bipartite graph in its
+    standard orientation (Theorem 5.3 and Corollary 5.4), and f does not
+    depend on which embedding is taken. A block with none contributes
+    ormatroid.f_poly of its graphic matrix, the minor table. The result
+    is a list of ints, equal to ormatroid.f_poly of D's graphic matrix.
+    planarembed finds the blocks and the embeddings.
+
+    A disconnected graph raises Disconnected, and a single vertex raises
+    ValueError as the table route does: its graphic matrix has no row.
+    A computed embedding that fails a check of its own (a rotation that
+    is not one, Euler's formula in faces, the alternating dual) raises
+    AssertionError, not MalformedRotation: the input held no rotation to
+    blame.
+    """
+    if not graphkit.is_connected(D):
+        raise graphkit.Disconnected("graph is not connected")
+    if D.n == 1:
+        raise ValueError("matrix must have at least one row")
+    tails = {t for t, _h in D.edges}
+    if any(h in tails for _t, h in D.edges):
+        raise NotBipartite("edges must run from part1 to part2")
+    from . import planarembed
+
+    f = [1]
+    for block in planarembed.blocks(D.n, D.edges):
+        if len(block) == 1:
+            continue
+        edges = [D.edges[e] for e in block]
+        ids = {v: i for i, v in enumerate(sorted({v for e in edges
+                                                  for v in e}))}
+        B = Digraph(len(ids), [(ids[t], ids[h]) for t, h in edges])
+        try:
+            P = planarembed.embed(B)
+            if P is not None:
+                f = _times(f, _dual_pd(P, {t for t, _h in B.edges}))
+                continue
+        except ValueError as e:
+            raise AssertionError(f"computed embedding failed its check: "
+                                 f"{e}") from e
+        from . import ormatroid
+
+        f = _times(f, ormatroid.f_poly(ormatroid.MatroidContext(
+            graphkit.graphic_matrix(B))))
+    return f
+
+
+def _times(p, q):
+    """The product of two coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+

@@ -67,7 +67,10 @@ def suite_cor5_4(args, checks, rng):
     """The Alexander polynomial (the dual's Laplacian determinant, which is
     the Seifert determinant), the dual's cographic f and the primal's
     graphic f, both read from graphic minor tables independent of the
-    determinant, agree on the corpus and on random plane bipartite graphs."""
+    determinant, agree on the corpus and on random plane bipartite graphs
+    (duality checks). The embedded checks compare fa --bigraph's route,
+    which embeds the bare graph itself and takes its dual's determinant,
+    with the primal's table f, neither normalized."""
     from . import corpus, graphkit, ormatroid, planardual
 
     graphs = [(name, corpus.plane_bipartite(name))
@@ -79,11 +82,16 @@ def suite_cor5_4(args, checks, rng):
         res = planardual.dual_with_orientation(P, part1)
         f_dual = planardual.normalized(ormatroid.cographic_f_poly(
             graphkit.graphic_matrix(res.dual)))
-        f_primal = planardual.normalized(ormatroid.f_poly(
-            ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph))))
+        f_table = ormatroid.f_poly(
+            ormatroid.MatroidContext(graphkit.graphic_matrix(P.digraph)))
+        f_primal = planardual.normalized(f_table)
         _check(checks, f"duality[{name}]", seifert == f_dual == f_primal,
                f"seifert {seifert}, dual cographic f {f_dual}, "
                f"primal graphic f {f_primal}")
+        # P.digraph carries no rotation: the route embeds it anew.
+        f_embedded = planardual.graphic_f_poly(P.digraph)
+        _check(checks, f"embedded[{name}]", f_embedded == f_table,
+               f"embedded {f_embedded}, table {f_table}")
 
 
 def suite_thm6_7(args, checks, rng):

@@ -80,3 +80,14 @@ def flat_corpus():
     assert len(mats) >= 30
     assert all(m.cols <= 12 for _, m in mats)
     return mats
+
+
+#: K3,3 as a bipartite graph (n, edges, part1): the smallest non-planar
+#: bipartite graph.
+K33 = (6, [(a, b) for a in range(3) for b in range(3, 6)], [0, 1, 2])
+
+
+def subdivided_k33():
+    """K3,3 with edge (0, 3) replaced by the path 0, 6, 7, 3."""
+    n, edges, part1 = K33
+    return 8, edges[1:] + [(0, 6), (6, 7), (7, 3)], part1 + [7]

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpoly import (cli, corpus, exactnum, formats, graphkit, lpexact,
-                      ormatroid, planardual, polyshape, suites,
+                      ormatroid, planardual, planarembed, polyshape, suites,
                       zonolattice)
 from flatpoly.cli import main
 from flatpoly.exactnum import Matrix
 from flatpoly.graphkit import Digraph
 
-from conftest import run_python_limited
+from conftest import K33, run_python_limited
 
 
 def write(tmp_path, name, obj):
@@ -61,6 +61,86 @@ def test_fa_bigraph(tmp_path, capsys):
         "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
     code, rep = run(capsys, ["fa", "--bigraph", path])
     assert code == 0 and rep["result_poly"]["coeffs"] == [2, 2]
+
+
+def bigraph_file(tmp_path, n, edges, part1):
+    return write(tmp_path, "g.json", {
+        "format": "bigraph-v1", "vertices": n, "part1": list(part1),
+        "edges": [list(e) for e in edges]})
+
+
+
+def test_fa_bigraph_edge_cases(tmp_path, capsys):
+    assert_input_error(capsys, ["fa", "--bigraph",
+                                bigraph_file(tmp_path, 1, [], [0])],
+                       "matrix must have at least one row")
+    assert_input_error(capsys, ["fa", "--bigraph", bigraph_file(
+        tmp_path, 3, [(0, 1), (1, 2), (2, 0)], [0])], "does not cross")
+    for n, edges, part1 in ((2, [(1, 0)], [0]),
+                            (5, [(0, 1), (0, 2), (3, 1), (4, 2)], [0, 3, 4])):
+        code, rep = run(capsys, ["fa", "--bigraph",
+                                 bigraph_file(tmp_path, n, edges, part1)])
+        assert code == 0 and rep["result_poly"]["coeffs"] == [1]
+
+
+def test_fa_bigraph_builds_no_minor_table_on_planar_graphs(tmp_path, capsys,
+                                                           monkeypatch):
+    def no_table(*args):
+        raise AssertionError("minor table built")
+
+    monkeypatch.setattr(exactnum, "maximal_minors", no_table)
+    monkeypatch.setattr(exactnum, "_minor_table", no_table)
+    monkeypatch.setattr(ormatroid, "_minor_table", no_table)
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["C6-doubled"]
+    code, rep = run(capsys, ["fa", "--bigraph",
+                             bigraph_file(tmp_path, n, edges, part1)])
+    assert code == 0
+    assert rep["result_poly"]["coeffs"] == [3, 15, 33, 45, 45, 33, 15, 3]
+
+
+def test_fa_bigraph_loads_ormatroid_only_for_non_planar_blocks(tmp_path):
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["grid2x4"]
+    for graph, table in (((n, edges, part1), False), (K33, True)):
+        path = bigraph_file(tmp_path, *graph)
+        added = _modules_added(
+            "import flatpoly.cli\n"
+            f"assert flatpoly.cli.main(['fa', '--bigraph', {path!r}]) == 0")
+        assert {"flatpoly.planardual", "flatpoly.planarembed"} <= added
+        assert ("flatpoly.ormatroid" in added) == table
+
+
+def test_alexander_loads_no_embedder(tmp_path):
+    # alexander is given its rotations, so it compiles no embedding code.
+    path = write(tmp_path, "pg.json", planegraph_doc("grid2x3"))
+    added = _modules_added(
+        "import flatpoly.cli\n"
+        f"assert flatpoly.cli.main(['alexander', '--planegraph', {path!r}]) "
+        "== 0")
+    assert "flatpoly.planardual" in added
+    assert not added & {"flatpoly.planarembed", "flatpoly.ormatroid"}
+
+
+def test_fa_bigraph_computed_embedding_that_fails_exits_1(tmp_path, capsys,
+                                                          monkeypatch):
+    # A rotation the route computed is not the user's to fix: failing
+    # Euler's formula or the alternating dual is an internal failure.
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE["grid2x3"]
+    path = bigraph_file(tmp_path, n, edges, part1)
+    real = planarembed.embed
+
+    def corrupted(D):
+        P = real(D)
+        rotations = [list(r) for r in P.rotations]
+        rotations[1][0], rotations[1][1] = rotations[1][1], rotations[1][0]
+        return planardual.PlaneGraph(P.digraph, rotations)
+
+    monkeypatch.setattr(planarembed, "embed", corrupted)
+    err = internal_failure(capsys, ["fa", "--bigraph", path])
+    assert "Euler characteristic" in err
+    monkeypatch.setattr(planarembed, "embed", real)
+    monkeypatch.setattr(planardual, "_alternating", lambda walks: False)
+    err = internal_failure(capsys, ["fa", "--bigraph", path])
+    assert "alternating dimap" in err
 
 
 def test_fa_rejects_matrix_and_bigraph(tmp_path, capsys):
@@ -515,8 +595,9 @@ def test_cor5_4_catches_wrong_constant_term(capsys, monkeypatch):
     code, rep = run(capsys, ["verify", "cor5_4", "--trials", "1"])
     assert code == 1
     names = [c["check"] for c in rep["checks"]]
-    assert names == [f"duality[{name}]" for name in corpus.PLANE_BIPARTITE] \
-        + ["duality[random-0]"]
+    assert names == [f"{check}[{name}]"
+                     for name in [*corpus.PLANE_BIPARTITE, "random-0"]
+                     for check in ("duality", "embedded")]
     assert not any(c["pass"] for c in rep["checks"])
 
 

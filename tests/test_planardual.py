@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from flatpoly import corpus, graphkit, ormatroid, planardual, polyshape
+from flatpoly import (corpus, graphkit, ormatroid, planardual,
+                      planarembed, polyshape)
 from flatpoly.exactnum import pencil_det
 from flatpoly.graphkit import Digraph
 from flatpoly.planardual import (DegenerateDual, MalformedRotation,
@@ -11,9 +12,10 @@ from flatpoly.planardual import (DegenerateDual, MalformedRotation,
                                  dual_with_orientation, faces, normalized,
                                  plane_from_coords)
 
+from conftest import K33, subdivided_k33
 from oracles import (dual_plane_graph, is_alternating_dimap,
-                     pencil_det_cofactor, seifert_matrix, seifert_poly,
-                     tree_count)
+                     pencil_det_cofactor, poly_mul, seifert_matrix,
+                     seifert_poly, tree_count)
 
 
 def plane_c4():
@@ -362,3 +364,140 @@ def test_euler_formula_enforced():
     P = PlaneGraph(D, [[1, 3, 5], [0, 2, 4]])
     with pytest.raises(MalformedRotation):
         faces(P)
+
+
+# ---------------------------------------------------------------------------
+# graphic_f_poly: blocks, a computed embedding of each, and the dual's
+# determinant, against the minor table.
+
+def table_f(n, edges, part1):
+    """The graphic f of a bipartite graph from its minor table."""
+    D = graphkit.standard_orientation(n, edges, part1)
+    return ormatroid.f_poly(
+        ormatroid.MatroidContext(graphkit.graphic_matrix(D)))
+
+
+def embedded_f(n, edges, part1):
+    return planardual.graphic_f_poly(
+        graphkit.standard_orientation(n, edges, part1))
+
+
+def scrambled(rng, n, edges, part1):
+    """The same bipartite graph with its vertices relabelled, its edges
+    reordered and some of them written backwards."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.randint(0, 1) else (perm[v], perm[u])
+             for u, v in edges]
+    rng.shuffle(edges)
+    return n, edges, [perm[v] for v in part1]
+
+
+def test_graphic_f_matches_table_on_bare_plane_graphs():
+    rng = random.Random(3)
+    graphs = [corpus.plane_bipartite(name) for name in corpus.PLANE_BIPARTITE]
+    graphs += [corpus.random_plane_bipartite(rng) for _ in range(60)]
+    for P, part1 in graphs:
+        # Only the graph goes in; its drawing's rotations are dropped.
+        bare = scrambled(rng, P.digraph.n, P.digraph.edges, part1)
+        assert embedded_f(*bare) == table_f(*bare) == \
+            table_f(P.digraph.n, P.digraph.edges, part1)
+
+
+def glue(g, h, at):
+    """h's vertices renumbered after g's, with h's vertex at[1] identified
+    with g's vertex at[0]; the parts are kept, so the two must agree."""
+    n, edges, part1 = g
+    m, h_edges, h_part1 = h
+    others = [v for v in range(m) if v != at[1]]
+    new = {v: n + i for i, v in enumerate(others)}
+    new[at[1]] = at[0]
+    assert (at[0] in part1) == (at[1] in h_part1)
+    return (n + m - 1, edges + [(new[u], new[v]) for u, v in h_edges],
+            sorted(set(part1) | {new[v] for v in h_part1}))
+
+
+def bigraph(name):
+    n, edges, part1, _c, _b = corpus.PLANE_BIPARTITE[name]
+    return n, edges, part1
+
+
+def test_graphic_f_multiplies_over_glued_blocks():
+    rng = random.Random(5)
+    pendant = (2, [(0, 1)], [0])
+    bundle = (2, [(0, 1), (1, 0), (0, 1)], [0])
+    c6 = bigraph("C6-one-double")
+    grid = glue(bigraph("grid2x3"), c6, (0, 2))
+    cases = [
+        (grid, [bigraph("grid2x3"), c6]),
+        (glue(glue(bigraph("K23"), pendant, (2, 1)), pendant, (0, 0)),
+         [bigraph("K23")]),
+        (glue(bigraph("C4"), bundle, (1, 1)), [bigraph("C4"), bundle]),
+        (glue(glue(grid, bundle, (3, 1)), pendant, (5, 1)),
+         [bigraph("grid2x3"), c6, bundle]),
+    ]
+    for g, blocks in cases:
+        expected = [1]
+        for b in blocks:
+            expected = poly_mul(expected, table_f(*b))
+        for bare in (g, scrambled(rng, *g)):
+            assert embedded_f(*bare) == table_f(*bare) == expected
+
+
+def test_graphic_f_of_a_bundle_and_of_trees():
+    assert embedded_f(2, [(0, 1)] * 4, [0]) == [1, 1, 1, 1]
+    assert embedded_f(2, [(0, 1)], [1]) == [1]
+    assert embedded_f(5, [(0, 1), (0, 2), (3, 1), (4, 2)], [0, 3, 4]) == [1]
+
+
+def test_graphic_f_reads_the_table_only_for_non_planar_blocks(monkeypatch):
+    cases = [(K33, [9]), (subdivided_k33(), [11]),
+             (glue(K33, bigraph("C4"), (0, 0)), [9]),
+             (glue(bigraph("C6-doubled"), bigraph("grid2x4"), (1, 1)), [])]
+    expected = [table_f(*g) for g, _sizes in cases]
+    real = ormatroid.f_poly
+    sizes = []
+
+    def recorded(ctx, *args):
+        sizes.append(ctx.n_elements)
+        return real(ctx, *args)
+
+    monkeypatch.setattr(ormatroid, "f_poly", recorded)
+    for (g, table_sizes), f in zip(cases, expected):
+        sizes.clear()
+        assert embedded_f(*g) == f
+        assert sizes == table_sizes
+
+
+def test_blocks_of_a_long_path_need_no_recursion():
+    # One block per edge of a path far longer than the recursion limit,
+    # with a 4-cycle at its far end.
+    n = 5000
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n), (n, n + 1),
+                                                  (n + 1, n - 2)]
+    blocks = planarembed.blocks(n + 2, edges)
+    assert sorted(map(len, blocks)) == [1] * (n - 2) + [4]
+    part1 = list(range(0, n + 2, 2))
+    assert embedded_f(n + 2, edges, part1) == [2, 2]
+
+
+def test_graphic_f_on_grids():
+    n, edges, part1, coords, _b = corpus._grid(4, 4)
+    assert embedded_f(n, edges, part1) == [
+        384, 2560, 8160, 16352, 22720, 22720, 16352, 8160, 2560, 384]
+    # The drawn 8 x 8 grid's rotations are an embedding found
+    # independently of the route's own.
+    n, edges, part1, coords, _b = corpus._grid(8, 8)
+    P = plane_from_coords(n, edges, coords, part1)
+    drawn = graphkit.p_poly_det(dual_with_orientation(P, part1).dual, 0)
+    assert embedded_f(n, edges, part1) == drawn
+
+
+def test_graphic_f_checks_its_input():
+    with pytest.raises(graphkit.Disconnected):
+        planardual.graphic_f_poly(Digraph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="at least one row"):
+        planardual.graphic_f_poly(Digraph(1, []))
+    # Vertex 1 is a head and a tail: not a standard orientation.
+    with pytest.raises(graphkit.NotBipartite):
+        planardual.graphic_f_poly(Digraph(3, [(0, 1), (1, 2), (0, 2)]))
